@@ -3,7 +3,7 @@
 Simulation and analysis toolkit for searching an unsorted item space when
 the searcher holds weighted hints (information sets) about where the targets
 sit.  The package prepares weighted initial states, evolves them exactly on
-the two-dimensional invariant subspace (with a brute-force N-dimensional
+the two-dimensional invariant subspace (with a matrix-free N-dimensional
 cross-check), estimates the state-target overlap by phase-register sampling,
 counts targets, and analyzes when partial information helps or hurts.
 """
@@ -45,6 +45,7 @@ from .fullsim import (
     full_evolve,
     full_hamiltonian,
     invariant_subspace_residual,
+    plane_projection_on_grid,
     project_reduced,
     reduced_basis,
 )

@@ -115,13 +115,21 @@ def eigensystem(y: float, energy: float) -> tuple[tuple[np.ndarray, float], tupl
     return (x1, energy * (1.0 + y)), (x2, energy * (1.0 - y))
 
 
-def _reduced_coefficients(y: float, energy: float, t: float) -> tuple[complex, complex]:
-    # Closed-form evolution of the initial state (a, b) = (y, sqrt(1-y**2)).
+def _reduced_coefficients(y: float, energy: float, times) -> tuple[np.ndarray, np.ndarray]:
+    # Closed-form evolution of the initial state (a, b) = (y, sqrt(1-y**2)),
+    # one entry per time.  The product phase * (y*cos - i*sin) is written out
+    # in real arithmetic: numpy's complex multiply may fuse operations and
+    # round differently from scalar complex math in the last bit.
+    ts = np.asarray(times, dtype=float)
     c = _residual_norm(y)
-    theta = energy * y * t
-    phase = complex(np.exp(-1j * energy * t))
-    a = phase * (y * math.cos(theta) - 1j * math.sin(theta))
-    b = phase * (c * math.cos(theta))
+    theta = energy * y * ts
+    phase = np.exp(-1j * energy * ts)
+    cos_t = np.cos(theta)
+    sin_t = np.sin(theta)
+    a = np.empty_like(phase)
+    a.real = phase.real * (y * cos_t) + phase.imag * sin_t
+    a.imag = phase.imag * (y * cos_t) - phase.real * sin_t
+    b = phase * (c * cos_t)
     return a, b
 
 
@@ -130,8 +138,8 @@ def evolve_state(prep: StatePrep, energy: float, t: float) -> ReducedState:
     y = _check_overlap(prep.y)
     energy = _check_energy(energy)
     t = _check_time(t)
-    a, b = _reduced_coefficients(y, energy, t)
-    return ReducedState(a=a, b=b)
+    a, b = _reduced_coefficients(y, energy, [t])
+    return ReducedState(a=complex(a[0]), b=complex(b[0]))
 
 
 def optimal_time(y: float, energy: float) -> float:
@@ -232,7 +240,5 @@ def trajectory(
         t_max = 2.0 * optimal_time(prep.y, energy)
     t_max = _check_time(t_max)
     times = np.linspace(0.0, t_max, n_points)
-    coeffs = [_reduced_coefficients(prep.y, energy, t) for t in times]
-    a = np.array([c[0] for c in coeffs])
-    b = np.array([c[1] for c in coeffs])
+    a, b = _reduced_coefficients(prep.y, energy, times)
     return Trajectory(times=times, a=a, b=b, success=np.abs(a) ** 2)

@@ -1,11 +1,25 @@
-"""Brute-force N-dimensional simulator used to validate the reduced dynamics.
+"""Full N-dimensional simulation, used to validate the reduced dynamics.
 
-Builds the full Hamiltonian H = E * (P_target + |s><s|) as a dense matrix and
-evolves states by eigendecomposition.  Dimension is capped because this path
-is a correctness oracle, not the production simulator.
+The search Hamiltonian H = E * (P_target + |beta><beta|) is a diagonal
+projector plus one rank-one term, so ``H @ v`` costs O(N).
+:func:`plane_projection_on_grid` evolves the prepared state with the
+Chebyshev propagator of Tal-Ezer and Kosloff (J. Chem. Phys. 81, 3967, 1984),
+which is built from such products alone, and projects every state onto the
+invariant plane.  It never forms an N x N array and never uses the 2x2
+closed form of :mod:`ctqsearch.dynamics`, which is what it checks; ``verify``
+and :func:`invariant_subspace_residual` run on it.  Its one size limit is
+the Chebyshev basis, ``(K+1) * N * 8`` bytes at most
+``CHEBYSHEV_BASIS_LIMIT``.
+
+:func:`full_hamiltonian`, :func:`evolve_on_grid`, :func:`full_evolve` and
+:func:`project_reduced` are test oracles: they build the dense matrix and
+diagonalise it, so their dimension is capped at ``DEFAULT_DIM_CAP``.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Iterator
 
 import numpy as np
 
@@ -14,6 +28,11 @@ from .stateprep import StatePrep
 
 DEFAULT_DIM_CAP = 4096
 HERMITIAN_TOL = 1e-12
+# largest Chebyshev basis T_k(X) beta, k = 0..K, that the propagator may hold
+CHEBYSHEV_BASIS_LIMIT = 256 * 2**20  # bytes
+# working memory per block of time rows: their states plus their samples of
+# exp(-i*a*cos(theta)); bounds the footprint on long grids
+BLOCK_BYTES = 2**20
 
 
 def _require_hermitian(hamiltonian: np.ndarray) -> np.ndarray:
@@ -92,22 +111,128 @@ def project_reduced(
     return a, b, float(np.linalg.norm(residual))
 
 
+def chebyshev_order(a_max: float) -> int:
+    """Expansion order K that represents exp(-i*a*x) on [-1, 1] for |a| <= a_max.
+
+    The Bessel weights J_k(a) fall off faster than exponentially once k
+    exceeds a by a few multiples of a**(1/3), the width of their turning
+    region; the margin puts the dropped tail far below roundoff.
+    """
+    a_max = abs(float(a_max))
+    return math.ceil(a_max + 10.0 * a_max ** (1.0 / 3.0)) + 30
+
+
+def chebyshev_coefficients(a, order: int) -> np.ndarray:
+    """Coefficients g_k(a) of exp(-i*a*x) = sum_k g_k(a) * T_k(x), k <= order.
+
+    They are g_0 = J_0(a) and g_k = 2 * (-i)**k * J_k(a), the cosine series of
+    exp(-i*a*cos(theta)).  It is sampled at theta = pi*j/M for j = 0..M,
+    M = order + 1, and mirrored to one period of 2M points, whose FFT gives
+    the series.  Index m also collects the aliased term 2M - m >= order + 2,
+    whose weight :func:`chebyshev_order` makes negligible.  One row per entry
+    of ``a``.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    m = int(order) + 1
+    samples = np.exp(-1j * np.multiply.outer(a, np.cos(np.pi * np.arange(m + 1) / m)))
+    period = np.concatenate([samples, samples[:, m - 1 : 0 : -1]], axis=1)
+    coeffs = np.fft.fft(period, axis=1)[:, :m] / (2 * m)
+    coeffs[:, 1:] *= 2.0
+    return coeffs
+
+
+def _chebyshev_basis(scenario: SearchScenario, prep: StatePrep, order: int) -> np.ndarray:
+    """Rows T_k(X) beta for k = 0..order, with X = H/E - I.
+
+    H/E = P_target + |beta><beta| has its spectrum in [0, 2], so X's lies in
+    [-1, 1].  X is applied as beta * (beta @ v) - v plus v on the targets.
+    """
+    beta = prep.beta
+    targets = np.fromiter(sorted(scenario.targets), dtype=np.intp)
+
+    def shifted(v: np.ndarray) -> np.ndarray:
+        out = beta * (beta @ v) - v
+        out[targets] += v[targets]
+        return out
+
+    basis = np.empty((order + 1, beta.size))
+    basis[0] = beta
+    if order >= 1:
+        basis[1] = shifted(beta)
+    for k in range(2, order + 1):
+        np.subtract(2.0 * shifted(basis[k - 1]), basis[k - 2], out=basis[k])
+    return basis
+
+
+def evolve_blocks(
+    scenario: SearchScenario, prep: StatePrep, times
+) -> Iterator[np.ndarray]:
+    """Yield exp(-i*H*t) beta for consecutive blocks of ``times``; rows are states.
+
+    With a = E*t, exp(-i*H*t) = exp(-i*a) * exp(-i*a*X), and the second factor
+    is the Chebyshev series sum_k g_k(a) T_k(X) on the basis of
+    :func:`_chebyshev_basis`.  The basis is built once for the largest |a|;
+    each block of time rows then costs one product with it.
+
+    Raises ``ValueError`` before allocating the basis when it would exceed
+    ``CHEBYSHEV_BASIS_LIMIT``.
+    """
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1 or not np.all(np.isfinite(ts)):
+        raise ValueError("times must be a one-dimensional array of finite values")
+    energy = scenario.energy
+    n = scenario.n_items
+    order = chebyshev_order(energy * float(np.max(np.abs(ts), initial=0.0)))
+    need = (order + 1) * n * 8
+    if need > CHEBYSHEV_BASIS_LIMIT:
+        raise ValueError(
+            f"full-space check needs a {need / 2**20:.0f} MiB Chebyshev basis "
+            f"((K+1)*N*8 bytes for N={n}, K={order}), over the "
+            f"{CHEBYSHEV_BASIS_LIMIT // 2**20} MiB limit"
+        )
+    basis = _chebyshev_basis(scenario, prep, order)
+    rows = max(1, BLOCK_BYTES // (16 * (n + 2 * (order + 1))))
+    for start in range(0, ts.size, rows):
+        block = ts[start : start + rows]
+        coeffs = chebyshev_coefficients(energy * block, order)
+        coeffs *= np.exp(-1j * energy * block)[:, None]
+        states = np.empty((block.size, n), dtype=complex)
+        states.real = coeffs.real @ basis
+        states.imag = coeffs.imag @ basis
+        yield states
+
+
+def plane_projection_on_grid(
+    scenario: SearchScenario, prep: StatePrep, times
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evolve the prepared state over ``times`` and project it onto the plane.
+
+    Returns arrays (a, b, leak) aligned with ``times``: a = <w|psi(t)>,
+    b = <r|psi(t)>, and ``leak`` the norm of the component of psi(t) outside
+    the invariant plane.  The states come from :func:`evolve_blocks`, one
+    block of rows at a time, so the whole grid of states is never held.
+    """
+    ts = np.asarray(times, dtype=float)
+    plane = np.column_stack(reduced_basis(prep, scenario.n_items))
+    ab = np.empty((ts.size, 2), dtype=complex)
+    leak = np.empty(ts.size)
+    start = 0
+    for states in evolve_blocks(scenario, prep, ts):
+        rows = slice(start, start + len(states))
+        ab[rows] = states @ plane
+        states -= ab[rows] @ plane.T
+        leak[rows] = np.linalg.norm(states, axis=1)
+        start = rows.stop
+    return ab[:, 0], ab[:, 1], leak
+
+
 def invariant_subspace_residual(
-    scenario: SearchScenario,
-    prep: StatePrep,
-    times: np.ndarray,
-    *,
-    dim_cap: int = DEFAULT_DIM_CAP,
+    scenario: SearchScenario, prep: StatePrep, times: np.ndarray
 ) -> float:
     """Largest leakage out of the invariant plane over a time grid.
 
     The exact dynamics never leaves the plane, so anything beyond roundoff
     signals a bug in either simulator.
     """
-    h = full_hamiltonian(scenario, prep, dim_cap=dim_cap)
-    states = evolve_on_grid(h, prep.beta, times)
-    worst = 0.0
-    for row in states:
-        _, _, leak = project_reduced(prep, row)
-        worst = max(worst, leak)
-    return worst
+    _, _, leak = plane_projection_on_grid(scenario, prep, times)
+    return float(np.max(leak, initial=0.0))

@@ -10,10 +10,11 @@ a value ``k`` whose fraction ``k/M`` clusters around one of those two phases:
 
 Estimation therefore sees a *mirror pair* of clusters ``{k, M - k}`` and must
 decide which side is ``y``.  The heavier cluster belongs to the phase
-``1 - y``, so the default rule reads ``y_hat = 1 - k_mode/M``; when the two
-clusters are too balanced to call, a short verification experiment (evolve to
-each candidate's optimal time and check hits through the membership oracle)
-breaks the tie.
+``1 - y``, so the default rule reads ``y_hat = 1 - k_mode/M``.  When the two
+clusters are too balanced to call, or the split is likelier under the mirror
+reading (for small ``y`` both clusters hold nearly half the samples), a short
+verification experiment (evolve to each candidate's optimal time and check
+hits through the membership oracle) decides.
 
 All register distributions here are exact closed forms; sampling them stands
 in for running the hardware.
@@ -34,7 +35,9 @@ from .stateprep import StatePrep, weighted_superposition
 EIGHT_OVER_PI_SQ = 8.0 / math.pi**2
 
 # clusters are called ambiguous when the relative count gap falls below
-# 2/sqrt(pair total), a two-sigma criterion for a fair-coin split
+# 2/sqrt(pair total), a two-sigma criterion for a fair-coin split, or when
+# the heavy-side reading is not favoured by a log-likelihood ratio of at
+# least AMBIGUITY_SIGMA**2/2, the same two-sigma evidence for a binomial
 AMBIGUITY_SIGMA = 2.0
 
 
@@ -239,6 +242,9 @@ class PhaseEstimate:
     ``y_hat = 1 - k_mode/M`` (for a clear split this equals the lighter side's
     candidate).  ``ambiguous`` flags splits too balanced to call from counts
     alone; callers should then run :func:`disambiguate`.
+    ``log_likelihood_ratio`` compares the observed split under the reading
+    ``y = y_hat`` against the mirror reading; it is 0 when the pair has a
+    single side.
     """
 
     k_mode: int
@@ -249,6 +255,18 @@ class PhaseEstimate:
     cluster_counts: tuple[int, int]
     ambiguous: bool
     candidate_gap: float
+    log_likelihood_ratio: float
+
+
+def _mirror_log_likelihood_ratio(c: float, heavy_n: int, light_n: int) -> float:
+    """Binomial log-likelihood ratio of the heavy-side reading over its mirror.
+
+    With the heavy side at phase 1 - c, reading y = c makes it the phase 1 - y
+    branch, which holds (1 + c)/2 of the pair's samples; the mirror reading
+    y = 1 - c makes it the phase-y branch, which holds c/2.  Requires
+    0 < c < 1.
+    """
+    return heavy_n * math.log((1.0 + c) / c) + light_n * math.log((1.0 - c) / (2.0 - c))
 
 
 def estimate_y(samples, m_size: int) -> PhaseEstimate:
@@ -256,7 +274,9 @@ def estimate_y(samples, m_size: int) -> PhaseEstimate:
 
     Register values are folded into mirror pairs {k, M-k}; the modal pair
     fixes the candidate set and the count split between its two sides picks
-    the branch: the heavier side estimates phase 1-y.
+    the branch: the heavier side estimates phase 1-y.  The estimate is
+    ambiguous unless that split is both lopsided and likelier under this
+    reading than under the mirror one.
     """
     m_size = _require_power_of_two(m_size)
     ks = np.asarray(samples, dtype=np.int64)
@@ -285,6 +305,7 @@ def estimate_y(samples, m_size: int) -> PhaseEstimate:
             cluster_counts=(n_low, 0),
             ambiguous=False,
             candidate_gap=0.0,
+            log_likelihood_ratio=0.0,
         )
 
     if n_high > n_low:
@@ -297,17 +318,25 @@ def estimate_y(samples, m_size: int) -> PhaseEstimate:
 
     pair_total = n_low + n_high
     gap = (heavy_n - light_n) / pair_total
-    ambiguous = light_n == 0 or gap < AMBIGUITY_SIGMA / math.sqrt(pair_total)
+    y_hat = 1.0 - heavy_k / m_size
+    # with p == 0 the pair {0} has one side and the ratio is undefined
+    llr = _mirror_log_likelihood_ratio(y_hat, heavy_n, light_n) if mirror != p else 0.0
+    ambiguous = (
+        light_n == 0
+        or gap < AMBIGUITY_SIGMA / math.sqrt(pair_total)
+        or llr < AMBIGUITY_SIGMA**2 / 2.0
+    )
 
     return PhaseEstimate(
         k_mode=heavy_k,
         y_candidates=(c_low, c_high),
-        y_hat=1.0 - heavy_k / m_size,
+        y_hat=y_hat,
         resolution=1.0 / m_size,
         samples_used=int(ks.size),
         cluster_counts=(heavy_n, light_n),
         ambiguous=ambiguous,
         candidate_gap=circle_distance(c_low, c_high),
+        log_likelihood_ratio=llr,
     )
 
 
@@ -364,9 +393,9 @@ def disambiguate(
     the pair; it is 1 for well-split candidates) and count how many of
     ``n_verify`` sampled measurements the membership oracle confirms.  A
     candidate must lead by at least ``min_lead`` hits to win; otherwise the
-    heavier-cluster default stands (at rational phase ratios both candidates
-    can score perfectly, and the heavy branch is then the best evidence
-    available).
+    branch the register split makes likelier stands (at rational phase
+    ratios both candidates can score perfectly, and the split is then the
+    best evidence available).
     """
     if not estimate.ambiguous:
         return estimate
@@ -387,8 +416,10 @@ def disambiguate(
     ]
     if abs(hits[0] - hits[1]) >= min_lead:
         chosen = candidates[int(np.argmax(hits))]
+    elif estimate.log_likelihood_ratio >= 0.0:
+        chosen = estimate.y_hat  # tie: keep the likelihood-preferred branch
     else:
-        chosen = estimate.y_hat  # tie: keep the heavy-branch default
+        chosen = c_low if estimate.y_hat == c_high else c_high
     return replace(estimate, y_hat=chosen, ambiguous=False)
 
 

@@ -65,6 +65,42 @@ def test_verify_passes_on_demo(tmp_path, library_demo_path):
     assert data["tolerance"] == 1e-10
 
 
+def test_verify_runs_above_the_dense_cap(tmp_path):
+    # N = 8192 is twice the dense oracle's cap; the matrix-free check has none
+    n = 8192
+    scenario = tmp_path / "big.json"
+    scenario.write_text(json.dumps({
+        "n_items": n,
+        "targets": [0, 1, 2, 3],
+        "info_sets": [
+            {"members": list(range(0, n // 2)), "weight": 0.5},
+            {"members": list(range(n // 4, n)), "weight": 0.5},
+        ],
+    }))
+    assert run("verify", "--scenario", scenario, "--out", tmp_path) == 0
+    data = read_json(tmp_path / "verify.json")
+    assert data["passed"] is True
+    assert data["max_subspace_leak"] <= 1e-10
+    assert data["max_trajectory_deviation"] <= 1e-10
+
+
+def test_verify_over_basis_limit_exits_1(tmp_path, capsys):
+    # 52 Chebyshev rows of 10^6 items exceed the basis limit; refused before
+    # the basis is built
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(json.dumps({
+        "n_items": 1_000_000,
+        "targets": [0],
+        "info_sets": [{"members": [0, 1], "weight": 1.0}],
+    }))
+    assert run("verify", "--scenario", scenario, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "N=1000000" in err and "K=" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "verify.json").exists()
+
+
 def test_verify_report_ignores_format_gating(tmp_path, counting_demo_path):
     # the verification verdict is the point of the command; always written
     assert run("verify", "--scenario", counting_demo_path, "--out", tmp_path,

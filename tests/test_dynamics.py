@@ -204,6 +204,20 @@ def test_trajectory_grid_and_probability(boosted_pair):
     assert_allclose(norms, 1.0, atol=1e-12)
 
 
+def test_trajectory_matches_scalar_loop(boosted_pair):
+    # reference: the per-point scalar complex arithmetic the grid evaluation
+    # replaced; same operations, so only the trig routines may differ by an ulp
+    prep = weighted_superposition(boosted_pair)
+    energy = 1.7
+    traj = trajectory(prep, energy, n_points=257)
+    y, c = prep.y, math.sqrt(1.0 - prep.y * prep.y)
+    for t, a, b in zip(traj.times, traj.a, traj.b):
+        theta = energy * y * t
+        phase = complex(np.exp(-1j * energy * t))
+        assert abs(a - phase * (y * math.cos(theta) - 1j * math.sin(theta))) <= 4e-16
+        assert abs(b - phase * (c * math.cos(theta))) <= 4e-16
+
+
 def test_trajectory_custom_horizon(lopsided_pair):
     prep = weighted_superposition(lopsided_pair)
     traj = trajectory(prep, 1.0, t_max=3.0, n_points=11)

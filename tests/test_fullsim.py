@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
+from scipy.special import jv
 
 from conftest import build_scenario
 from ctqsearch import (
@@ -12,12 +13,15 @@ from ctqsearch import (
     full_hamiltonian,
     invariant_subspace_residual,
     optimal_time,
+    plane_projection_on_grid,
     project_reduced,
     random_scenario_suite,
     reduced_basis,
     reduced_hamiltonian,
     weighted_superposition,
 )
+from ctqsearch import fullsim
+from ctqsearch.fullsim import chebyshev_coefficients, chebyshev_order, evolve_blocks
 
 
 def test_hamiltonian_two_item_literal():
@@ -156,3 +160,69 @@ def test_state_shape_checked():
     h = np.eye(3)
     with pytest.raises(ValueError):
         full_evolve(h, np.array([1.0, 0.0]), 1.0)
+
+
+def _small_suite():
+    return (
+        random_scenario_suite(41, 12, ScenarioMode.BASIC, n_items_range=(8, 64))
+        + random_scenario_suite(42, 4, ScenarioMode.DISJOINT, n_items_range=(8, 64))
+        + random_scenario_suite(43, 4, ScenarioMode.MISPLACED)
+    )
+
+
+@pytest.mark.parametrize("block_bytes", [fullsim.BLOCK_BYTES, 1])
+def test_chebyshev_propagator_matches_dense_oracle(monkeypatch, block_bytes):
+    # block_bytes=1 forces one time row per block
+    monkeypatch.setattr(fullsim, "BLOCK_BYTES", block_bytes)
+    for s in _small_suite():
+        assert s.n_items <= 64
+        prep = weighted_superposition(s)
+        times = np.linspace(0.0, 2.0 * optimal_time(prep.y, s.energy), 33)
+        dense = evolve_on_grid(full_hamiltonian(s, prep), prep.beta, times)
+        cheb = np.vstack(list(evolve_blocks(s, prep, times)))
+        assert np.max(np.abs(cheb - dense)) <= 1e-12
+
+        a, b, leak = plane_projection_on_grid(s, prep, times)
+        for i, row in enumerate(dense):
+            a_ref, b_ref, leak_ref = project_reduced(prep, row)
+            assert abs(a[i] - a_ref) <= 1e-12
+            assert abs(b[i] - b_ref) <= 1e-12
+            assert leak[i] <= 1e-12 and leak_ref <= 1e-12
+
+
+@pytest.mark.parametrize("a_max", [0.0, 0.3, 3.7, 40.0, 150.0, 300.0])
+def test_chebyshev_coefficients_match_bessel(a_max):
+    # a = pi/y at the end of a 2T grid, so a_max = 300 covers y ~ 0.01
+    order = chebyshev_order(a_max)
+    a = np.linspace(0.0, a_max, 9)
+    k = np.arange(order + 1)
+    expected = np.where(k == 0, 1.0, 2.0) * (-1j) ** k * jv(k, a[:, None])
+    assert_allclose(chebyshev_coefficients(a, order), expected, rtol=0, atol=1e-13)
+    # the dropped tail sits far below roundoff
+    assert np.max(np.abs(jv(order + 1, a))) <= 1e-17
+
+
+def test_chebyshev_conserves_norm_and_leaves_uncovered_items_zero(boosted_pair):
+    prep = weighted_superposition(boosted_pair)
+    states = np.vstack(list(evolve_blocks(boosted_pair, prep, np.linspace(0.0, 40.0, 50))))
+    assert_allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=1e-12)
+    outside = sorted(set(range(8)) - set(boosted_pair.support))
+    assert outside and np.max(np.abs(states[:, outside])) == 0.0
+
+
+def test_chebyshev_basis_limit_refused_before_allocation(monkeypatch):
+    def no_basis(*args):
+        raise AssertionError("basis allocated despite the size limit")
+
+    monkeypatch.setattr(fullsim, "_chebyshev_basis", no_basis)
+    s = build_scenario(1_000_000, {0}, [({0, 1}, 1.0)])
+    prep = weighted_superposition(s)
+    times = np.linspace(0.0, 2.0 * optimal_time(prep.y, s.energy), 8)
+    with pytest.raises(ValueError, match=r"N=1000000, K=\d+"):
+        plane_projection_on_grid(s, prep, times)
+
+
+def test_plane_projection_of_empty_grid():
+    s = build_scenario(4, {1}, [({1, 2}, 1.0)])
+    a, b, leak = plane_projection_on_grid(s, weighted_superposition(s), [])
+    assert a.shape == b.shape == leak.shape == (0,)

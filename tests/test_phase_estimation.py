@@ -291,6 +291,37 @@ def test_estimate_single_cluster_is_ambiguous():
     assert est.y_hat == pytest.approx(11 / 16, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "k_heavy,heavy_n,light_n",
+    [
+        # register splits recorded where the heavy-side rule read the mirror
+        # 1 - y: y ~ 0.011 on pair {1, 63} and y ~ 0.071 on pair {5, 59}
+        (1, 92, 66),
+        (1, 94, 67),
+        (1, 99, 71),
+        (5, 61, 34),
+    ],
+)
+def test_estimate_never_trusts_a_split_likelier_under_the_mirror(k_heavy, heavy_n, light_n):
+    est = estimate_y([k_heavy] * heavy_n + [64 - k_heavy] * light_n, 64)
+    assert est.log_likelihood_ratio < 0.0
+    assert est.ambiguous
+    # a verification tie (no draws) keeps the likelihood-preferred branch
+    s = build_scenario(8, {0}, [({0, 1}, 1.0)])
+    resolved = disambiguate(est, s, weighted_superposition(s), seed=0, n_verify=0)
+    assert resolved.y_hat == k_heavy / 64
+
+
+def test_small_overlap_estimates_land_within_resolution():
+    # y = 1/sqrt(8000) ~ 0.0112: the mirror clusters hold (1 -+ y)/2 of the
+    # samples, so which one is heavier is close to a coin flip
+    s = build_scenario(8000, {0}, [(set(range(8000)), 1.0)])
+    y = weighted_superposition(s).y
+    for seed in range(200):
+        est, _ = run_phase_estimation(s, m_size=64, n_samples=200, seed=seed)
+        assert abs(est.y_hat - y) <= est.resolution, seed
+
+
 def test_estimate_midpoint_register_value():
     est = estimate_y([4] * 12, 8)
     assert est.y_candidates == (0.5, 0.5)
