@@ -113,9 +113,55 @@ def _outdir(args) -> Path:
     return out
 
 
+_LEAF_TYPES = {str, int, float, bool, type(None)}
+
+
+def _iterencode(obj, level: int = 0):
+    """Yield the text of ``json.dumps(obj, sort_keys=True, indent=2)`` in chunks.
+
+    With ``indent`` set, the stdlib falls back to its pure-Python encoder,
+    one call per element.  Here a container whose elements are all plain
+    scalars (a members list, a histogram) goes through the C encoder in one
+    call, its item separator carrying the newline and indent; deeper
+    containers recurse.
+    """
+    pad = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+        elif set(map(type, obj.values())) <= _LEAF_TYPES:
+            text = json.dumps(obj, sort_keys=True, separators=("," + pad, ": "))
+            yield "{" + pad + text[1:-1] + close + "}"
+        else:
+            sep = "{"
+            for key, value in sorted(obj.items()):
+                # the C encoder quotes (or rejects) the key as json.dumps would
+                yield sep + pad + json.dumps({key: 0})[1:-4] + ": "
+                yield from _iterencode(value, level + 1)
+                sep = ","
+            yield close + "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+        elif set(map(type, obj)) <= _LEAF_TYPES:
+            yield "[" + pad + json.dumps(obj, separators=("," + pad, ": "))[1:-1] + close + "]"
+        else:
+            sep = "["
+            for value in obj:
+                yield sep + pad
+                yield from _iterencode(value, level + 1)
+                sep = ","
+            yield close + "]"
+    else:
+        yield json.dumps(obj)
+
+
 def _write_json(path: Path, payload: dict) -> None:
     document = {"schema_version": SCHEMA_VERSION, **payload}
-    path.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
+    with path.open("w") as fh:
+        fh.writelines(_iterencode(document))
+        fh.write("\n")
     print(f"wrote {path}")
 
 
@@ -221,7 +267,7 @@ def cmd_estimate(args) -> None:
     scenario = _load(args)
     prep = weighted_superposition(scenario)
     est, samples = run_phase_estimation(
-        scenario, m_size=args.m_size, n_samples=args.samples, seed=args.seed
+        scenario, prep, m_size=args.m_size, n_samples=args.samples, seed=args.seed
     )
     out = _outdir(args)
     counts = np.bincount(samples, minlength=args.m_size)

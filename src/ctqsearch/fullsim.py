@@ -52,7 +52,7 @@ def full_hamiltonian(
     if n > dim_cap:
         raise ValueError(f"n_items={n} exceeds the full-simulation cap {dim_cap}")
     h = scenario.energy * np.outer(prep.beta, prep.beta)
-    targets = np.fromiter(sorted(scenario.targets), dtype=int)
+    targets = prep.target_items
     h[targets, targets] += scenario.energy
     return h
 
@@ -88,10 +88,10 @@ def reduced_basis(prep: StatePrep, n_items: int) -> tuple[np.ndarray, np.ndarray
     residual component (y == 1).
     """
     w = np.zeros(n_items)
-    w[np.fromiter(prep.target_items, dtype=int)] = prep.target_coeffs
+    w[prep.target_items] = prep.target_coeffs
     r = np.zeros(n_items)
     if prep.r_count:
-        r[np.fromiter(prep.residual_items, dtype=int)] = prep.residual_coeffs
+        r[prep.residual_items] = prep.residual_coeffs
     return w, r
 
 
@@ -141,14 +141,14 @@ def chebyshev_coefficients(a, order: int) -> np.ndarray:
     return coeffs
 
 
-def _chebyshev_basis(scenario: SearchScenario, prep: StatePrep, order: int) -> np.ndarray:
+def _chebyshev_basis(prep: StatePrep, order: int) -> np.ndarray:
     """Rows T_k(X) beta for k = 0..order, with X = H/E - I.
 
     H/E = P_target + |beta><beta| has its spectrum in [0, 2], so X's lies in
     [-1, 1].  X is applied as beta * (beta @ v) - v plus v on the targets.
     """
     beta = prep.beta
-    targets = np.fromiter(sorted(scenario.targets), dtype=np.intp)
+    targets = prep.target_items
 
     def shifted(v: np.ndarray) -> np.ndarray:
         out = beta * (beta @ v) - v
@@ -190,7 +190,7 @@ def evolve_blocks(
             f"((K+1)*N*8 bytes for N={n}, K={order}), over the "
             f"{CHEBYSHEV_BASIS_LIMIT // 2**20} MiB limit"
         )
-    basis = _chebyshev_basis(scenario, prep, order)
+    basis = _chebyshev_basis(prep, order)
     rows = max(1, BLOCK_BYTES // (16 * (n + 2 * (order + 1))))
     for start in range(0, ts.size, rows):
         block = ts[start : start + rows]

@@ -162,13 +162,21 @@ def branch_distribution(phase: float, m_size: int) -> np.ndarray:
     """
     m_size = _require_power_of_two(m_size)
     phase = float(phase)
-    k = np.arange(m_size)
-    u = phase - k / m_size
-    singular = (u % 1.0) == 0.0
-    num = np.sin(np.pi * (m_size * phase - k))
-    den = m_size * np.sin(np.pi * u)
-    ratio = np.where(singular, 1.0, num / np.where(singular, 1.0, den))
-    return ratio**2
+    # in place over two float buffers: at M = 2**21 each is 16 MiB
+    k = np.arange(m_size, dtype=float)
+    u = np.divide(k, m_size)
+    np.subtract(phase, u, out=u)
+    singular = np.remainder(u, 1.0) == 0.0
+    den = np.multiply(np.pi, u, out=u)
+    np.sin(den, out=den)
+    np.multiply(m_size, den, out=den)
+    den[singular] = 1.0
+    num = np.subtract(m_size * phase, k, out=k)
+    np.multiply(np.pi, num, out=num)
+    np.sin(num, out=num)
+    ratio = np.divide(num, den, out=num)
+    ratio[singular] = 1.0
+    return np.square(ratio, out=ratio)
 
 
 @dataclass(frozen=True)
@@ -238,10 +246,12 @@ class PhaseEstimate:
     """Outcome of cluster analysis on register samples.
 
     ``y_candidates`` is the mirror pair (k*/M, 1 - k*/M) of the modal cluster,
-    sorted ascending; ``k_mode`` is the heavier side's register value and
-    ``y_hat = 1 - k_mode/M`` (for a clear split this equals the lighter side's
-    candidate).  ``ambiguous`` flags splits too balanced to call from counts
-    alone; callers should then run :func:`disambiguate`.
+    sorted ascending; ``k_mode`` is the register value read as phase 1 - y,
+    so ``y_hat = 1 - k_mode/M`` always holds.  It is the heavier side unless
+    :func:`disambiguate` overturned the split.  ``cluster_counts`` holds the
+    sample counts at ``k_mode`` and at its mirror, in that order.
+    ``ambiguous`` flags splits too balanced to call from counts alone;
+    callers should then run :func:`disambiguate`.
     ``log_likelihood_ratio`` compares the observed split under the reading
     ``y = y_hat`` against the mirror reading; it is 0 when the pair has a
     single side.
@@ -404,40 +414,53 @@ def disambiguate(
         return replace(estimate, ambiguous=False)
     candidates = [c for c in (c_low, c_high) if c > 0.0]
     if len(candidates) == 1:
-        return replace(estimate, y_hat=candidates[0], ambiguous=False)
-
-    rng = make_rng(seed, "verify")
-    gap = c_high - c_low
-    hits = [
-        _verification_hits(
-            scenario, prep, c, rng, n_verify, _verification_harmonic(c, gap)
-        )
-        for c in candidates
-    ]
-    if abs(hits[0] - hits[1]) >= min_lead:
-        chosen = candidates[int(np.argmax(hits))]
-    elif estimate.log_likelihood_ratio >= 0.0:
-        chosen = estimate.y_hat  # tie: keep the likelihood-preferred branch
+        chosen = candidates[0]
     else:
-        chosen = c_low if estimate.y_hat == c_high else c_high
-    return replace(estimate, y_hat=chosen, ambiguous=False)
+        rng = make_rng(seed, "verify")
+        gap = c_high - c_low
+        hits = [
+            _verification_hits(
+                scenario, prep, c, rng, n_verify, _verification_harmonic(c, gap)
+            )
+            for c in candidates
+        ]
+        if abs(hits[0] - hits[1]) >= min_lead:
+            chosen = candidates[int(np.argmax(hits))]
+        elif estimate.log_likelihood_ratio >= 0.0:
+            chosen = estimate.y_hat  # tie: keep the likelihood-preferred branch
+        else:
+            chosen = c_low if estimate.y_hat == c_high else c_high
+    if chosen == estimate.y_hat:
+        return replace(estimate, ambiguous=False)
+    # the flip reads the other side as phase 1 - y
+    m_size = round(1.0 / estimate.resolution)
+    at_mode, at_mirror = estimate.cluster_counts
+    return replace(
+        estimate,
+        k_mode=round((1.0 - chosen) * m_size) % m_size,
+        y_hat=chosen,
+        cluster_counts=(at_mirror, at_mode),
+        log_likelihood_ratio=-estimate.log_likelihood_ratio,
+        ambiguous=False,
+    )
 
 
 def run_phase_estimation(
     scenario: SearchScenario,
+    prep: StatePrep,
     *,
     m_size: int = 64,
     n_samples: int = 200,
     seed: int = 0,
     n_verify: int = 48,
 ) -> tuple[PhaseEstimate, np.ndarray]:
-    """Sample the register for a scenario and estimate its overlap.
+    """Sample the register for a prepared scenario and estimate its overlap.
 
+    ``prep`` is the scenario's prepared state (:func:`weighted_superposition`).
     Returns the (possibly verification-resolved) estimate together with the
     raw register samples.  The target set is consulted only through the
     membership oracle during verification.
     """
-    prep = weighted_superposition(scenario)
     samples = sample_phase_register(prep.y, m_size, n_samples, seed)
     est = estimate_y(samples, m_size)
     if est.ambiguous:
@@ -530,7 +553,12 @@ def run_counting(
                 f"counting requires m_size >= 4 * support_size = {4 * support}, got {m_size}"
             )
     est, samples = run_phase_estimation(
-        counting, m_size=m_size, n_samples=n_samples, seed=seed, n_verify=n_verify
+        counting,
+        weighted_superposition(counting),
+        m_size=m_size,
+        n_samples=n_samples,
+        seed=seed,
+        n_verify=n_verify,
     )
     return CountResult(
         count_estimate=estimate_count(est.y_hat, support),

@@ -43,7 +43,7 @@ class InformationSet:
     weight: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(int(i) for i in self.members))
+        object.__setattr__(self, "members", frozenset(map(int, self.members)))
         object.__setattr__(self, "weight", float(self.weight))
         if not self.members:
             raise ScenarioError("information set invariant violated: members must be nonempty")
@@ -80,7 +80,7 @@ class SearchScenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_items", int(self.n_items))
-        object.__setattr__(self, "targets", frozenset(int(i) for i in self.targets))
+        object.__setattr__(self, "targets", frozenset(map(int, self.targets)))
         object.__setattr__(self, "info_sets", tuple(self.info_sets))
         object.__setattr__(self, "energy", float(self.energy))
         if self.n_items < 1:
@@ -230,13 +230,13 @@ def scenario_from_dict(payload: Mapping) -> SearchScenario:
     for entry in raw_sets:
         if not isinstance(entry, Mapping) or "members" not in entry or "weight" not in entry:
             raise ScenarioError("each info set needs 'members' and 'weight'")
-        sets.append(InformationSet(frozenset(entry["members"]), entry["weight"]))
+        sets.append(InformationSet(entry["members"], entry["weight"]))
     labels = None
     if "labels" in payload and payload["labels"] is not None:
         labels = tuple((int(k), str(v)) for k, v in payload["labels"].items())
     return SearchScenario(
         n_items=payload["n_items"],
-        targets=frozenset(payload["targets"]),
+        targets=payload["targets"],
         info_sets=tuple(sets),
         energy=payload.get("energy", 1.0),
         labels=labels,

@@ -33,10 +33,10 @@ class StatePrep:
     r_count:
         Number of non-target items with nonzero amplitude.
     target_items, residual_items:
-        Sorted index tuples giving the support of the two components.
+        Sorted int64 index arrays giving the support of the two components.
     target_coeffs, residual_coeffs:
         Unit coefficient vectors of the state's components inside and outside
-        the target subspace, aligned with the index tuples.  ``residual_coeffs``
+        the target subspace, aligned with the index arrays.  ``residual_coeffs``
         is empty when the state lies entirely in the target subspace (y == 1).
     """
 
@@ -44,14 +44,20 @@ class StatePrep:
     nu: float
     y: float
     r_count: int
-    target_items: tuple[int, ...]
-    residual_items: tuple[int, ...]
+    target_items: np.ndarray
+    residual_items: np.ndarray
     target_coeffs: np.ndarray
     residual_coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("beta", "target_coeffs", "residual_coeffs"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+        for name, dtype in (
+            ("beta", float),
+            ("target_items", np.int64),
+            ("residual_items", np.int64),
+            ("target_coeffs", float),
+            ("residual_coeffs", float),
+        ):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -71,14 +77,13 @@ def _finalize(scenario: SearchScenario, raw: np.ndarray) -> StatePrep:
         raise ScenarioError("state preparation invariant violated: zero amplitude vector")
     beta = raw / nu
 
-    target_items = tuple(sorted(scenario.targets))
-    t_idx = np.fromiter(target_items, dtype=int)
     mask = np.zeros(scenario.n_items, dtype=bool)
-    mask[t_idx] = True
-    residual_items = tuple(int(i) for i in np.nonzero(~mask & (beta > 0.0))[0])
-    r_count = len(residual_items)
+    mask[np.fromiter(scenario.targets, dtype=np.int64, count=len(scenario.targets))] = True
+    target_items = np.flatnonzero(mask)
+    residual_items = np.flatnonzero(~mask & (beta > 0.0))
+    r_count = int(residual_items.size)
 
-    target_slice = beta[t_idx]
+    target_slice = beta[target_items]
     y = float(np.linalg.norm(target_slice))
     if y == 0.0:
         raise ScenarioError("state preparation invariant violated: no amplitude on targets")
@@ -86,7 +91,7 @@ def _finalize(scenario: SearchScenario, raw: np.ndarray) -> StatePrep:
         y = 1.0  # all mass sits on targets
         residual_coeffs = np.empty(0)
     else:
-        res_slice = beta[np.fromiter(residual_items, dtype=int)]
+        res_slice = beta[residual_items]
         residual_coeffs = res_slice / np.linalg.norm(res_slice)
     target_coeffs = target_slice / y
 
@@ -107,7 +112,7 @@ def weighted_superposition(scenario: SearchScenario) -> StatePrep:
     weights of the information sets containing i, normalized by ``nu``."""
     raw = np.zeros(scenario.n_items)
     for s in scenario.info_sets:
-        raw[np.fromiter(s.members, dtype=int)] += s.weight
+        raw[np.fromiter(s.members, dtype=np.int64, count=len(s.members))] += s.weight
     return _finalize(scenario, raw)
 
 

@@ -1,8 +1,14 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import SCENARIO_DIR
 from ctqsearch import cli
 
 
@@ -249,3 +255,64 @@ def test_invalid_energy_override(tmp_path, library_demo_path, capsys):
     assert run("simulate", "--scenario", library_demo_path, "--out", tmp_path,
                "--energy", -1.0) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def indent2(doc):
+    # the serializer the writer must reproduce byte for byte
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+numbers = st.integers(min_value=-(10**40), max_value=10**40) | st.floats() | st.just(-0.0)
+leaves = (
+    st.none()
+    | st.booleans()
+    | numbers
+    | st.floats().map(np.float64)
+    | st.text()
+    | st.lists(numbers | st.booleans())  # bools inside number lists
+)
+documents = st.recursive(
+    leaves,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+    max_leaves=25,
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(doc=documents)
+def test_iterencode_matches_indented_dumps(doc):
+    assert "".join(cli._iterencode(doc)) == indent2(doc)
+
+
+@settings(deadline=None, max_examples=40)
+@given(payload=st.dictionaries(st.text(), documents, max_size=6))
+def test_write_json_bytes_match_indented_dumps(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        cli._write_json(path, payload)
+        expected = indent2({"schema_version": cli.SCHEMA_VERSION, **payload}) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+
+def test_iterencode_edge_documents():
+    for doc in ([], {}, [[]], {"a": {}}, [1, True, 2.5, -0.0], {"k": [10**30, -1]},
+                ["\u00e9\u4e2d", "a, b"], {"x": [{"y": []}, None]}, {2: "int key"},
+                {2: [[1]], 3.5: {}}, {True: [{}]}, {None: [[]]}):
+        assert "".join(cli._iterencode(doc)) == indent2(doc)
+    with pytest.raises(TypeError):
+        "".join(cli._iterencode({(1, 2): [[]]}))
+
+
+@pytest.mark.parametrize("scenario", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
+def test_cli_json_reserializes_to_same_bytes(tmp_path, scenario):
+    path = SCENARIO_DIR / scenario
+    written = 0
+    for command in cli.COMMANDS:
+        out = tmp_path / command
+        if run(command, "--scenario", path, "--out", out) != 0:
+            continue  # sweep refuses scenarios that are not misplaced
+        for output in out.glob("*.json"):
+            text = output.read_text()
+            assert text == indent2(json.loads(text)) + "\n", output.name
+            written += 1
+    assert written >= 5

@@ -150,6 +150,24 @@ def test_branch_distribution_matches_direct_sum():
         assert_allclose(probs, direct, atol=1e-12)
 
 
+def _branch_distribution_by_where(phase, m_size):
+    # the expression branch_distribution replaced, kept as its bitwise oracle
+    k = np.arange(m_size)
+    u = phase - k / m_size
+    singular = (u % 1.0) == 0.0
+    num = np.sin(np.pi * (m_size * phase - k))
+    den = m_size * np.sin(np.pi * u)
+    ratio = np.where(singular, 1.0, num / np.where(singular, 1.0, den))
+    return ratio**2
+
+
+@pytest.mark.parametrize("m_size", [64, 2**21])
+@pytest.mark.parametrize("phase", [0.25, 0.5, 0.0112, 0.3, 0.71, 1 - 0.0112, 1.0])
+def test_branch_distribution_bit_identical_to_where_form(phase, m_size):
+    probs = branch_distribution(phase, m_size)
+    assert np.array_equal(probs, _branch_distribution_by_where(phase, m_size))
+
+
 def test_known_off_grid_amplitude():
     # phase 0.3 on a 4-point register, nearest bin k=1
     direct = direct_alpha_sq(0.3, 4, 1)
@@ -316,10 +334,10 @@ def test_small_overlap_estimates_land_within_resolution():
     # y = 1/sqrt(8000) ~ 0.0112: the mirror clusters hold (1 -+ y)/2 of the
     # samples, so which one is heavier is close to a coin flip
     s = build_scenario(8000, {0}, [(set(range(8000)), 1.0)])
-    y = weighted_superposition(s).y
+    prep = weighted_superposition(s)
     for seed in range(200):
-        est, _ = run_phase_estimation(s, m_size=64, n_samples=200, seed=seed)
-        assert abs(est.y_hat - y) <= est.resolution, seed
+        est, _ = run_phase_estimation(s, prep, m_size=64, n_samples=200, seed=seed)
+        assert abs(est.y_hat - prep.y) <= est.resolution, seed
 
 
 def test_estimate_midpoint_register_value():
@@ -348,7 +366,8 @@ def test_estimate_validation():
 def test_disambiguation_resolves_full_overlap_scenario():
     # sets identical to targets: y == 1, register pins k = 0
     s = build_scenario(4, {1, 2}, [({1, 2}, 1.0)])
-    est, samples = run_phase_estimation(s, m_size=16, n_samples=50, seed=9)
+    prep = weighted_superposition(s)
+    est, samples = run_phase_estimation(s, prep, m_size=16, n_samples=50, seed=9)
     assert np.all(samples == 0)
     assert est.y_hat == 1.0
     assert not est.ambiguous
@@ -364,6 +383,30 @@ def test_disambiguation_by_verification(lopsided_pair):
     resolved = disambiguate(est, lopsided_pair, prep, seed=21)
     assert resolved.y_hat == pytest.approx(15 / 64, abs=1e-15)
     assert not resolved.ambiguous
+
+
+def test_flipped_estimate_keeps_k_mode_on_y_hat():
+    # a lone sample at k = 62 reads y_hat = 66/128; verification flips it to
+    # 62/128, so the mode and the counts must move to the other side
+    s = build_scenario(
+        30, set(range(6)), [(set(range(13)), 0.5), (set(range(13, 26)), 0.5)]
+    )
+    est = estimate_y([62], 128)
+    assert (est.k_mode, est.y_hat, est.cluster_counts) == (62, 66 / 128, (1, 0))
+    resolved = disambiguate(est, s, weighted_superposition(s), seed=2)
+    assert resolved.y_hat == 62 / 128
+    assert resolved.k_mode == 66
+    assert resolved.y_hat == 1.0 - resolved.k_mode / 128
+    assert resolved.cluster_counts == (0, 1)
+    assert resolved.log_likelihood_ratio == -est.log_likelihood_ratio
+    assert resolved.y_candidates == est.y_candidates
+
+
+def test_unflipped_estimate_keeps_its_mode(lopsided_pair):
+    est = estimate_y([15, 49], 64)  # dead-even: the default reads 15/64
+    resolved = disambiguate(est, lopsided_pair, weighted_superposition(lopsided_pair), seed=21)
+    assert resolved.y_hat == est.y_hat == 15 / 64
+    assert (resolved.k_mode, resolved.cluster_counts) == (est.k_mode, est.cluster_counts)
 
 
 @pytest.mark.parametrize(
@@ -394,7 +437,7 @@ def test_estimate_recovers_overlap_within_resolution():
     )
     # disjoint uniform: y = sqrt(2/9) ~ 0.4714
     prep = weighted_superposition(s)
-    est, _ = run_phase_estimation(s, m_size=64, n_samples=200, seed=17)
+    est, _ = run_phase_estimation(s, prep, m_size=64, n_samples=200, seed=17)
     assert abs(est.y_hat - prep.y) <= est.resolution
 
 

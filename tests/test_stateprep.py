@@ -27,8 +27,8 @@ def test_overlapping_sets_boost_shared_item(boosted_pair):
     # target mass = (0.36 + 1.0)/1.88
     assert prep.y == pytest.approx(math.sqrt(1.36 / 1.88), abs=1e-14)
     assert prep.r_count == 2
-    assert prep.target_items == (0, 1)
-    assert prep.residual_items == (2, 3)
+    assert prep.target_items.tolist() == [0, 1]
+    assert prep.residual_items.tolist() == [2, 3]
 
 
 def test_lopsided_weights_shrink_overlap(lopsided_pair):
