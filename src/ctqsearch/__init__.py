@@ -35,31 +35,22 @@ from .dynamics import (
     evolve_state,
     optimal_time,
     reduced_hamiltonian,
-    sample_measurement,
     success_distribution,
     trajectory,
 )
 from .fullsim import (
-    DEFAULT_DIM_CAP,
-    evolve_on_grid,
-    full_evolve,
-    full_hamiltonian,
     invariant_subspace_residual,
     plane_projection_on_grid,
-    project_reduced,
     reduced_basis,
 )
 from .phase_estimation import (
     EIGHT_OVER_PI_SQ,
-    AncillaState,
     CountResult,
     PhaseEstimate,
     RegisterDistribution,
     TailBound,
     TailBoundReport,
-    apply_inverse_qft,
     branch_distribution,
-    build_psi1,
     circle_distance,
     concentration_probability,
     counting_scenario,
@@ -67,19 +58,15 @@ from .phase_estimation import (
     disjointify,
     estimate_count,
     estimate_y,
-    forward_qft,
-    inverse_qft,
     measurement_distribution,
     next_power_of_two,
-    qft_gate_count,
-    register_probabilities,
     run_counting,
     run_phase_estimation,
     sample_phase_register,
     tail_bound_report,
     walk_operator,
 )
-from .rng import RNG_ALGORITHM, derive_key, make_rng
+from .rng import derive_key, make_rng
 from .scenario import (
     Confidence,
     ConfidenceReport,
@@ -93,7 +80,6 @@ from .scenario import (
     scenario_from_dict,
     scenario_to_dict,
     sets_pairwise_disjoint,
-    validate_coverage,
 )
 from .stateprep import StatePrep, uniform_superposition, weighted_superposition
 

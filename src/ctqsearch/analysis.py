@@ -49,7 +49,6 @@ class BoundReport:
     to the uniform one.
     """
 
-    scenario_id: str
     y: float
     time: float
     bound_value: float
@@ -87,14 +86,7 @@ def nu_squared_lower(scenario: SearchScenario) -> float:
     return math.fsum(s.size * s.weight * s.weight for s in scenario.info_sets)
 
 
-def _report(
-    scenario_id: str,
-    y: float,
-    t: float,
-    kind: BoundKind,
-    bound_on: str,
-    bound_value: float,
-) -> BoundReport:
+def _report(y: float, t: float, kind: BoundKind, bound_on: str, bound_value: float) -> BoundReport:
     if bound_on == "overlap":
         margin = y - bound_value
         satisfied = margin >= -OVERLAP_BOUND_TOL
@@ -104,7 +96,6 @@ def _report(
     else:
         raise ValueError(f"bound_on must be 'overlap' or 'time', got {bound_on!r}")
     return BoundReport(
-        scenario_id=scenario_id,
         y=y,
         time=t,
         bound_value=bound_value,
@@ -116,7 +107,7 @@ def _report(
 
 
 def check_scenario_bounds(
-    scenario: SearchScenario, prep: StatePrep | None = None, scenario_id: str = ""
+    scenario: SearchScenario, prep: StatePrep | None = None
 ) -> list[BoundReport]:
     """Evaluate every bound applicable to a scenario.
 
@@ -135,17 +126,15 @@ def check_scenario_bounds(
         y_lo, t_hi = basic_confidence_bound(
             scenario.n_sets, scenario.support_size, scenario.energy
         )
-        reports.append(_report(scenario_id, y, t, BoundKind.BASIC_CONF, "overlap", y_lo))
-        reports.append(_report(scenario_id, y, t, BoundKind.BASIC_CONF, "time", t_hi))
+        reports.append(_report(y, t, BoundKind.BASIC_CONF, "overlap", y_lo))
+        reports.append(_report(y, t, BoundKind.BASIC_CONF, "time", t_hi))
         if sets_pairwise_disjoint(scenario.info_sets):
             y_lo, t_hi = disjoint_bound(scenario.support_size, scenario.energy)
-            reports.append(_report(scenario_id, y, t, BoundKind.DISJOINT, "overlap", y_lo))
-            reports.append(_report(scenario_id, y, t, BoundKind.DISJOINT, "time", t_hi))
+            reports.append(_report(y, t, BoundKind.DISJOINT, "overlap", y_lo))
+            reports.append(_report(y, t, BoundKind.DISJOINT, "time", t_hi))
 
     t_uniform = optimal_time(uniform_superposition(scenario).y, scenario.energy)
-    reports.append(
-        _report(scenario_id, y, t, BoundKind.UNSTRUCTURED_BASELINE, "time", t_uniform)
-    )
+    reports.append(_report(y, t, BoundKind.UNSTRUCTURED_BASELINE, "time", t_uniform))
     return reports
 
 
@@ -295,7 +284,7 @@ class ComparisonReport:
     time_ratio: float  # structured / uniform; < 1 means structure helps
     speedup: float  # uniform / structured
     confidence: Confidence
-    support_exponent: float  # log(support) / log(n_items)
+    support_exponent: float | None  # log(support) / log(n_items); None when n_items == 1
 
 
 def compare_structured_unstructured(scenario: SearchScenario) -> ComparisonReport:
@@ -307,7 +296,7 @@ def compare_structured_unstructured(scenario: SearchScenario) -> ComparisonRepor
     exponent = (
         math.log(scenario.support_size) / math.log(scenario.n_items)
         if scenario.n_items > 1
-        else float("nan")
+        else None
     )
     return ComparisonReport(
         y_structured=y_s,

@@ -4,9 +4,11 @@ Six subcommands cover the simulator surface: ``simulate`` (trajectory and
 measurement statistics), ``verify`` (reduced model vs. matrix-free
 full-space evolution), ``estimate`` (overlap from register sampling),
 ``count`` (target counting), ``sweep`` (misplaced-confidence curve), and
-``compare`` (structured vs. uniform preparation).  Outputs are deterministic for a fixed seed: JSON is
-written with sorted keys and no timestamps, so identical runs produce
-identical bytes.
+``compare`` (structured vs. uniform preparation).  Each ``cmd_*`` returns
+what it computed as an :class:`Output`; one driver writes ``<command>.json``
+and the command's CSV tables.  Outputs are deterministic for a fixed seed:
+JSON is written with sorted keys and no timestamps, so identical runs
+produce identical bytes.
 
 Exit codes: 0 on success, 1 on invalid input, 2 when an internal check fails.
 """
@@ -19,6 +21,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,19 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args) -> SearchScenario:
-    scenario = load_scenario(args.scenario)
-    if args.energy is not None:
-        scenario = dataclasses.replace(scenario, energy=args.energy)
-    return scenario
-
-
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 _LEAF_TYPES = {str, int, float, bool, type(None)}
 
 
@@ -173,14 +163,6 @@ def _write_csv(path: Path, header, rows) -> None:
     print(f"wrote {path}")
 
 
-def _wants_json(args) -> bool:
-    return args.format in ("json", "both")
-
-
-def _wants_csv(args) -> bool:
-    return args.format in ("csv", "both")
-
-
 def _bound_dict(report: BoundReport) -> dict:
     return {
         "kind": report.bound_kind.value,
@@ -193,47 +175,50 @@ def _bound_dict(report: BoundReport) -> dict:
     }
 
 
-def cmd_simulate(args) -> None:
-    scenario = _load(args)
+class Output(NamedTuple):
+    """What a command computed; :func:`_run` adds the scenario and writes it."""
+
+    payload: dict  # report fields besides schema_version, command and scenario
+    summary: str  # the line printed after the files are written
+    tables: tuple = ()  # (file name, header, rows) per CSV; rows may be lazy
+    failure: str | None = None  # an internal check failed: exit 2 once written
+
+
+def cmd_simulate(args, scenario: SearchScenario) -> Output:
     prep = weighted_superposition(scenario)
     t_opt = optimal_time(prep.y, scenario.energy)
     traj = trajectory(prep, scenario.energy, t_max=args.t_max, n_points=args.points)
     dist = success_distribution(prep, scenario.energy, t_opt)
-    out = _outdir(args)
-    if _wants_json(args):
-        _write_json(
-            out / "simulate.json",
-            {
-                "command": "simulate",
-                "scenario": scenario_to_dict(scenario),
-                "y": prep.y,
-                "nu": prep.nu,
-                "r_count": prep.r_count,
-                "optimal_time": t_opt,
-                "success_distribution": {
-                    "targets": {str(i): p for i, p in dist.target_probs.items()},
-                    "failure": dist.failure,
-                },
-                "trajectory": {"points": int(args.points), "t_max": float(traj.times[-1])},
+    outcomes = [[i, dist.target_probs[i]] for i in sorted(dist.target_probs)]
+    outcomes.append(["failure", dist.failure])
+    return Output(
+        payload={
+            "y": prep.y,
+            "nu": prep.nu,
+            "r_count": prep.r_count,
+            "optimal_time": t_opt,
+            "success_distribution": {
+                "targets": {str(i): p for i, p in dist.target_probs.items()},
+                "failure": dist.failure,
             },
-        )
-    if _wants_csv(args):
-        _write_csv(
-            out / "trajectory.csv",
-            ["t", "re(a)", "im(a)", "re(b)", "im(b)", "success_prob"],
-            [
-                [t, a.real, a.imag, b.real, b.imag, s]
-                for t, a, b, s in zip(traj.times, traj.a, traj.b, traj.success)
-            ],
-        )
-        rows = [[i, dist.target_probs[i]] for i in sorted(dist.target_probs)]
-        rows.append(["failure", dist.failure])
-        _write_csv(out / "success_distribution.csv", ["item", "probability"], rows)
-    print(f"y={prep.y:.6f} T={t_opt:.6f} success={dist.success:.6f}")
+            "trajectory": {"points": int(args.points), "t_max": float(traj.times[-1])},
+        },
+        summary=f"y={prep.y:.6f} T={t_opt:.6f} success={dist.success:.6f}",
+        tables=(
+            (
+                "trajectory.csv",
+                ["t", "re(a)", "im(a)", "re(b)", "im(b)", "success_prob"],
+                (
+                    [t, a.real, a.imag, b.real, b.imag, s]
+                    for t, a, b, s in zip(traj.times, traj.a, traj.b, traj.success)
+                ),
+            ),
+            ("success_distribution.csv", ["item", "probability"], outcomes),
+        ),
+    )
 
 
-def cmd_verify(args) -> None:
-    scenario = _load(args)
+def cmd_verify(args, scenario: SearchScenario) -> Output:
     prep = weighted_superposition(scenario)
     t_opt = optimal_time(prep.y, scenario.energy)
     traj = trajectory(prep, scenario.energy, t_max=2.0 * t_opt, n_points=args.grid_points)
@@ -241,12 +226,8 @@ def cmd_verify(args) -> None:
     max_leak = float(np.max(leak))
     max_dev = float(max(np.max(np.abs(a - traj.a)), np.max(np.abs(b - traj.b))))
     passed = bool(max_leak <= VERIFY_TOL and max_dev <= VERIFY_TOL)
-    out = _outdir(args)
-    _write_json(
-        out / "verify.json",
-        {
-            "command": "verify",
-            "scenario": scenario_to_dict(scenario),
+    return Output(
+        payload={
             "grid_points": int(args.grid_points),
             "t_max": 2.0 * t_opt,
             "max_subspace_leak": max_leak,
@@ -254,65 +235,57 @@ def cmd_verify(args) -> None:
             "tolerance": VERIFY_TOL,
             "passed": passed,
         },
-    )
-    print(f"max_leak={max_leak:.3e} max_deviation={max_dev:.3e} passed={passed}")
-    if not passed:
-        raise InternalCheckError(
+        summary=f"max_leak={max_leak:.3e} max_deviation={max_dev:.3e} passed={passed}",
+        failure=None if passed else (
             f"reduced model disagrees with full-space evolution: leak={max_leak:.3e}, "
             f"deviation={max_dev:.3e}, tolerance={VERIFY_TOL}"
-        )
+        ),
+    )
 
 
-def cmd_estimate(args) -> None:
-    scenario = _load(args)
+def _register_rows(y: float, m_size: int):
+    # a generator, so the distribution is built only when the CSV is written
+    dist = measurement_distribution(y, m_size)
+    for k in range(m_size):
+        yield [k, dist.total[k], dist.branch_phase_y[k], dist.branch_phase_complement[k]]
+
+
+def cmd_estimate(args, scenario: SearchScenario) -> Output:
     prep = weighted_superposition(scenario)
     est, samples = run_phase_estimation(
         scenario, prep, m_size=args.m_size, n_samples=args.samples, seed=args.seed
     )
-    out = _outdir(args)
     counts = np.bincount(samples, minlength=args.m_size)
-    if _wants_json(args):
-        _write_json(
-            out / "estimate.json",
-            {
-                "command": "estimate",
-                "scenario": scenario_to_dict(scenario),
-                "m_size": int(args.m_size),
-                "n_samples": int(args.samples),
-                "seed": int(args.seed),
-                "k_histogram": {str(k): int(c) for k, c in enumerate(counts) if c},
-                "k_mode": est.k_mode,
-                "y_candidates": list(est.y_candidates),
-                "y_hat": est.y_hat,
-                "resolution": est.resolution,
-                "cluster_counts": list(est.cluster_counts),
-                "true_y": prep.y,
-            },
-        )
-    if _wants_csv(args):
-        dist = measurement_distribution(prep.y, args.m_size)
-        _write_csv(
-            out / "register_distribution.csv",
-            ["k", "p_total", "p_phase_y", "p_phase_complement"],
-            [
-                [k, dist.total[k], dist.branch_phase_y[k], dist.branch_phase_complement[k]]
-                for k in range(args.m_size)
-            ],
-        )
-    print(f"y_hat={est.y_hat:.6f} candidates={est.y_candidates} true_y={prep.y:.6f}")
+    return Output(
+        payload={
+            "m_size": int(args.m_size),
+            "n_samples": int(args.samples),
+            "seed": int(args.seed),
+            "k_histogram": {str(k): int(c) for k, c in enumerate(counts) if c},
+            "k_mode": est.k_mode,
+            "y_candidates": list(est.y_candidates),
+            "y_hat": est.y_hat,
+            "resolution": est.resolution,
+            "cluster_counts": list(est.cluster_counts),
+            "true_y": prep.y,
+        },
+        summary=f"y_hat={est.y_hat:.6f} candidates={est.y_candidates} true_y={prep.y:.6f}",
+        tables=(
+            (
+                "register_distribution.csv",
+                ["k", "p_total", "p_phase_y", "p_phase_complement"],
+                _register_rows(prep.y, args.m_size),
+            ),
+        ),
+    )
 
 
-def cmd_count(args) -> None:
-    scenario = _load(args)
+def cmd_count(args, scenario: SearchScenario) -> Output:
     result = run_counting(
         scenario, m_size=args.m_size, n_samples=args.samples, seed=args.seed
     )
-    out = _outdir(args)
-    _write_json(
-        out / "count.json",
-        {
-            "command": "count",
-            "scenario": scenario_to_dict(scenario),
+    return Output(
+        payload={
             "disjoint_scenario": scenario_to_dict(result.scenario),
             "support_size": result.support_size,
             "m_size": result.m_size,
@@ -322,15 +295,14 @@ def cmd_count(args) -> None:
             "count_estimate": result.count_estimate,
             "true_count": scenario.n_targets,
         },
-    )
-    print(
-        f"count_estimate={result.count_estimate} true_count={scenario.n_targets} "
-        f"support={result.support_size}"
+        summary=(
+            f"count_estimate={result.count_estimate} true_count={scenario.n_targets} "
+            f"support={result.support_size}"
+        ),
     )
 
 
-def cmd_sweep(args) -> None:
-    scenario = _load(args)
+def cmd_sweep(args, scenario: SearchScenario) -> Output:
     structure = misplaced_structure(scenario)
     if not 0.0 < args.alpha2_min < args.alpha2_max < 1.0:
         raise CliInputError("need 0 < --alpha2-min < --alpha2-max < 1")
@@ -342,47 +314,38 @@ def cmd_sweep(args) -> None:
     )
     times = [p.time for p in curve]
     reports = check_scenario_bounds(scenario)
-    out = _outdir(args)
-    if _wants_json(args):
-        _write_json(
-            out / "sweep.json",
-            {
-                "command": "sweep",
-                "scenario": scenario_to_dict(scenario),
-                "structure": dataclasses.asdict(structure),
-                "alpha2_grid": {
-                    "min": float(args.alpha2_min),
-                    "max": float(args.alpha2_max),
-                    "points": int(args.alpha2_points),
-                },
-                "time_at_min": times[0],
-                "time_at_max": times[-1],
-                "divergence_ratio": times[-1] / times[0],
-                "monotone_increasing": bool(np.all(np.diff(times) > 0)),
-                "bound_reports": [_bound_dict(r) for r in reports],
+    return Output(
+        payload={
+            "structure": dataclasses.asdict(structure),
+            "alpha2_grid": {
+                "min": float(args.alpha2_min),
+                "max": float(args.alpha2_max),
+                "points": int(args.alpha2_points),
             },
-        )
-    if _wants_csv(args):
-        _write_csv(
-            out / "sweep_curve.csv",
-            ["alpha2", "nu", "y", "T"],
-            [[p.alpha2, p.nu, p.y, p.time] for p in curve],
-        )
-    print(
-        f"alpha2 in [{args.alpha2_min}, {args.alpha2_max}]: "
-        f"T grows {times[-1] / times[0]:.1f}x"
+            "time_at_min": times[0],
+            "time_at_max": times[-1],
+            "divergence_ratio": times[-1] / times[0],
+            "monotone_increasing": bool(np.all(np.diff(times) > 0)),
+            "bound_reports": [_bound_dict(r) for r in reports],
+        },
+        summary=(
+            f"alpha2 in [{args.alpha2_min}, {args.alpha2_max}]: "
+            f"T grows {times[-1] / times[0]:.1f}x"
+        ),
+        tables=(
+            (
+                "sweep_curve.csv",
+                ["alpha2", "nu", "y", "T"],
+                ([p.alpha2, p.nu, p.y, p.time] for p in curve),
+            ),
+        ),
     )
 
 
-def cmd_compare(args) -> None:
-    scenario = _load(args)
+def cmd_compare(args, scenario: SearchScenario) -> Output:
     report = compare_structured_unstructured(scenario)
-    out = _outdir(args)
-    _write_json(
-        out / "compare.json",
-        {
-            "command": "compare",
-            "scenario": scenario_to_dict(scenario),
+    return Output(
+        payload={
             "y_structured": report.y_structured,
             "y_uniform": report.y_uniform,
             "time_structured": report.time_structured,
@@ -392,10 +355,10 @@ def cmd_compare(args) -> None:
             "confidence": report.confidence.value,
             "support_exponent": report.support_exponent,
         },
-    )
-    print(
-        f"structured T={report.time_structured:.4f} uniform T={report.time_uniform:.4f} "
-        f"speedup={report.speedup:.4f}"
+        summary=(
+            f"structured T={report.time_structured:.4f} uniform T={report.time_uniform:.4f} "
+            f"speedup={report.speedup:.4f}"
+        ),
     )
 
 
@@ -409,11 +372,32 @@ COMMANDS = {
 }
 
 
+def _run(args) -> None:
+    """Load the scenario, run the command, then write and report its outputs."""
+    scenario = load_scenario(args.scenario)
+    if args.energy is not None:
+        scenario = dataclasses.replace(scenario, energy=args.energy)
+    result = COMMANDS[args.command](args, scenario)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    # json skips the tables; csv skips the report only where tables stand in for it
+    if args.format != "csv" or not result.tables:
+        _write_json(
+            out / f"{args.command}.json",
+            {"command": args.command, "scenario": scenario_to_dict(scenario), **result.payload},
+        )
+    if args.format != "json":
+        for name, header, rows in result.tables:
+            _write_csv(out / name, header, rows)
+    print(result.summary)
+    if result.failure:
+        raise InternalCheckError(result.failure)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        COMMANDS[args.command](args)
+        _run(parser.parse_args(argv))
     except (CliInputError, ScenarioError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

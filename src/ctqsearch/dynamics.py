@@ -19,14 +19,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .rng import make_rng
 from .stateprep import StatePrep
-
-DISTRIBUTION_TOL = 1e-9
 
 
 def _check_overlap(y: float) -> float:
@@ -65,9 +61,6 @@ class ReducedState:
     def success_probability(self) -> float:
         """Probability of measuring any target item, |a|**2."""
         return abs(self.a) ** 2
-
-    def norm(self) -> float:
-        return math.hypot(abs(self.a), abs(self.b))
 
 
 def reduced_hamiltonian(y: float, energy: float) -> np.ndarray:
@@ -177,37 +170,6 @@ def success_distribution(prep: StatePrep, energy: float, t: float) -> SuccessDis
     }
     failure = max(0.0, 1.0 - math.fsum(probs.values()))
     return SuccessDistribution(target_probs=probs, failure=failure)
-
-
-def sample_measurement(
-    distribution: SuccessDistribution | Mapping[int, float], seed: int
-) -> int | None:
-    """Draw one measurement outcome; ``None`` stands for any non-target item.
-
-    Accepts either a :class:`SuccessDistribution` or a plain item->probability
-    mapping whose values sum to one.
-    """
-    if isinstance(distribution, SuccessDistribution):
-        items = sorted(distribution.target_probs)
-        probs = [distribution.target_probs[i] for i in items]
-        failure = distribution.failure
-    else:
-        items = sorted(distribution)
-        probs = [float(distribution[i]) for i in items]
-        failure = 0.0
-    if any(p < 0.0 for p in probs) or failure < 0.0:
-        raise ValueError("malformed distribution: negative probability")
-    total = math.fsum(probs) + failure
-    if abs(total - 1.0) > DISTRIBUTION_TOL:
-        raise ValueError(f"malformed distribution: probabilities sum to {total}")
-
-    u = make_rng(seed, "measurement").random() * total
-    acc = 0.0
-    for item, p in zip(items, probs):
-        acc += p
-        if u < acc:
-            return item
-    return None
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import evolution_matrix, optimal_time, success_distribution
-from .rng import make_rng
+from .dynamics import _check_overlap, evolution_matrix, optimal_time, success_distribution
+from .rng import make_rng, sample_inverse_cdf
 from .scenario import InformationSet, ScenarioError, SearchScenario, oracle_eval
 from .stateprep import StatePrep, weighted_superposition
 
@@ -39,6 +39,9 @@ EIGHT_OVER_PI_SQ = 8.0 / math.pi**2
 # the heavy-side reading is not favoured by a log-likelihood ratio of at
 # least AMBIGUITY_SIGMA**2/2, the same two-sigma evidence for a binomial
 AMBIGUITY_SIGMA = 2.0
+# verification draws per candidate, and the hit lead a candidate needs to win
+N_VERIFY = 48
+MIN_LEAD = 2
 
 
 def _require_power_of_two(m_size: int, what: str = "m_size") -> int:
@@ -52,13 +55,6 @@ def next_power_of_two(value: int) -> int:
     if value < 1:
         raise ValueError(f"value must be >= 1, got {value}")
     return 1 << max(1, (int(value) - 1).bit_length())
-
-
-def _overlap_of(prep: StatePrep | float) -> float:
-    y = prep.y if isinstance(prep, StatePrep) else float(prep)
-    if not 0.0 < y <= 1.0:
-        raise ValueError(f"overlap y must lie in (0, 1], got {y}")
-    return y
 
 
 def walk_operator(y: float, energy: float) -> np.ndarray:
@@ -97,7 +93,7 @@ class AncillaState:
         return self.coeffs.shape[0]
 
 
-def build_psi1(prep: StatePrep | float, m_size: int) -> AncillaState:
+def build_psi1(y: float, m_size: int) -> AncillaState:
     """Register-system state after the controlled walk stage.
 
     Starting from the uniform register and the prepared system state, applying
@@ -106,7 +102,7 @@ def build_psi1(prep: StatePrep | float, m_size: int) -> AncillaState:
         coeffs[m, 0] = sqrt((1+y)/2) * exp(2j*pi*m*(1-y)) / sqrt(M)
         coeffs[m, 1] = sqrt((1-y)/2) * exp(2j*pi*m*y)     / sqrt(M)
     """
-    y = _overlap_of(prep)
+    y = _check_overlap(y)
     m_size = _require_power_of_two(m_size)
     m = np.arange(m_size)
     coeffs = np.empty((m_size, 2), dtype=complex)
@@ -123,15 +119,6 @@ def inverse_qft(register: np.ndarray) -> np.ndarray:
         raise ValueError(f"register must be one-dimensional, got shape {reg.shape}")
     m_size = _require_power_of_two(reg.shape[0], what="register length")
     return np.fft.fft(reg) / math.sqrt(m_size)
-
-
-def forward_qft(register: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`inverse_qft` (positive-exponent convention)."""
-    reg = np.asarray(register, dtype=complex)
-    if reg.ndim != 1:
-        raise ValueError(f"register must be one-dimensional, got shape {reg.shape}")
-    m_size = _require_power_of_two(reg.shape[0], what="register length")
-    return np.fft.ifft(reg) * math.sqrt(m_size)
 
 
 def apply_inverse_qft(state: AncillaState) -> AncillaState:
@@ -202,7 +189,7 @@ def measurement_distribution(y: float, m_size: int) -> RegisterDistribution:
 
     P(k) = (1-y)/2 * P(k | phase y) + (1+y)/2 * P(k | phase 1-y).
     """
-    y = _overlap_of(y)
+    y = _check_overlap(y)
     m_size = _require_power_of_two(m_size)
     b_y = branch_distribution(y, m_size)
     b_c = branch_distribution(1.0 - y, m_size)
@@ -234,11 +221,8 @@ def sample_phase_register(y: float, m_size: int, n_samples: int, seed: int) -> n
     if int(n_samples) < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     dist = measurement_distribution(y, m_size)
-    cum = np.cumsum(dist.total)
-    cum[-1] = 1.0  # guard against roundoff in the last bin
     rng = make_rng(seed, "phase-register")
-    u = rng.random(int(n_samples))
-    return np.searchsorted(cum, u, side="right").astype(np.int64)
+    return sample_inverse_cdf(dist.total, rng, n_samples).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -380,10 +364,8 @@ def _verification_hits(
     t_candidate = harmonic * optimal_time(candidate, scenario.energy)
     dist = success_distribution(prep, scenario.energy, t_candidate)
     items = sorted(dist.target_probs)
-    probs = np.array([dist.target_probs[i] for i in items] + [dist.failure])
-    cum = np.cumsum(probs)
-    cum[-1] = max(cum[-1], 1.0)
-    draws = np.searchsorted(cum, rng.random(int(n_draws)), side="right")
+    probs = [dist.target_probs[i] for i in items] + [dist.failure]
+    draws = sample_inverse_cdf(probs, rng, n_draws)
     return sum(oracle_eval(scenario, items[d]) for d in draws if d < len(items))
 
 
@@ -393,8 +375,7 @@ def disambiguate(
     prep: StatePrep,
     *,
     seed: int,
-    n_verify: int = 48,
-    min_lead: int = 2,
+    n_verify: int = N_VERIFY,
 ) -> PhaseEstimate:
     """Resolve an ambiguous mirror pair with verification experiments.
 
@@ -402,7 +383,7 @@ def disambiguate(
     odd-harmonic peak of that candidate (the harmonic is chosen to separate
     the pair; it is 1 for well-split candidates) and count how many of
     ``n_verify`` sampled measurements the membership oracle confirms.  A
-    candidate must lead by at least ``min_lead`` hits to win; otherwise the
+    candidate must lead by at least ``MIN_LEAD`` hits to win; otherwise the
     branch the register split makes likelier stands (at rational phase
     ratios both candidates can score perfectly, and the split is then the
     best evidence available).
@@ -424,7 +405,7 @@ def disambiguate(
             )
             for c in candidates
         ]
-        if abs(hits[0] - hits[1]) >= min_lead:
+        if abs(hits[0] - hits[1]) >= MIN_LEAD:
             chosen = candidates[int(np.argmax(hits))]
         elif estimate.log_likelihood_ratio >= 0.0:
             chosen = estimate.y_hat  # tie: keep the likelihood-preferred branch
@@ -452,7 +433,6 @@ def run_phase_estimation(
     m_size: int = 64,
     n_samples: int = 200,
     seed: int = 0,
-    n_verify: int = 48,
 ) -> tuple[PhaseEstimate, np.ndarray]:
     """Sample the register for a prepared scenario and estimate its overlap.
 
@@ -464,7 +444,7 @@ def run_phase_estimation(
     samples = sample_phase_register(prep.y, m_size, n_samples, seed)
     est = estimate_y(samples, m_size)
     if est.ambiguous:
-        est = disambiguate(est, scenario, prep, seed=seed, n_verify=n_verify)
+        est = disambiguate(est, scenario, prep, seed=seed)
     return est, samples
 
 
@@ -533,7 +513,6 @@ def run_counting(
     m_size: int | None = None,
     n_samples: int = 200,
     seed: int = 0,
-    n_verify: int = 48,
 ) -> CountResult:
     """Estimate the number of targets inside the covered support.
 
@@ -558,7 +537,6 @@ def run_counting(
         m_size=m_size,
         n_samples=n_samples,
         seed=seed,
-        n_verify=n_verify,
     )
     return CountResult(
         count_estimate=estimate_count(est.y_hat, support),
@@ -601,7 +579,7 @@ def tail_bound_report(y: float, m_size: int, m_values=(2, 3, 5, 10)) -> TailBoun
     each m >= 2, on both branches.  Pointwise: every outcome at circle
     distance d > 0 from the branch phase has probability at most 1/(2*M*d)**2.
     """
-    y = _overlap_of(y)
+    y = _check_overlap(y)
     m_size = _require_power_of_two(m_size)
     k = np.arange(m_size)
 
@@ -640,10 +618,3 @@ def tail_bound_report(y: float, m_size: int, m_values=(2, 3, 5, 10)) -> TailBoun
         pointwise_ok=pointwise_ok,
         pointwise_margin=pointwise_margin,
     )
-
-
-def qft_gate_count(m_size: int) -> int:
-    """Standard circuit size for an M = 2**n point transform: n*(n+1)/2."""
-    m_size = _require_power_of_two(m_size)
-    n = m_size.bit_length() - 1
-    return n * (n + 1) // 2

@@ -4,7 +4,8 @@ All sampling goes through numpy's Philox bit generator: a counter-based
 generator with a published algorithm, so identical seeds give identical
 draws across platforms and sessions.  Independent sub-streams are derived
 by hashing ``(seed, tag)`` pairs, which lets one top-level seed drive many
-subsystems without any stream overlap.
+subsystems without any stream overlap.  Discrete outcomes are drawn by
+inverse-CDF lookup (:func:`sample_inverse_cdf`).
 """
 
 from __future__ import annotations
@@ -12,9 +13,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-
-RNG_ALGORITHM = "philox-4x64-10"
-
 
 def derive_key(seed: int, tag: str = "") -> int:
     """128-bit generator key derived from a user seed and a stream tag."""
@@ -25,3 +23,14 @@ def derive_key(seed: int, tag: str = "") -> int:
 def make_rng(seed: int, tag: str = "") -> np.random.Generator:
     """Generator on a reproducible stream that is independent per tag."""
     return np.random.Generator(np.random.Philox(key=derive_key(seed, tag)))
+
+
+def sample_inverse_cdf(probs, rng: np.random.Generator, n_draws: int) -> np.ndarray:
+    """Draw ``n_draws`` indices into ``probs`` by inverse-CDF lookup.
+
+    The last cumulative bin is raised to at least 1, so roundoff in the sum
+    never lets a uniform draw fall past the end.
+    """
+    cum = np.cumsum(probs)
+    cum[-1] = max(cum[-1], 1.0)
+    return np.searchsorted(cum, rng.random(int(n_draws)), side="right")

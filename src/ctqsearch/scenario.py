@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -22,6 +23,17 @@ WEIGHT_SUM_TOL = 1e-12
 
 class ScenarioError(ValueError):
     """A scenario violates one of its structural invariants."""
+
+
+@contextmanager
+def _field(name: str):
+    # a value of the wrong type or size surfaces as a ScenarioError naming it
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"scenario field '{name}': {exc}") from exc
 
 
 class Confidence(Enum):
@@ -43,8 +55,10 @@ class InformationSet:
     weight: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "members", frozenset(map(int, self.members)))
-        object.__setattr__(self, "weight", float(self.weight))
+        with _field("members"):
+            object.__setattr__(self, "members", frozenset(map(int, self.members)))
+        with _field("weight"):
+            object.__setattr__(self, "weight", float(self.weight))
         if not self.members:
             raise ScenarioError("information set invariant violated: members must be nonempty")
         if not math.isfinite(self.weight) or self.weight <= 0.0:
@@ -79,10 +93,13 @@ class SearchScenario:
     labels: tuple[tuple[int, str], ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_items", int(self.n_items))
-        object.__setattr__(self, "targets", frozenset(map(int, self.targets)))
+        with _field("n_items"):
+            object.__setattr__(self, "n_items", int(self.n_items))
+        with _field("targets"):
+            object.__setattr__(self, "targets", frozenset(map(int, self.targets)))
         object.__setattr__(self, "info_sets", tuple(self.info_sets))
-        object.__setattr__(self, "energy", float(self.energy))
+        with _field("energy"):
+            object.__setattr__(self, "energy", float(self.energy))
         if self.n_items < 1:
             raise ScenarioError(f"n_items must be >= 1, got {self.n_items}")
         if not self.targets:
@@ -98,7 +115,8 @@ class SearchScenario:
                 raise ScenarioError("information set invariant violated: member index out of range")
         if not math.isfinite(self.energy) or self.energy <= 0.0:
             raise ScenarioError(f"energy must be positive and finite, got {self.energy}")
-        total = math.fsum(s.weight for s in self.info_sets)
+        with _field("weight"):  # fsum overflows on weights near the float maximum
+            total = math.fsum(s.weight for s in self.info_sets)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             # Positive-sum weight vectors are rescaled rather than rejected;
             # the flag lets callers surface a warning.
@@ -112,11 +130,9 @@ class SearchScenario:
                 "coverage invariant violated: every target must belong to at least one information set"
             )
         if self.labels is not None:
-            object.__setattr__(
-                self,
-                "labels",
-                tuple(sorted((int(i), str(name)) for i, name in self.labels)),
-            )
+            with _field("labels"):
+                labels = tuple(sorted((int(i), str(name)) for i, name in self.labels))
+            object.__setattr__(self, "labels", labels)
 
     @property
     def n_targets(self) -> int:
@@ -176,11 +192,6 @@ def covers(targets: Iterable[int], info_sets: Iterable[InformationSet]) -> bool:
     return set(targets) <= union
 
 
-def validate_coverage(scenario: SearchScenario) -> bool:
-    """Recheck the coverage invariant on a constructed scenario."""
-    return covers(scenario.targets, scenario.info_sets)
-
-
 def classify_confidence(scenario: SearchScenario) -> ConfidenceReport:
     """BASIC iff every information set contains at least one target."""
     overlaps = tuple(len(s.members & scenario.targets) for s in scenario.info_sets)
@@ -231,9 +242,11 @@ def scenario_from_dict(payload: Mapping) -> SearchScenario:
         if not isinstance(entry, Mapping) or "members" not in entry or "weight" not in entry:
             raise ScenarioError("each info set needs 'members' and 'weight'")
         sets.append(InformationSet(entry["members"], entry["weight"]))
-    labels = None
-    if "labels" in payload and payload["labels"] is not None:
-        labels = tuple((int(k), str(v)) for k, v in payload["labels"].items())
+    labels = payload.get("labels")
+    if labels is not None:
+        if not isinstance(labels, Mapping):
+            raise ScenarioError("scenario field 'labels' must be an object")
+        labels = tuple(labels.items())
     return SearchScenario(
         n_items=payload["n_items"],
         targets=payload["targets"],

@@ -61,14 +61,6 @@ class StatePrep:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta.tolist(),
-            "nu": self.nu,
-            "y": self.y,
-            "r_count": self.r_count,
-        }
-
 
 def _finalize(scenario: SearchScenario, raw: np.ndarray) -> StatePrep:
     # raw amplitudes are sums of positive weights, so support tests are exact

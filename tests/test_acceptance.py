@@ -24,9 +24,6 @@ from ctqsearch import (
     disambiguate,
     estimate_count,
     estimate_y,
-    evolve_on_grid,
-    full_evolve,
-    full_hamiltonian,
     invariant_subspace_residual,
     measurement_distribution,
     misplaced_confidence_curve,
@@ -34,7 +31,6 @@ from ctqsearch import (
     next_power_of_two,
     nu_squared_lower,
     optimal_time,
-    project_reduced,
     random_scenario_suite,
     reduced_basis,
     sample_phase_register,
@@ -45,6 +41,7 @@ from ctqsearch import (
     weight_power_sum,
     weighted_superposition,
 )
+from ctqsearch.fullsim import evolve_on_grid, full_evolve, full_hamiltonian, project_reduced
 from ctqsearch.phase_estimation import apply_inverse_qft, build_psi1, register_probabilities
 
 

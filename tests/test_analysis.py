@@ -98,8 +98,7 @@ def test_report_fields_consistent():
     for s in random_scenario_suite(103, 10, ScenarioMode.BASIC, n_items_range=(8, 32)):
         prep = weighted_superposition(s)
         t = optimal_time(prep.y, s.energy)
-        for rep in check_scenario_bounds(s, prep, scenario_id="case"):
-            assert rep.scenario_id == "case"
+        for rep in check_scenario_bounds(s, prep):
             assert rep.y == prep.y
             assert rep.time == pytest.approx(t, rel=1e-15)
             if rep.bound_on == "overlap":

@@ -62,6 +62,28 @@ def test_simulate_custom_grid(tmp_path, counting_demo_path):
     assert lines[-1].startswith("1.5,")
 
 
+FORMAT_OUTPUTS = {
+    # command: (JSON report, CSV tables)
+    "simulate": ("simulate.json", {"trajectory.csv", "success_distribution.csv"}),
+    "verify": ("verify.json", set()),
+    "estimate": ("estimate.json", {"register_distribution.csv"}),
+    "count": ("count.json", set()),
+    "sweep": ("sweep.json", {"sweep_curve.csv"}),
+    "compare": ("compare.json", set()),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "both"])
+@pytest.mark.parametrize("command", sorted(FORMAT_OUTPUTS))
+def test_format_rule_writes_exact_files(tmp_path, misplaced_demo_path, command, fmt):
+    # json skips the CSVs; csv skips the JSON only where there are CSVs
+    report, tables = FORMAT_OUTPUTS[command]
+    expected = {"json": {report}, "csv": tables or {report}, "both": {report} | tables}[fmt]
+    assert run(command, "--scenario", misplaced_demo_path, "--out", tmp_path,
+               "--format", fmt) == 0
+    assert {p.name for p in tmp_path.iterdir()} == expected
+
+
 def test_verify_passes_on_demo(tmp_path, library_demo_path):
     assert run("verify", "--scenario", library_demo_path, "--out", tmp_path) == 0
     data = read_json(tmp_path / "verify.json")
@@ -241,6 +263,53 @@ def test_malformed_scenario_exits_1(tmp_path, capsys):
     bad.write_text("{not json")
     assert run("simulate", "--scenario", bad, "--out", tmp_path) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def scenario_with(**fields):
+    doc = {"n_items": 4, "targets": [0],
+           "info_sets": [{"members": [0, 1], "weight": 0.5}, {"members": [2], "weight": 0.5}]}
+    for key, value in fields.items():
+        if key in ("members", "weight"):
+            doc["info_sets"][0][key] = value
+        else:
+            doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"n_items": 2, "targets": [0], "info_sets": [{"members": [0], "weight": 1e308},
+                                                  {"members": [1], "weight": 1e308}]}, "weight"),
+    (scenario_with(members=[[0]]), "members"),
+    (scenario_with(members=None), "members"),
+    (scenario_with(targets=None), "targets"),
+    (scenario_with(n_items=None), "n_items"),
+    (scenario_with(weight=None), "weight"),
+    (scenario_with(labels=[1]), "labels"),
+    (scenario_with(labels={"x": "a"}), "labels"),
+], ids=["weights_overflow", "nested_members", "null_members", "null_targets", "null_n_items",
+        "null_weight", "list_labels", "non_integer_label"])
+def test_malformed_scenario_field_exits_1_naming_it(tmp_path, capsys, doc, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run("simulate", "--scenario", path, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"'{field}'" in err
+    assert "Traceback" not in err
+
+
+def test_compare_on_one_item_writes_strict_json(tmp_path):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(
+        {"n_items": 1, "targets": [0], "info_sets": [{"members": [0], "weight": 1}]}
+    ))
+    assert run("compare", "--scenario", path, "--out", tmp_path) == 0
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    data = json.loads((tmp_path / "compare.json").read_text(), parse_constant=refuse)
+    assert data["support_exponent"] is None
 
 
 def test_bad_usage_exits_1(tmp_path, library_demo_path, capsys):

@@ -13,13 +13,14 @@ from ctqsearch import (
     eigensystem,
     evolution_matrix,
     evolve_state,
+    make_rng,
     optimal_time,
     reduced_hamiltonian,
-    sample_measurement,
     success_distribution,
     trajectory,
     weighted_superposition,
 )
+from ctqsearch.rng import sample_inverse_cdf
 
 
 def expm_propagator(y, energy, t):
@@ -160,35 +161,36 @@ def test_success_distribution_at_start(boosted_pair):
     assert dist.failure == pytest.approx(1.0 - prep.y**2, abs=1e-12)
 
 
+def outcome_probs(dist):
+    # sorted target items, then the aggregate non-target outcome
+    return [dist.target_probs[i] for i in sorted(dist.target_probs)] + [dist.failure]
+
+
 def test_sampling_is_deterministic_per_seed(boosted_pair):
     prep = weighted_superposition(boosted_pair)
-    dist = success_distribution(prep, 1.0, 1.0)
-    draws = [sample_measurement(dist, seed=42) for _ in range(5)]
-    assert len(set(draws)) == 1
-    assert sample_measurement(dist, seed=43) in (0, 1, None)
+    probs = outcome_probs(success_distribution(prep, 1.0, 1.0))
+    draws = [sample_inverse_cdf(probs, make_rng(42, "measurement"), 50) for _ in range(5)]
+    assert all(np.array_equal(d, draws[0]) for d in draws)
+    other = sample_inverse_cdf(probs, make_rng(43, "measurement"), 50)
+    assert set(other.tolist()) <= {0, 1, 2}
 
 
 def test_sampling_point_mass():
-    assert sample_measurement({5: 1.0}, seed=0) == 5
+    rng = make_rng(0, "measurement")
+    assert set(sample_inverse_cdf([1.0], rng, 20).tolist()) == {0}
+    assert set(sample_inverse_cdf([0.0, 1.0, 0.0], rng, 20).tolist()) == {1}
     all_failure = SuccessDistribution(target_probs={2: 0.0}, failure=1.0)
-    assert sample_measurement(all_failure, seed=0) is None
+    assert set(sample_inverse_cdf(outcome_probs(all_failure), rng, 20).tolist()) == {1}
 
 
 def test_sampling_frequencies_track_probabilities(boosted_pair):
     prep = weighted_superposition(boosted_pair)
     t_opt = optimal_time(prep.y, 1.0)
     dist = success_distribution(prep, 1.0, t_opt)
-    hits = [sample_measurement(dist, seed=i) for i in range(2000)]
-    freq1 = sum(1 for h in hits if h == 1) / 2000
+    draws = sample_inverse_cdf(outcome_probs(dist), make_rng(0, "measurement"), 2000)
+    freq1 = np.mean(draws == 1)  # sorted targets are (0, 1)
     # expect 1.0/1.36 = 0.735 with sigma ~ 0.01
     assert freq1 == pytest.approx(1.00 / 1.36, abs=0.04)
-
-
-def test_sampling_rejects_malformed():
-    with pytest.raises(ValueError):
-        sample_measurement({0: 0.4}, seed=0)  # mass missing
-    with pytest.raises(ValueError):
-        sample_measurement({0: -0.2, 1: 1.2}, seed=0)
 
 
 def test_trajectory_grid_and_probability(boosted_pair):

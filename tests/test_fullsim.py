@@ -7,21 +7,25 @@ from scipy.special import jv
 from conftest import build_scenario
 from ctqsearch import (
     ScenarioMode,
-    evolve_on_grid,
     evolve_state,
-    full_evolve,
-    full_hamiltonian,
     invariant_subspace_residual,
     optimal_time,
     plane_projection_on_grid,
-    project_reduced,
     random_scenario_suite,
     reduced_basis,
     reduced_hamiltonian,
     weighted_superposition,
 )
 from ctqsearch import fullsim
-from ctqsearch.fullsim import chebyshev_coefficients, chebyshev_order, evolve_blocks
+from ctqsearch.fullsim import (
+    chebyshev_coefficients,
+    chebyshev_order,
+    evolve_blocks,
+    evolve_on_grid,
+    full_evolve,
+    full_hamiltonian,
+    project_reduced,
+)
 
 
 def test_hamiltonian_two_item_literal():

@@ -12,9 +12,7 @@ from ctqsearch import (
     EIGHT_OVER_PI_SQ,
     InformationSet,
     ScenarioError,
-    apply_inverse_qft,
     branch_distribution,
-    build_psi1,
     circle_distance,
     concentration_probability,
     counting_scenario,
@@ -23,20 +21,24 @@ from ctqsearch import (
     eigensystem,
     estimate_count,
     estimate_y,
-    forward_qft,
-    inverse_qft,
+    evolve_state,
     load_scenario,
     make_rng,
     measurement_distribution,
     next_power_of_two,
-    qft_gate_count,
-    register_probabilities,
     run_counting,
     run_phase_estimation,
     sample_phase_register,
     tail_bound_report,
     walk_operator,
     weighted_superposition,
+)
+from ctqsearch.phase_estimation import (
+    AncillaState,
+    apply_inverse_qft,
+    build_psi1,
+    inverse_qft,
+    register_probabilities,
 )
 
 
@@ -82,10 +84,19 @@ def test_register_state_entries_literal():
 
 
 def test_register_state_from_prep_matches_scalar(boosted_pair):
+    # m controlled walks on the prepared plane state, read in the walk's
+    # eigenbasis, give the closed form build_psi1 writes from y alone
     prep = weighted_superposition(boosted_pair)
-    a = build_psi1(prep, 8)
-    b = build_psi1(prep.y, 8)
-    assert_allclose(a.coeffs, b.coeffs, atol=0)
+    m_size = 8
+    q = walk_operator(prep.y, 1.0)
+    (x1, _), (x2, _) = eigensystem(prep.y, 1.0)
+    start = evolve_state(prep, 1.0, 0.0)
+    state = np.array([start.a, start.b])
+    walked = np.empty((m_size, 2), dtype=complex)
+    for m in range(m_size):
+        walked[m] = [x1 @ state, x2 @ state]
+        state = q @ state
+    assert_allclose(build_psi1(prep.y, m_size).coeffs, walked / math.sqrt(m_size), atol=1e-12)
 
 
 def test_inverse_qft_matches_matrix():
@@ -100,7 +111,7 @@ def test_inverse_qft_unitary_roundtrip():
     v = rng.normal(size=16) + 1j * rng.normal(size=16)
     w = inverse_qft(v)
     assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(v), abs=1e-12)
-    assert_allclose(forward_qft(w), v, atol=1e-12)
+    assert_allclose(np.fft.ifft(w) * math.sqrt(16), v, atol=1e-12)
 
 
 def test_inverse_qft_on_basis_states():
@@ -277,6 +288,23 @@ def test_sampler_total_variation_small():
     emp = np.bincount(samples, minlength=m) / n
     tv = 0.5 * np.sum(np.abs(emp - measurement_distribution(y, m).total))
     assert tv < 0.03
+
+
+def inline_register_draws(y, m_size, n_samples, seed):
+    # the sampler's own inline lookup before it moved to the shared sampler;
+    # estimate.json and count.json depend on these exact draws
+    cum = np.cumsum(measurement_distribution(y, m_size).total)
+    cum[-1] = 1.0
+    u = make_rng(seed, "phase-register").random(n_samples)
+    return np.searchsorted(cum, u, side="right").astype(np.int64)
+
+
+@pytest.mark.parametrize("y, m_size", [(0.25, 8), (0.37, 64), (0.0112, 2**12), (0.71, 2**21)])
+def test_sampler_draws_match_inline_formula(y, m_size):
+    for seed in (0, 4401):
+        drawn = sample_phase_register(y, m_size, 200, seed)
+        assert drawn.dtype == np.int64
+        assert np.array_equal(drawn, inline_register_draws(y, m_size, 200, seed))
 
 
 def test_estimate_clear_split():
@@ -527,12 +555,6 @@ def test_counting_round_trip_overlapping_sets():
     assert result.count_estimate == 4
 
 
-def test_gate_count_quadratic():
-    assert qft_gate_count(2) == 1
-    assert qft_gate_count(8) == 6
-    assert qft_gate_count(1024) == 55
-
-
 def test_next_power_of_two():
     assert next_power_of_two(1) == 2
     assert next_power_of_two(64) == 64
@@ -543,6 +565,4 @@ def test_next_power_of_two():
 
 def test_ancilla_state_validation():
     with pytest.raises(ValueError):
-        from ctqsearch import AncillaState
-
         AncillaState(coeffs=np.ones((8, 2)))  # not normalized

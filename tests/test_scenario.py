@@ -18,7 +18,6 @@ from ctqsearch import (
     scenario_from_dict,
     scenario_to_dict,
     sets_pairwise_disjoint,
-    validate_coverage,
 )
 
 
@@ -74,7 +73,7 @@ def test_uncovered_target_rejected():
 def test_coverage_through_union():
     # neither set alone covers T, their union does
     s = build_scenario(4, {0, 1}, [({0, 2}, 0.5), ({1, 3}, 0.5)])
-    assert validate_coverage(s)
+    assert covers(s.targets, s.info_sets)
 
 
 def test_weights_autonormalized_with_flag():

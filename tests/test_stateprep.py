@@ -145,13 +145,6 @@ def test_random_scenarios_keep_invariants():
         assert np.all(prep.beta[outside] == 0.0)
 
 
-def test_serializes_to_plain_types(boosted_pair):
-    payload = weighted_superposition(boosted_pair).to_dict()
-    assert set(payload) == {"beta", "nu", "y", "r_count"}
-    assert isinstance(payload["beta"], list)
-    assert len(payload["beta"]) == 8
-
-
 def test_beta_is_read_only(boosted_pair):
     prep = weighted_superposition(boosted_pair)
     with pytest.raises(ValueError):
