@@ -95,15 +95,8 @@ def _report(y: float, t: float, kind: BoundKind, bound_on: str, bound_value: flo
         satisfied = margin >= -TIME_BOUND_TOL
     else:
         raise ValueError(f"bound_on must be 'overlap' or 'time', got {bound_on!r}")
-    return BoundReport(
-        y=y,
-        time=t,
-        bound_value=bound_value,
-        bound_kind=kind,
-        bound_on=bound_on,
-        satisfied=satisfied,
-        margin=margin,
-    )
+    return BoundReport(y=y, time=t, bound_value=bound_value, bound_kind=kind,
+                       bound_on=bound_on, satisfied=satisfied, margin=margin)
 
 
 def check_scenario_bounds(
@@ -123,9 +116,7 @@ def check_scenario_bounds(
 
     reports: list[BoundReport] = []
     if basic:
-        y_lo, t_hi = basic_confidence_bound(
-            scenario.n_sets, scenario.support_size, scenario.energy
-        )
+        y_lo, t_hi = basic_confidence_bound(scenario.n_sets, scenario.support_size, scenario.energy)
         reports.append(_report(y, t, BoundKind.BASIC_CONF, "overlap", y_lo))
         reports.append(_report(y, t, BoundKind.BASIC_CONF, "time", t_hi))
         if sets_pairwise_disjoint(scenario.info_sets):
@@ -154,9 +145,7 @@ def _check_misplaced_params(l: int, n1: int, n2: int, n12: int) -> None:
 
 def _misplaced_y_nu(l: int, n1: int, n2: int, n12: int, alpha2: float) -> tuple[float, float]:
     alpha1 = 1.0 - alpha2
-    nu = math.sqrt(
-        (n1 - n12) * alpha1 * alpha1 + n12 + (n2 - n12) * alpha2 * alpha2
-    )
+    nu = math.sqrt((n1 - n12) * alpha1 * alpha1 + n12 + (n2 - n12) * alpha2 * alpha2)
     return math.sqrt(l) * alpha1 / nu, nu
 
 
@@ -191,11 +180,7 @@ def misplaced_confidence_curve(
         if not 0.0 < alpha2 < 1.0:
             raise ValueError(f"alpha2 must lie in (0, 1), got {alpha2}")
         y, nu = _misplaced_y_nu(l, n1, n2, n12, float(alpha2))
-        points.append(
-            MisplacedCurvePoint(
-                alpha2=float(alpha2), nu=nu, y=y, time=optimal_time(y, energy)
-            )
-        )
+        points.append(MisplacedCurvePoint(float(alpha2), nu, y, optimal_time(y, energy)))
     return tuple(points)
 
 
@@ -222,14 +207,12 @@ def misplaced_scenario(
         n_items = span
     if n_items < span:
         raise ValueError(f"n_items={n_items} cannot hold {span} covered items")
-    first = frozenset(range(n1))
-    second = frozenset(range(n1 - n12, n1 - n12 + n2))
     return SearchScenario(
         n_items=n_items,
-        targets=frozenset(range(l)),
+        targets=range(l),
         info_sets=(
-            InformationSet(first, 1.0 - alpha2),
-            InformationSet(second, alpha2),
+            InformationSet(range(n1), 1.0 - alpha2),
+            InformationSet(range(n1 - n12, n1 - n12 + n2), alpha2),
         ),
         energy=energy,
     )
@@ -251,21 +234,22 @@ def misplaced_structure(scenario: SearchScenario) -> MisplacedStructure:
     the other); raises ScenarioError when the scenario does not match."""
     if scenario.n_sets != 2:
         raise ScenarioError("misplaced analysis requires exactly two information sets")
+    l = scenario.n_targets
     a, b = scenario.info_sets
-    targets = scenario.targets
-    if targets <= a.members and not (targets & b.members):
+    in_a, in_b = (np.intersect1d(s.members, scenario.targets, assume_unique=True).size for s in (a, b))
+    if (in_a, in_b) == (l, 0):
         trusted, wrong = a, b
-    elif targets <= b.members and not (targets & a.members):
+    elif (in_a, in_b) == (0, l):
         trusted, wrong = b, a
     else:
         raise ScenarioError(
             "misplaced analysis requires all targets in one set and none in the other"
         )
-    overlap = len(trusted.members & wrong.members)
-    if len(trusted.members) - overlap < scenario.n_targets:
+    overlap = np.intersect1d(trusted.members, wrong.members, assume_unique=True).size
+    if trusted.size - overlap < l:
         raise ScenarioError("targets may not sit in the overlap of the two sets")
     return MisplacedStructure(
-        l=scenario.n_targets,
+        l=l,
         n1=trusted.size,
         n2=wrong.size,
         n12=overlap,
@@ -343,10 +327,8 @@ def _random_basic(
     weights = _normalized_weights(rng, n_sets, uniform_weights)
     return SearchScenario(
         n_items=n_items,
-        targets=frozenset(int(t) for t in targets),
-        info_sets=tuple(
-            InformationSet(frozenset(m), w) for m, w in zip(members, weights)
-        ),
+        targets=targets,
+        info_sets=tuple(InformationSet(m, w) for m, w in zip(members, weights)),
         energy=float(rng.uniform(*energy_range)),
     )
 
@@ -381,10 +363,8 @@ def _random_disjoint(
     weights = _normalized_weights(rng, n_sets, uniform_weights)
     return SearchScenario(
         n_items=n_items,
-        targets=frozenset(targets),
-        info_sets=tuple(
-            InformationSet(frozenset(m), w) for m, w in zip(members, weights)
-        ),
+        targets=targets,
+        info_sets=tuple(InformationSet(m, w) for m, w in zip(members, weights)),
         energy=float(rng.uniform(*energy_range)),
     )
 
@@ -422,18 +402,9 @@ def random_scenario_suite(
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     rng = make_rng(seed, f"scenario-suite/{mode.value}")
-    out = []
-    for _ in range(count):
-        if mode is ScenarioMode.BASIC:
-            out.append(
-                _random_basic(rng, n_items_range, n_sets_range, uniform_weights, energy_range)
-            )
-        elif mode is ScenarioMode.DISJOINT:
-            out.append(
-                _random_disjoint(
-                    rng, n_items_range, n_sets_range, uniform_weights, energy_range, support_cap
-                )
-            )
-        else:
-            out.append(_random_misplaced(rng, energy_range))
-    return out
+    ranges = (rng, n_items_range, n_sets_range, uniform_weights, energy_range)
+    if mode is ScenarioMode.BASIC:
+        return [_random_basic(*ranges) for _ in range(count)]
+    if mode is ScenarioMode.DISJOINT:
+        return [_random_disjoint(*ranges, support_cap) for _ in range(count)]
+    return [_random_misplaced(rng, energy_range) for _ in range(count)]

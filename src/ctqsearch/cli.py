@@ -164,15 +164,8 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _bound_dict(report: BoundReport) -> dict:
-    return {
-        "kind": report.bound_kind.value,
-        "bound_on": report.bound_on,
-        "y": report.y,
-        "time": report.time,
-        "bound_value": report.bound_value,
-        "satisfied": report.satisfied,
-        "margin": report.margin,
-    }
+    fields = dataclasses.asdict(report)
+    return {"kind": fields.pop("bound_kind").value, **fields}
 
 
 class Output(NamedTuple):
@@ -398,7 +391,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         _run(parser.parse_args(argv))
-    except (CliInputError, ScenarioError, OSError, ValueError) as exc:
+    except (CliInputError, ScenarioError, OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalCheckError as exc:

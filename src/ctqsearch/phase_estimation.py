@@ -400,9 +400,7 @@ def disambiguate(
         rng = make_rng(seed, "verify")
         gap = c_high - c_low
         hits = [
-            _verification_hits(
-                scenario, prep, c, rng, n_verify, _verification_harmonic(c, gap)
-            )
+            _verification_hits(scenario, prep, c, rng, n_verify, _verification_harmonic(c, gap))
             for c in candidates
         ]
         if abs(hits[0] - hits[1]) >= MIN_LEAD:
@@ -454,13 +452,14 @@ def disjointify(info_sets) -> tuple[InformationSet, ...]:
     Sets emptied by the rewrite are dropped and the survivors get equal
     weights, the convention used by the counting pipeline.
     """
-    seen: set[int] = set()
-    kept_members: list[frozenset[int]] = []
+    info_sets = tuple(info_sets)
+    seen = np.zeros(1 + max((s.members[-1] for s in info_sets), default=-1), dtype=bool)
+    kept_members = []
     for s in info_sets:
-        fresh = s.members - seen
-        if fresh:
-            kept_members.append(frozenset(fresh))
-            seen |= fresh
+        fresh = s.members[~seen[s.members]]
+        if fresh.size:
+            kept_members.append(fresh)
+            seen[fresh] = True
     if not kept_members:
         raise ScenarioError("disjointify produced no nonempty sets")
     weight = 1.0 / len(kept_members)
@@ -532,11 +531,7 @@ def run_counting(
                 f"counting requires m_size >= 4 * support_size = {4 * support}, got {m_size}"
             )
     est, samples = run_phase_estimation(
-        counting,
-        weighted_superposition(counting),
-        m_size=m_size,
-        n_samples=n_samples,
-        seed=seed,
+        counting, weighted_superposition(counting), m_size=m_size, n_samples=n_samples, seed=seed
     )
     return CountResult(
         count_estimate=estimate_count(est.y_hat, support),
@@ -605,11 +600,7 @@ def tail_bound_report(y: float, m_size: int, m_values=(2, 3, 5, 10)) -> TailBoun
         prob_y = concentration_probability(y, m_size, m)
         prob_c = concentration_probability(1.0 - y, m_size, m) if y < 1.0 else 1.0
         ok = prob_y >= bound - 1e-12 and prob_c >= bound - 1e-12
-        tails.append(
-            TailBound(
-                m=m, bound=bound, prob_phase_y=prob_y, prob_phase_complement=prob_c, satisfied=ok
-            )
-        )
+        tails.append(TailBound(m, bound, prob_y, prob_c, ok))
 
     return TailBoundReport(
         y=y,

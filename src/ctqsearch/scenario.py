@@ -2,7 +2,8 @@
 
 A :class:`SearchScenario` bundles an unsorted item space ``0..n_items-1``,
 the hidden target set, and the user-supplied information sets, each a subset
-of items carrying a positive reliability weight.  Instances are immutable
+of items carrying a positive reliability weight.  Every index set is stored
+as a sorted, duplicate-free, read-only int64 array.  Instances are immutable
 and validated eagerly, so downstream code may assume every structural
 invariant holds: indices are in range, every target is covered by at least
 one information set, and the stored weights sum to one.
@@ -12,11 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 from pathlib import Path
-from typing import Iterable, Mapping
+
+import numpy as np
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -25,15 +28,65 @@ class ScenarioError(ValueError):
     """A scenario violates one of its structural invariants."""
 
 
-@contextmanager
-def _field(name: str):
-    # a value of the wrong type or size surfaces as a ScenarioError naming it
+def _refuse(name: str, problem: str) -> ScenarioError:
+    return ScenarioError(f"scenario field '{name}': {problem}")
+
+
+def _scalar(value, name: str, kind, convert):
+    # JSON true/false are Python ints, but neither a count nor a weight
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise _refuse(name, f"expected {convert.__name__}, got {type(value).__name__}")
     try:
-        yield
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"scenario field '{name}': {exc}") from exc
+        return convert(value)
+    except OverflowError:
+        raise _refuse(name, "number out of range") from None
+
+
+def _indices(value, name: str) -> np.ndarray:
+    """Sorted, duplicate-free, read-only int64 array of integer item indices."""
+    if isinstance(value, range):
+        value = np.arange(value.start, value.stop, value.step)
+    if isinstance(value, (list, tuple, Set)):
+        value = list(value)
+        bad = {k.__name__ for k in set(map(type, value)) if k is not int}
+        if bad:
+            raise _refuse(name, f"item indices must be integers, got {sorted(bad)}")
+    elif not isinstance(value, np.ndarray) or value.ndim != 1 or value.dtype.kind not in "iu":
+        raise _refuse(name, f"expected an array of integer item indices, got {type(value).__name__}")
+    try:
+        items = np.array(value, dtype=np.int64)
+    except OverflowError:
+        raise _refuse(name, "item index does not fit in 64 bits") from None
+    if items.size > 1 and not (items[1:] > items[:-1]).all():
+        items = np.unique(items)  # duplicates collapse
+    items.setflags(write=False)
+    return items
+
+
+def _check_range(items: np.ndarray, n_items: int, name: str) -> None:
+    if items[0] < 0 or items[-1] >= n_items:
+        raise _refuse(name, f"item index out of range for {n_items} items")
+
+
+def _union_mask(info_sets, size: int | None = None) -> np.ndarray:
+    """Which items lie in any of the sets; by default sized to the largest member."""
+    mask = np.zeros(size or 1 + max((s.members[-1] for s in info_sets), default=-1), dtype=bool)
+    for s in info_sets:
+        mask[s.members] = True
+    return mask
+
+
+def _labels(pairs, n_items: int) -> tuple[tuple[int, str], ...]:
+    labels = []
+    for key, name in pairs:
+        # an int key, or a JSON object key holding one in canonical decimal form
+        index = int(key) if isinstance(key, str) and key.isascii() and key.isdigit() else key
+        if type(index) is not int or str(index) != str(key) or not 0 <= index < n_items:
+            raise _refuse("labels", f"key {key!r} is not an item index below {n_items}")
+        if not isinstance(name, str):
+            raise _refuse("labels", f"the label of item {index} is not a string")
+        labels.append((index, name))
+    return tuple(sorted(labels))
 
 
 class Confidence(Enum):
@@ -43,7 +96,7 @@ class Confidence(Enum):
     NOT_BASIC = "not_basic"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InformationSet:
     """A prescribed subset of item indices with a positive reliability weight.
 
@@ -51,15 +104,13 @@ class InformationSet:
     rescales the weights of its sets so they sum to one.
     """
 
-    members: frozenset[int]
+    members: np.ndarray
     weight: float
 
     def __post_init__(self) -> None:
-        with _field("members"):
-            object.__setattr__(self, "members", frozenset(map(int, self.members)))
-        with _field("weight"):
-            object.__setattr__(self, "weight", float(self.weight))
-        if not self.members:
+        object.__setattr__(self, "members", _indices(self.members, "members"))
+        object.__setattr__(self, "weight", _scalar(self.weight, "weight", Real, float))
+        if not self.members.size:
             raise ScenarioError("information set invariant violated: members must be nonempty")
         if not math.isfinite(self.weight) or self.weight <= 0.0:
             raise ScenarioError(
@@ -68,10 +119,10 @@ class InformationSet:
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.members.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchScenario:
     """Immutable search problem: item count, targets, info sets, energy scale.
 
@@ -86,73 +137,67 @@ class SearchScenario:
     """
 
     n_items: int
-    targets: frozenset[int]
+    targets: np.ndarray
     info_sets: tuple[InformationSet, ...]
     energy: float = 1.0
     weights_normalized: bool = False
     labels: tuple[tuple[int, str], ...] | None = None
 
     def __post_init__(self) -> None:
-        with _field("n_items"):
-            object.__setattr__(self, "n_items", int(self.n_items))
-        with _field("targets"):
-            object.__setattr__(self, "targets", frozenset(map(int, self.targets)))
+        object.__setattr__(self, "n_items", _scalar(self.n_items, "n_items", int, int))
+        object.__setattr__(self, "targets", _indices(self.targets, "targets"))
         object.__setattr__(self, "info_sets", tuple(self.info_sets))
-        with _field("energy"):
-            object.__setattr__(self, "energy", float(self.energy))
+        object.__setattr__(self, "energy", _scalar(self.energy, "energy", Real, float))
         if self.n_items < 1:
             raise ScenarioError(f"n_items must be >= 1, got {self.n_items}")
-        if not self.targets:
+        if not self.targets.size:
             raise ScenarioError("target invariant violated: target set must be nonempty")
-        if min(self.targets) < 0 or max(self.targets) >= self.n_items:
-            raise ScenarioError("target invariant violated: target index out of range")
+        _check_range(self.targets, self.n_items, "targets")
         if not self.info_sets:
             raise ScenarioError("information set invariant violated: at least one set required")
         for s in self.info_sets:
             if not isinstance(s, InformationSet):
                 raise ScenarioError("info_sets must contain InformationSet instances")
-            if min(s.members) < 0 or max(s.members) >= self.n_items:
-                raise ScenarioError("information set invariant violated: member index out of range")
+            _check_range(s.members, self.n_items, "members")
         if not math.isfinite(self.energy) or self.energy <= 0.0:
             raise ScenarioError(f"energy must be positive and finite, got {self.energy}")
-        with _field("weight"):  # fsum overflows on weights near the float maximum
+        try:
             total = math.fsum(s.weight for s in self.info_sets)
+        except OverflowError:
+            raise _refuse("weight", "the weights sum overflows a float") from None
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             # Positive-sum weight vectors are rescaled rather than rejected;
             # the flag lets callers surface a warning.
-            rescaled = tuple(
-                InformationSet(s.members, s.weight / total) for s in self.info_sets
-            )
+            rescaled = tuple(InformationSet(s.members, s.weight / total) for s in self.info_sets)
             object.__setattr__(self, "info_sets", rescaled)
             object.__setattr__(self, "weights_normalized", True)
-        if not covers(self.targets, self.info_sets):
+        mask = _union_mask(self.info_sets, self.n_items)
+        if not mask[self.targets].all():
             raise ScenarioError(
                 "coverage invariant violated: every target must belong to at least one information set"
             )
+        support = np.flatnonzero(mask)
+        support.setflags(write=False)
+        object.__setattr__(self, "_support", support)
         if self.labels is not None:
-            with _field("labels"):
-                labels = tuple(sorted((int(i), str(name)) for i, name in self.labels))
-            object.__setattr__(self, "labels", labels)
+            object.__setattr__(self, "labels", _labels(self.labels, self.n_items))
 
     @property
     def n_targets(self) -> int:
-        return len(self.targets)
+        return self.targets.size
 
     @property
     def n_sets(self) -> int:
         return len(self.info_sets)
 
     @property
-    def support(self) -> frozenset[int]:
+    def support(self) -> np.ndarray:
         """Union of all information sets (always contains the targets)."""
-        out: set[int] = set()
-        for s in self.info_sets:
-            out |= s.members
-        return frozenset(out)
+        return self._support
 
     @property
     def support_size(self) -> int:
-        return len(self.support)
+        return self.support.size
 
     @property
     def residual_count(self) -> int:
@@ -181,40 +226,41 @@ def oracle_eval(scenario: SearchScenario, item: int) -> int:
     item = int(item)
     if item < 0 or item >= scenario.n_items:
         raise IndexError(f"item index {item} out of range for {scenario.n_items} items")
-    return 1 if item in scenario.targets else 0
+    i = int(np.searchsorted(scenario.targets, item))
+    return int(i < scenario.n_targets and scenario.targets[i] == item)
 
 
-def covers(targets: Iterable[int], info_sets: Iterable[InformationSet]) -> bool:
+def covers(targets, info_sets) -> bool:
     """True iff every target belongs to at least one information set."""
-    union: set[int] = set()
-    for s in info_sets:
-        union |= s.members
-    return set(targets) <= union
+    targets, union = _indices(targets, "targets"), _union_mask(tuple(info_sets))
+    if targets.size and not 0 <= targets[0] <= targets[-1] < union.size:
+        return False
+    return bool(union[targets].all())
 
 
 def classify_confidence(scenario: SearchScenario) -> ConfidenceReport:
     """BASIC iff every information set contains at least one target."""
-    overlaps = tuple(len(s.members & scenario.targets) for s in scenario.info_sets)
+    overlaps = tuple(
+        np.intersect1d(s.members, scenario.targets, assume_unique=True).size
+        for s in scenario.info_sets
+    )
     kind = Confidence.BASIC if all(c > 0 for c in overlaps) else Confidence.NOT_BASIC
     return ConfidenceReport(confidence=kind, target_overlaps=overlaps)
 
 
-def sets_pairwise_disjoint(info_sets: Iterable[InformationSet]) -> bool:
-    seen: set[int] = set()
-    for s in info_sets:
-        if s.members & seen:
-            return False
-        seen |= s.members
-    return True
+def sets_pairwise_disjoint(info_sets) -> bool:
+    """True iff no item belongs to two sets: their sizes sum to their union's."""
+    info_sets = tuple(info_sets)
+    return sum(s.size for s in info_sets) == np.count_nonzero(_union_mask(info_sets))
 
 
 def scenario_to_dict(scenario: SearchScenario) -> dict:
     """JSON-ready representation (canonical key order is the serializer's job)."""
     payload: dict = {
         "n_items": scenario.n_items,
-        "targets": sorted(scenario.targets),
+        "targets": scenario.targets.tolist(),
         "info_sets": [
-            {"members": sorted(s.members), "weight": s.weight} for s in scenario.info_sets
+            {"members": s.members.tolist(), "weight": s.weight} for s in scenario.info_sets
         ],
         "energy": scenario.energy,
     }
@@ -227,8 +273,7 @@ def scenario_from_dict(payload: Mapping) -> SearchScenario:
     """Build and validate a scenario from a parsed JSON object."""
     if not isinstance(payload, Mapping):
         raise ScenarioError("scenario document must be a JSON object")
-    known = {"n_items", "targets", "info_sets", "energy", "labels"}
-    unknown = set(payload) - known
+    unknown = set(payload) - {"n_items", "targets", "info_sets", "energy", "labels"}
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
     for key in ("n_items", "targets", "info_sets"):
@@ -239,8 +284,8 @@ def scenario_from_dict(payload: Mapping) -> SearchScenario:
         raise ScenarioError("'info_sets' must be an array")
     sets = []
     for entry in raw_sets:
-        if not isinstance(entry, Mapping) or "members" not in entry or "weight" not in entry:
-            raise ScenarioError("each info set needs 'members' and 'weight'")
+        if not isinstance(entry, Mapping) or set(entry) != {"members", "weight"}:
+            raise _refuse("info_sets", "each entry needs exactly the keys 'members' and 'weight'")
         sets.append(InformationSet(entry["members"], entry["weight"]))
     labels = payload.get("labels")
     if labels is not None:
@@ -258,9 +303,8 @@ def scenario_from_dict(payload: Mapping) -> SearchScenario:
 
 def load_scenario(path: str | Path) -> SearchScenario:
     """Load a scenario JSON file, validating structure and invariants."""
-    text = Path(path).read_text()
     try:
-        payload = json.loads(text)
+        payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"malformed scenario JSON in {path}: {exc}") from exc
     return scenario_from_dict(payload)

@@ -69,10 +69,10 @@ def _finalize(scenario: SearchScenario, raw: np.ndarray) -> StatePrep:
         raise ScenarioError("state preparation invariant violated: zero amplitude vector")
     beta = raw / nu
 
-    mask = np.zeros(scenario.n_items, dtype=bool)
-    mask[np.fromiter(scenario.targets, dtype=np.int64, count=len(scenario.targets))] = True
-    target_items = np.flatnonzero(mask)
-    residual_items = np.flatnonzero(~mask & (beta > 0.0))
+    target_items = scenario.targets
+    residual = beta > 0.0
+    residual[target_items] = False
+    residual_items = np.flatnonzero(residual)
     r_count = int(residual_items.size)
 
     target_slice = beta[target_items]
@@ -104,7 +104,7 @@ def weighted_superposition(scenario: SearchScenario) -> StatePrep:
     weights of the information sets containing i, normalized by ``nu``."""
     raw = np.zeros(scenario.n_items)
     for s in scenario.info_sets:
-        raw[np.fromiter(s.members, dtype=np.int64, count=len(s.members))] += s.weight
+        raw[s.members] += s.weight
     return _finalize(scenario, raw)
 
 

@@ -22,6 +22,7 @@ from ctqsearch import (
     nu_squared_lower,
     optimal_time,
     random_scenario_suite,
+    scenario_to_dict,
     sets_pairwise_disjoint,
     weight_power_sum,
     weighted_superposition,
@@ -181,10 +182,10 @@ def test_misplaced_curve_rejects_bad_inputs():
 def test_misplaced_scenario_layout():
     s = misplaced_scenario(2, 5, 3, 1, 0.7)
     assert s.n_items == 7
-    assert s.targets == frozenset({0, 1})
+    assert s.targets.tolist() == [0, 1]
     first, second = s.info_sets
-    assert first.members == frozenset(range(5))
-    assert second.members == frozenset({4, 5, 6})
+    assert first.members.tolist() == list(range(5))
+    assert second.members.tolist() == [4, 5, 6]
     assert first.weight == pytest.approx(0.3, abs=1e-15)
     assert second.weight == pytest.approx(0.7, abs=1e-15)
     assert classify_confidence(s).confidence is Confidence.NOT_BASIC
@@ -280,11 +281,14 @@ def test_suite_misplaced_mode_properties():
 
 
 def test_suite_determinism_and_mode_separation():
+    def fields(suite):  # scenarios compare by identity; compare every field instead
+        return [(scenario_to_dict(s), s.weights_normalized) for s in suite]
+
     a = random_scenario_suite(42, 6, ScenarioMode.BASIC)
     b = random_scenario_suite(42, 6, ScenarioMode.BASIC)
-    assert a == b
+    assert fields(a) == fields(b)
     c = random_scenario_suite(42, 6, ScenarioMode.DISJOINT)
-    assert a != c  # modes draw from independent streams
+    assert fields(a) != fields(c)  # modes draw from independent streams
 
 
 def test_suite_count_validation():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import tempfile
@@ -286,8 +288,22 @@ def scenario_with(**fields):
     (scenario_with(weight=None), "weight"),
     (scenario_with(labels=[1]), "labels"),
     (scenario_with(labels={"x": "a"}), "labels"),
+    (scenario_with(targets="12"), "targets"),
+    (scenario_with(n_items=20.9), "n_items"),
+    (scenario_with(members=[0, 1.7]), "members"),
+    (scenario_with(members=[0, "1"]), "members"),
+    (scenario_with(members=[0, True]), "members"),
+    (scenario_with(weight=True), "weight"),
+    (scenario_with(weight="0.5"), "weight"),
+    (scenario_with(energy="2"), "energy"),
+    (scenario_with(labels={"1": None}), "labels"),
+    (scenario_with(labels={"9": "far"}), "labels"),
+    (scenario_with(info_sets=[{"members": [0, 1], "weight": 0.5, "x": 3},
+                              {"members": [2], "weight": 0.5}]), "info_sets"),
 ], ids=["weights_overflow", "nested_members", "null_members", "null_targets", "null_n_items",
-        "null_weight", "list_labels", "non_integer_label"])
+        "null_weight", "list_labels", "non_integer_label", "string_targets", "fractional_n_items",
+        "fractional_member", "string_member", "boolean_member", "boolean_weight", "string_weight",
+        "string_energy", "null_label", "label_out_of_range", "info_set_extra_key"])
 def test_malformed_scenario_field_exits_1_naming_it(tmp_path, capsys, doc, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -298,17 +314,62 @@ def test_malformed_scenario_field_exits_1_naming_it(tmp_path, capsys, doc, field
     assert "Traceback" not in err
 
 
+def test_huge_n_items_exits_1_without_traceback(tmp_path, capsys):
+    # 10**15 items exceed the address space even as a bool mask: nothing is allocated
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(scenario_with(n_items=10**15)))
+    assert run("compare", "--scenario", path, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def refuse_constant(constant):
+    raise ValueError(f"not JSON: {constant}")
+
+
+# integers stay small, apart from two extremes that must be refused without
+# allocating: one past int64, and an item count beyond the address space
+json_ints = st.integers(min_value=-2, max_value=64) | st.sampled_from([2**63, 10**15])
+json_values = st.recursive(
+    st.none() | st.booleans() | json_ints | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    command=st.sampled_from(sorted(cli.COMMANDS)),
+    field=st.sampled_from(["n_items", "targets", "info_sets", "energy", "labels", "members", "weight"]),
+    value=json_values,
+)
+def test_fuzzed_scenario_field_exits_cleanly(command, field, value):
+    doc = scenario_with(**{field: value})
+    if field != "labels":
+        doc["labels"] = {"0": "first"}
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "fuzz.json", Path(tmp) / "out"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(command, "--scenario", path, "--out", out)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+        for output in out.glob("*.json"):
+            json.loads(output.read_text(), parse_constant=refuse_constant)
+
+
 def test_compare_on_one_item_writes_strict_json(tmp_path):
     path = tmp_path / "one.json"
     path.write_text(json.dumps(
         {"n_items": 1, "targets": [0], "info_sets": [{"members": [0], "weight": 1}]}
     ))
     assert run("compare", "--scenario", path, "--out", tmp_path) == 0
-
-    def refuse(constant):
-        raise ValueError(f"not JSON: {constant}")
-
-    data = json.loads((tmp_path / "compare.json").read_text(), parse_constant=refuse)
+    data = json.loads((tmp_path / "compare.json").read_text(), parse_constant=refuse_constant)
     assert data["support_exponent"] is None
 
 

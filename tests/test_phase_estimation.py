@@ -475,7 +475,7 @@ def test_disjointify_first_set_wins():
         InformationSet(frozenset({1, 2}), 0.5),
     )
     out = disjointify(sets)
-    assert [s.members for s in out] == [frozenset({0, 1}), frozenset({2})]
+    assert [s.members.tolist() for s in out] == [[0, 1], [2]]
     assert [s.weight for s in out] == [0.5, 0.5]
 
 
@@ -496,14 +496,14 @@ def test_disjointify_preserves_union_and_is_idempotent():
         InformationSet(frozenset({2, 3, 4}), 0.5),
     )
     once = disjointify(sets)
-    union_before = frozenset().union(*(s.members for s in sets))
-    union_after = frozenset().union(*(s.members for s in once))
+    union_before = set().union(*(s.members.tolist() for s in sets))
+    union_after = set().union(*(s.members.tolist() for s in once))
     assert union_before == union_after
-    assert [s.members for s in disjointify(once)] == [s.members for s in once]
+    assert [s.members.tolist() for s in disjointify(once)] == [s.members.tolist() for s in once]
     seen = set()
     for s in once:
-        assert not (s.members & seen)
-        seen |= s.members
+        assert not (set(s.members.tolist()) & seen)
+        seen |= set(s.members.tolist())
 
 
 def test_counting_scenario_flattens_amplitudes(library_demo_path):

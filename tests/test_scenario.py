@@ -127,7 +127,7 @@ def test_duplicate_members_collapse():
 
 
 def test_support_and_residual_count(boosted_pair):
-    assert boosted_pair.support == frozenset({0, 1, 2, 3})
+    assert boosted_pair.support.tolist() == [0, 1, 2, 3]
     assert boosted_pair.support_size == 4
     assert boosted_pair.residual_count == 2
 
@@ -148,9 +148,11 @@ def test_energy_must_be_positive():
 def test_dict_round_trip(boosted_pair):
     clone = scenario_from_dict(scenario_to_dict(boosted_pair))
     assert clone.n_items == boosted_pair.n_items
-    assert clone.targets == boosted_pair.targets
+    assert clone.targets.tolist() == boosted_pair.targets.tolist()
     assert clone.energy == boosted_pair.energy
-    assert [s.members for s in clone.info_sets] == [s.members for s in boosted_pair.info_sets]
+    assert [s.members.tolist() for s in clone.info_sets] == [
+        s.members.tolist() for s in boosted_pair.info_sets
+    ]
     assert clone.weights == pytest.approx(boosted_pair.weights, abs=1e-15)
 
 
@@ -168,7 +170,7 @@ def test_load_scenario_file(tmp_path):
     s = load_scenario(path)
     assert s.n_items == 5
     assert s.energy == 1.0  # default
-    assert s.targets == frozenset({1})
+    assert s.targets.tolist() == [1]
 
 
 def test_load_scenario_with_labels(library_demo_path):
