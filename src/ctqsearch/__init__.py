@@ -12,7 +12,6 @@ from .analysis import (
     BoundKind,
     BoundReport,
     ComparisonReport,
-    MisplacedCurvePoint,
     MisplacedStructure,
     ScenarioMode,
     basic_confidence_bound,

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import optimal_time
+from .dynamics import _check_energy, _check_overlap, optimal_time
 from .rng import make_rng
 from .scenario import (
     Confidence,
@@ -143,22 +143,6 @@ def _check_misplaced_params(l: int, n1: int, n2: int, n12: int) -> None:
         )
 
 
-def _misplaced_y_nu(l: int, n1: int, n2: int, n12: int, alpha2: float) -> tuple[float, float]:
-    alpha1 = 1.0 - alpha2
-    nu = math.sqrt((n1 - n12) * alpha1 * alpha1 + n12 + (n2 - n12) * alpha2 * alpha2)
-    return math.sqrt(l) * alpha1 / nu, nu
-
-
-@dataclass(frozen=True)
-class MisplacedCurvePoint:
-    """One sweep point: weight on the target-free set vs. resulting cost."""
-
-    alpha2: float
-    nu: float
-    y: float
-    time: float
-
-
 def misplaced_confidence_curve(
     l: int,
     n1: int,
@@ -166,22 +150,30 @@ def misplaced_confidence_curve(
     n12: int,
     alpha2_values,
     energy: float = 1.0,
-) -> tuple[MisplacedCurvePoint, ...]:
+) -> np.recarray:
     """Closed-form cost curve for two sets where only the first holds targets.
 
     The first set has ``n1`` items (``l`` of them targets, none in the
     overlap), the second has ``n2`` items and no targets, they share ``n12``
     items, and the second carries weight ``alpha2``.  As alpha2 -> 1 the
     prepared state loses its target component and the search time diverges.
+    Returns a record array ``alpha2, nu, y, time``, bit-identical to the
+    scalar formula followed by :func:`optimal_time`.
     """
     _check_misplaced_params(l, n1, n2, n12)
-    points = []
-    for alpha2 in np.asarray(alpha2_values, dtype=float):
-        if not 0.0 < alpha2 < 1.0:
-            raise ValueError(f"alpha2 must lie in (0, 1), got {alpha2}")
-        y, nu = _misplaced_y_nu(l, n1, n2, n12, float(alpha2))
-        points.append(MisplacedCurvePoint(float(alpha2), nu, y, optimal_time(y, energy)))
-    return tuple(points)
+    alpha2 = np.asarray(alpha2_values, dtype=float)
+    outside = ~((alpha2 > 0.0) & (alpha2 < 1.0))
+    if outside.any():
+        raise ValueError(f"alpha2 must lie in (0, 1), got {alpha2[outside][0]}")
+    energy = _check_energy(energy)
+    alpha1 = 1.0 - alpha2
+    nu = np.sqrt((n1 - n12) * alpha1 * alpha1 + n12 + (n2 - n12) * alpha2 * alpha2)
+    y = math.sqrt(l) * alpha1 / nu
+    outside = ~((y > 0.0) & (y <= 1.0))
+    if outside.any():
+        _check_overlap(y[outside][0])  # raises with the scalar path's message
+    time = math.pi / (2.0 * energy * y)
+    return np.rec.fromarrays([alpha2, nu, y, time], names="alpha2,nu,y,time")
 
 
 def misplaced_scenario(

@@ -16,7 +16,6 @@ Exit codes: 0 on success, 1 on invalid input, 2 when an internal check fails.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -155,11 +154,22 @@ def _write_json(path: Path, payload: dict) -> None:
     print(f"wrote {path}")
 
 
-def _write_csv(path: Path, header, rows) -> None:
+CSV_CHUNK_ROWS = 4096
+
+
+def _write_csv(path: Path, header, columns) -> None:
+    """Write a header and equal-length columns, byte-identical to ``csv.writer``.
+
+    Rows are formatted a bounded chunk at a time.  Numpy slices become Python
+    values once (``tolist``), whose ``str`` is the ``repr`` csv writes; ranges
+    and tuples of ints and strings are used as they are.  No cell needs quoting.
+    """
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+            parts = [column[start : start + CSV_CHUNK_ROWS] for column in columns]
+            cells = [map(str, p.tolist() if isinstance(p, np.ndarray) else p) for p in parts]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
     print(f"wrote {path}")
 
 
@@ -173,7 +183,7 @@ class Output(NamedTuple):
 
     payload: dict  # report fields besides schema_version, command and scenario
     summary: str  # the line printed after the files are written
-    tables: tuple = ()  # (file name, header, rows) per CSV; rows may be lazy
+    tables: tuple = ()  # (file name, header, columns) per CSV; columns may be a callable
     failure: str | None = None  # an internal check failed: exit 2 once written
 
 
@@ -182,8 +192,8 @@ def cmd_simulate(args, scenario: SearchScenario) -> Output:
     t_opt = optimal_time(prep.y, scenario.energy)
     traj = trajectory(prep, scenario.energy, t_max=args.t_max, n_points=args.points)
     dist = success_distribution(prep, scenario.energy, t_opt)
-    outcomes = [[i, dist.target_probs[i]] for i in sorted(dist.target_probs)]
-    outcomes.append(["failure", dist.failure])
+    items = sorted(dist.target_probs)
+    outcomes = ((*items, "failure"), (*map(dist.target_probs.get, items), dist.failure))
     return Output(
         payload={
             "y": prep.y,
@@ -201,10 +211,7 @@ def cmd_simulate(args, scenario: SearchScenario) -> Output:
             (
                 "trajectory.csv",
                 ["t", "re(a)", "im(a)", "re(b)", "im(b)", "success_prob"],
-                (
-                    [t, a.real, a.imag, b.real, b.imag, s]
-                    for t, a, b, s in zip(traj.times, traj.a, traj.b, traj.success)
-                ),
+                (traj.times, traj.a.real, traj.a.imag, traj.b.real, traj.b.imag, traj.success),
             ),
             ("success_distribution.csv", ["item", "probability"], outcomes),
         ),
@@ -236,11 +243,9 @@ def cmd_verify(args, scenario: SearchScenario) -> Output:
     )
 
 
-def _register_rows(y: float, m_size: int):
-    # a generator, so the distribution is built only when the CSV is written
+def _register_rows(y: float, m_size: int) -> tuple:
     dist = measurement_distribution(y, m_size)
-    for k in range(m_size):
-        yield [k, dist.total[k], dist.branch_phase_y[k], dist.branch_phase_complement[k]]
+    return range(m_size), dist.total, dist.branch_phase_y, dist.branch_phase_complement
 
 
 def cmd_estimate(args, scenario: SearchScenario) -> Output:
@@ -267,7 +272,8 @@ def cmd_estimate(args, scenario: SearchScenario) -> Output:
             (
                 "register_distribution.csv",
                 ["k", "p_total", "p_phase_y", "p_phase_complement"],
-                _register_rows(prep.y, args.m_size),
+                # called only when the CSV is written: --format json never builds it
+                lambda: _register_rows(prep.y, args.m_size),
             ),
         ),
     )
@@ -305,7 +311,7 @@ def cmd_sweep(args, scenario: SearchScenario) -> Output:
     curve = misplaced_confidence_curve(
         structure.l, structure.n1, structure.n2, structure.n12, grid, scenario.energy
     )
-    times = [p.time for p in curve]
+    t_lo, t_hi = float(curve.time[0]), float(curve.time[-1])
     reports = check_scenario_bounds(scenario)
     return Output(
         payload={
@@ -315,21 +321,21 @@ def cmd_sweep(args, scenario: SearchScenario) -> Output:
                 "max": float(args.alpha2_max),
                 "points": int(args.alpha2_points),
             },
-            "time_at_min": times[0],
-            "time_at_max": times[-1],
-            "divergence_ratio": times[-1] / times[0],
-            "monotone_increasing": bool(np.all(np.diff(times) > 0)),
+            "time_at_min": t_lo,
+            "time_at_max": t_hi,
+            "divergence_ratio": t_hi / t_lo,
+            "monotone_increasing": bool(np.all(np.diff(curve.time) > 0)),
             "bound_reports": [_bound_dict(r) for r in reports],
         },
         summary=(
             f"alpha2 in [{args.alpha2_min}, {args.alpha2_max}]: "
-            f"T grows {times[-1] / times[0]:.1f}x"
+            f"T grows {t_hi / t_lo:.1f}x"
         ),
         tables=(
             (
                 "sweep_curve.csv",
                 ["alpha2", "nu", "y", "T"],
-                ([p.alpha2, p.nu, p.y, p.time] for p in curve),
+                (curve.alpha2, curve.nu, curve.y, curve.time),
             ),
         ),
     )
@@ -380,8 +386,8 @@ def _run(args) -> None:
             {"command": args.command, "scenario": scenario_to_dict(scenario), **result.payload},
         )
     if args.format != "json":
-        for name, header, rows in result.tables:
-            _write_csv(out / name, header, rows)
+        for name, header, columns in result.tables:
+            _write_csv(out / name, header, columns() if callable(columns) else columns)
     print(result.summary)
     if result.failure:
         raise InternalCheckError(result.failure)

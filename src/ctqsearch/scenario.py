@@ -171,7 +171,10 @@ class SearchScenario:
             rescaled = tuple(InformationSet(s.members, s.weight / total) for s in self.info_sets)
             object.__setattr__(self, "info_sets", rescaled)
             object.__setattr__(self, "weights_normalized", True)
-        mask = _union_mask(self.info_sets, self.n_items)
+        try:
+            mask = _union_mask(self.info_sets, self.n_items)
+        except (MemoryError, ValueError):  # numpy: cannot allocate / dimension too large
+            raise _refuse("n_items", f"{self.n_items} items do not fit in memory") from None
         if not mask[self.targets].all():
             raise ScenarioError(
                 "coverage invariant violated: every target must belong to at least one information set"

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -300,3 +301,38 @@ def test_suite_count_validation():
 def test_suite_custom_energy_range():
     for s in random_scenario_suite(3, 5, ScenarioMode.BASIC, energy_range=(1.3, 1.3)):
         assert s.energy == pytest.approx(1.3, abs=1e-15)
+
+
+def scalar_curve(l, n1, n2, n12, alpha2_values, energy):
+    # the per-point loop the vectorised curve replaced, kept as its oracle
+    points = []
+    for alpha2 in map(float, alpha2_values):
+        alpha1 = 1.0 - alpha2
+        nu = math.sqrt((n1 - n12) * alpha1 * alpha1 + n12 + (n2 - n12) * alpha2 * alpha2)
+        y = math.sqrt(l) * alpha1 / nu
+        points.append((alpha2, nu, y, optimal_time(y, energy)))
+    return points
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_misplaced_curve_bit_identical_to_scalar_loop(seed):
+    rng = np.random.default_rng(seed)
+    scale = 10 ** int(rng.integers(1, 7))
+    n2 = int(rng.integers(1, scale + 1))
+    n12 = int(rng.integers(0, n2 + 1))
+    l = int(rng.integers(1, scale + 1))
+    n1 = n12 + l + int(rng.integers(0, scale + 1))
+    energy = float(np.exp(rng.uniform(-5.0, 5.0)))
+    edges = [5e-324, 1e-300, 1e-9, 0.5, 1.0 - 1e-9, float(np.nextafter(1.0, 0.0))]
+    grid = np.concatenate([edges, np.linspace(0.05, 0.999, 494), rng.uniform(1e-12, 1.0, 500)])
+    curve = misplaced_confidence_curve(l, n1, n2, n12, grid, energy=energy)
+    assert curve.dtype.names == ("alpha2", "nu", "y", "time")
+    assert curve.tolist() == scalar_curve(l, n1, n2, n12, grid, energy)
+
+
+@pytest.mark.parametrize("bad", [0.0, 1.0, -0.0, math.nan, 1.5])
+def test_misplaced_curve_rejects_grid_outside_open_interval(bad):
+    grid = np.linspace(0.1, 0.9, 1000)
+    grid[500] = bad
+    with pytest.raises(ValueError, match=r"alpha2 must lie in \(0, 1\)"):
+        misplaced_confidence_curve(1, 2, 1, 0, grid)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import SCENARIO_DIR
 from ctqsearch import cli
@@ -157,6 +159,21 @@ def test_estimate_outputs_and_histogram(tmp_path, library_demo_path):
     lines = (tmp_path / "register_distribution.csv").read_text().splitlines()
     assert lines[0] == "k,p_total,p_phase_y,p_phase_complement"
     assert len(lines) == 1 + 64
+
+
+class RegisterBuilt(Exception):
+    pass
+
+
+def test_estimate_register_table_is_lazy(tmp_path, library_demo_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RegisterBuilt
+    monkeypatch.setattr(cli, "measurement_distribution", refuse)
+    args = ("estimate", "--scenario", library_demo_path)
+    assert run(*args, "--out", tmp_path / "j", "--format", "json") == 0
+    assert (tmp_path / "j" / "estimate.json").exists()
+    with pytest.raises(RegisterBuilt):
+        run(*args, "--out", tmp_path / "b", "--format", "both")
 
 
 def test_estimate_runs_are_byte_deterministic(tmp_path, library_demo_path):
@@ -315,14 +332,16 @@ def test_malformed_scenario_field_exits_1_naming_it(tmp_path, capsys, doc, field
 
 
 def test_huge_n_items_exits_1_without_traceback(tmp_path, capsys):
-    # 10**15 items exceed the address space even as a bool mask: nothing is allocated
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps(scenario_with(n_items=10**15)))
-    assert run("compare", "--scenario", path, "--out", tmp_path / "out") == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    # these item counts exceed the address space even as a bool mask: nothing is allocated
+    for n_items in (10**15, 2**62):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(scenario_with(n_items=n_items)))
+        assert run("compare", "--scenario", path, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'n_items'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 def refuse_constant(constant):
@@ -446,3 +465,49 @@ def test_cli_json_reserializes_to_same_bytes(tmp_path, scenario):
             assert text == indent2(json.loads(text)) + "\n", output.name
             written += 1
     assert written >= 5
+
+
+def csv_writer_bytes(header, columns):
+    # the oracle: csv.writer over rows of per-element values, numpy scalars included
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    return buffer.getvalue().encode()
+
+
+def write_csv_bytes(header, columns):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli._write_csv(path, header, columns)
+        return path.read_bytes()
+
+
+CHUNK = cli.CSV_CHUNK_ROWS
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-5, 1e-4, math.nan, math.inf, -math.inf]
+float_cells = st.floats() | st.sampled_from(EDGE_FLOATS)
+
+
+@settings(deadline=None, max_examples=30)
+@given(data=st.data(), n_rows=st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1]))
+def test_write_csv_matches_csv_writer(data, n_rows):
+    plain = data.draw(arrays(np.float64, n_rows, elements=float_cells))
+    packed = data.draw(arrays(np.complex128, n_rows, elements=st.complex_numbers()))
+    ints = data.draw(arrays(np.int64, n_rows))
+    # strided views and int64 arrays, as the command tables pass them
+    columns = (range(n_rows), plain, packed.real, packed.imag, ints, tuple(ints.tolist()))
+    header = ["k", "x", "re(z)", "im(z)", "i64", "int"]
+    assert write_csv_bytes(header, columns) == csv_writer_bytes(header, columns)
+
+
+def test_write_csv_edge_columns():
+    edges = np.array(EDGE_FLOATS)
+    for columns in (
+        (range(len(edges)), edges, edges[::-1].copy()),
+        ((2, 5, 10, "failure"), (0.25, 1e-5, 1e16, 0.0)),  # the success_distribution shape
+        ((1, 0.5, 3, -0.0),),  # mixed ints and floats: 1 stays "1", not "1.0"
+        ((), (), ()),
+    ):
+        header = ["a", "b", "c"][: len(columns)]
+        assert write_csv_bytes(header, columns) == csv_writer_bytes(header, columns)
