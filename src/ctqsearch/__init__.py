@@ -13,45 +13,32 @@ from .analysis import (
     BoundReport,
     ComparisonReport,
     MisplacedStructure,
-    ScenarioMode,
     basic_confidence_bound,
     check_scenario_bounds,
     compare_structured_unstructured,
     disjoint_bound,
     misplaced_confidence_curve,
-    misplaced_scenario,
     misplaced_structure,
-    nu_squared_lower,
-    random_scenario_suite,
-    weight_power_sum,
 )
 from .dynamics import (
     ReducedState,
     SuccessDistribution,
     Trajectory,
-    eigensystem,
-    evolution_matrix,
     evolve_state,
     optimal_time,
-    reduced_hamiltonian,
     success_distribution,
     trajectory,
 )
 from .fullsim import (
-    invariant_subspace_residual,
     plane_projection_on_grid,
     reduced_basis,
 )
 from .phase_estimation import (
-    EIGHT_OVER_PI_SQ,
     CountResult,
     PhaseEstimate,
     RegisterDistribution,
-    TailBound,
-    TailBoundReport,
     branch_distribution,
     circle_distance,
-    concentration_probability,
     counting_scenario,
     disambiguate,
     disjointify,
@@ -62,8 +49,6 @@ from .phase_estimation import (
     run_counting,
     run_phase_estimation,
     sample_phase_register,
-    tail_bound_report,
-    walk_operator,
 )
 from .rng import derive_key, make_rng
 from .scenario import (
@@ -73,7 +58,6 @@ from .scenario import (
     ScenarioError,
     SearchScenario,
     classify_confidence,
-    covers,
     load_scenario,
     oracle_eval,
     scenario_from_dict,

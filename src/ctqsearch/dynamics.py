@@ -8,11 +8,12 @@ residual component |r> of that state, and on this plane it acts as
     H2 = E * [[1 + y**2,        y*sqrt(1-y**2)],
               [y*sqrt(1-y**2),  1 - y**2      ]]
 
-in the (|w>, |r>) basis.  Everything downstream -- propagators, spectra,
+in the (|w>, |r>) basis.  Everything downstream -- the evolved state,
 trajectories, measurement statistics, the optimal measurement time -- has an
-exact closed form in the overlap ``y`` and energy ``E``.  The N-dimensional
-simulator in :mod:`ctqsearch.fullsim` exists to cross-check this module, not
-to replace it.
+exact closed form in the overlap ``y`` and energy ``E``, so no 2x2 matrix is
+built here; the matrix, its exponential and its eigensystem serve only as
+test oracles.  The N-dimensional simulator in :mod:`ctqsearch.fullsim`
+exists to cross-check this module, not to replace it.
 """
 
 from __future__ import annotations
@@ -63,51 +64,6 @@ class ReducedState:
         return abs(self.a) ** 2
 
 
-def reduced_hamiltonian(y: float, energy: float) -> np.ndarray:
-    """2x2 Hamiltonian block in the (|w>, |r>) basis."""
-    y = _check_overlap(y)
-    energy = _check_energy(energy)
-    c = _residual_norm(y)
-    return energy * np.array([[1.0 + y * y, y * c], [y * c, 1.0 - y * y]])
-
-
-def evolution_matrix(y: float, energy: float, t: float) -> np.ndarray:
-    """Propagator exp(-i*H2*t) on the invariant plane.
-
-    H2 = E*(I + y*K) with K a reflection (K @ K = I), so the exponential
-    factors into a global phase times a rotation generated by K:
-
-        U(t) = exp(-i*E*t) * (cos(E*y*t)*I - i*sin(E*y*t)*K)
-    """
-    y = _check_overlap(y)
-    energy = _check_energy(energy)
-    t = _check_time(t)
-    c = _residual_norm(y)
-    theta = energy * y * t
-    phase = np.exp(-1j * energy * t)
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
-    k = np.array([[y, c], [c, -y]])
-    return phase * (cos_t * np.eye(2) - 1j * sin_t * k)
-
-
-def eigensystem(y: float, energy: float) -> tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]:
-    """Eigenpairs of the reduced Hamiltonian, top eigenvalue first.
-
-    Returns ((x1, E*(1+y)), (x2, E*(1-y))) with real unit eigenvectors
-
-        x1 = (sqrt(1+y), sqrt(1-y)) / sqrt(2)
-        x2 = (-sqrt(1-y), sqrt(1+y)) / sqrt(2)
-    """
-    y = _check_overlap(y)
-    energy = _check_energy(energy)
-    sp = math.sqrt(1.0 + y)
-    sm = math.sqrt(1.0 - y)
-    x1 = np.array([sp, sm]) / math.sqrt(2.0)
-    x2 = np.array([-sm, sp]) / math.sqrt(2.0)
-    return (x1, energy * (1.0 + y)), (x2, energy * (1.0 - y))
-
-
 def _reduced_coefficients(y: float, energy: float, times) -> tuple[np.ndarray, np.ndarray]:
     # Closed-form evolution of the initial state (a, b) = (y, sqrt(1-y**2)),
     # one entry per time.  The product phase * (y*cos - i*sin) is written out
@@ -139,7 +95,11 @@ def optimal_time(y: float, energy: float) -> float:
     """First time the state aligns with the target subspace: pi/(2*E*y)."""
     y = _check_overlap(y)
     energy = _check_energy(energy)
-    return math.pi / (2.0 * energy * y)
+    rate = 2.0 * energy * y  # 0 or inf when the product leaves the float range
+    time = math.pi / rate if rate else math.inf
+    if not 0.0 < time < math.inf:
+        raise ValueError(f"optimal time pi/(2*E*y) is out of range for energy {energy} and y {y}")
+    return time
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,14 @@ Chebyshev propagator of Tal-Ezer and Kosloff (J. Chem. Phys. 81, 3967, 1984),
 which is built from such products alone, and projects every state onto the
 invariant plane.  It never forms an N x N array and never uses the 2x2
 closed form of :mod:`ctqsearch.dynamics`, which is what it checks; ``verify``
-and :func:`invariant_subspace_residual` run on it.  Its one size limit is
-the Chebyshev basis, ``(K+1) * N * 8`` bytes at most
-``CHEBYSHEV_BASIS_LIMIT``.
+runs on it.  Its one size limit is the Chebyshev basis, ``(K+1) * N * 8``
+bytes at most ``CHEBYSHEV_BASIS_LIMIT``.
 
-:func:`full_hamiltonian`, :func:`evolve_on_grid`, :func:`full_evolve` and
-:func:`project_reduced` are test oracles: they build the dense matrix and
-diagonalise it, so their dimension is capped at ``DEFAULT_DIM_CAP``.
+:func:`full_hamiltonian`, :func:`evolve_on_grid` and :func:`project_reduced`
+are test oracles: they build the dense matrix and diagonalise it, so their
+dimension is capped at ``DEFAULT_DIM_CAP``.  They stay in this module, rather
+than with the other test oracles, because the benchmark's layer tracer
+instruments them by name.
 """
 
 from __future__ import annotations
@@ -55,11 +56,6 @@ def full_hamiltonian(
     targets = prep.target_items
     h[targets, targets] += scenario.energy
     return h
-
-
-def full_evolve(hamiltonian: np.ndarray, initial: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i*H*t) applied to ``initial`` via eigendecomposition."""
-    return evolve_on_grid(hamiltonian, initial, [t])[0]
 
 
 def evolve_on_grid(
@@ -224,15 +220,3 @@ def plane_projection_on_grid(
         leak[rows] = np.linalg.norm(states, axis=1)
         start = rows.stop
     return ab[:, 0], ab[:, 1], leak
-
-
-def invariant_subspace_residual(
-    scenario: SearchScenario, prep: StatePrep, times: np.ndarray
-) -> float:
-    """Largest leakage out of the invariant plane over a time grid.
-
-    The exact dynamics never leaves the plane, so anything beyond roundoff
-    signals a bug in either simulator.
-    """
-    _, _, leak = plane_projection_on_grid(scenario, prep, times)
-    return float(np.max(leak, initial=0.0))

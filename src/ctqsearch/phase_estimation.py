@@ -1,7 +1,7 @@
-"""Phase-register construction, measurement statistics, and overlap estimation.
+"""Register measurement statistics, sampling, and overlap estimation.
 
-The walk operator is the reduced propagator evaluated at one full driving
-period.  Its two eigenphases encode the overlap ``y`` as the pair
+The walk is the reduced propagator over one full driving period, 2*pi/E.
+Its two eigenphases encode the overlap ``y`` as the pair
 ``(y, 1 - y)`` in units of full turns, so an M-point phase register measures
 a value ``k`` whose fraction ``k/M`` clusters around one of those two phases:
 
@@ -16,8 +16,10 @@ reading (for small ``y`` both clusters hold nearly half the samples), a short
 verification experiment (evolve to each candidate's optimal time and check
 hits through the membership oracle) decides.
 
-All register distributions here are exact closed forms; sampling them stands
-in for running the hardware.
+The register distribution here is the exact closed form of the measurement
+after controlled powers of the walk and an inverse Fourier transform;
+sampling it stands in for running the hardware.  The tests build that
+register from the walk itself to check the closed form.
 """
 
 from __future__ import annotations
@@ -27,12 +29,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import _check_overlap, evolution_matrix, optimal_time, success_distribution
+from .dynamics import _check_overlap, optimal_time, success_distribution
 from .rng import make_rng, sample_inverse_cdf
 from .scenario import InformationSet, ScenarioError, SearchScenario, oracle_eval
 from .stateprep import StatePrep, weighted_superposition
-
-EIGHT_OVER_PI_SQ = 8.0 / math.pi**2
 
 # clusters are called ambiguous when the relative count gap falls below
 # 2/sqrt(pair total), a two-sigma criterion for a fair-coin split, or when
@@ -44,10 +44,10 @@ N_VERIFY = 48
 MIN_LEAD = 2
 
 
-def _require_power_of_two(m_size: int, what: str = "m_size") -> int:
+def _require_power_of_two(m_size: int) -> int:
     m_size = int(m_size)
     if m_size < 2 or m_size & (m_size - 1):
-        raise ValueError(f"{what} must be a power of two >= 2, got {m_size}")
+        raise ValueError(f"m_size must be a power of two >= 2, got {m_size}")
     return m_size
 
 
@@ -55,81 +55,6 @@ def next_power_of_two(value: int) -> int:
     if value < 1:
         raise ValueError(f"value must be >= 1, got {value}")
     return 1 << max(1, (int(value) - 1).bit_length())
-
-
-def walk_operator(y: float, energy: float) -> np.ndarray:
-    """Reduced propagator over one full driving period, 2*pi/E.
-
-    Its eigenphases are exp(-2j*pi*y) on the top eigenvector and
-    exp(-2j*pi*(1-y)) on the bottom one, which is what the register reads out.
-    """
-    return evolution_matrix(y, energy, 2.0 * math.pi / float(energy))
-
-
-@dataclass(frozen=True)
-class AncillaState:
-    """Joint state of the M-point register and the two-dimensional system.
-
-    ``coeffs[m, 0]`` multiplies |m> tensor x1 (eigenvalue branch with register
-    phase ``1 - y``); ``coeffs[m, 1]`` multiplies |m> tensor x2 (register
-    phase ``y``).  Unit norm overall.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError(f"coeffs must have shape (M, 2), got {arr.shape}")
-        _require_power_of_two(arr.shape[0])
-        norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"ancilla state must be normalized, got norm {norm}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def m_size(self) -> int:
-        return self.coeffs.shape[0]
-
-
-def build_psi1(y: float, m_size: int) -> AncillaState:
-    """Register-system state after the controlled walk stage.
-
-    Starting from the uniform register and the prepared system state, applying
-    the walk ``m`` times conditioned on register value ``m`` yields
-
-        coeffs[m, 0] = sqrt((1+y)/2) * exp(2j*pi*m*(1-y)) / sqrt(M)
-        coeffs[m, 1] = sqrt((1-y)/2) * exp(2j*pi*m*y)     / sqrt(M)
-    """
-    y = _check_overlap(y)
-    m_size = _require_power_of_two(m_size)
-    m = np.arange(m_size)
-    coeffs = np.empty((m_size, 2), dtype=complex)
-    coeffs[:, 0] = math.sqrt((1.0 + y) / 2.0) * np.exp(2j * math.pi * m * (1.0 - y))
-    coeffs[:, 1] = math.sqrt((1.0 - y) / 2.0) * np.exp(2j * math.pi * m * y)
-    coeffs /= math.sqrt(m_size)
-    return AncillaState(coeffs=coeffs)
-
-
-def inverse_qft(register: np.ndarray) -> np.ndarray:
-    """Unitary map out[k] = (1/sqrt(M)) * sum_x in[x] * exp(-2j*pi*k*x/M)."""
-    reg = np.asarray(register, dtype=complex)
-    if reg.ndim != 1:
-        raise ValueError(f"register must be one-dimensional, got shape {reg.shape}")
-    m_size = _require_power_of_two(reg.shape[0], what="register length")
-    return np.fft.fft(reg) / math.sqrt(m_size)
-
-
-def apply_inverse_qft(state: AncillaState) -> AncillaState:
-    """Inverse Fourier transform on the register, acting on each branch."""
-    out = np.column_stack([inverse_qft(state.coeffs[:, 0]), inverse_qft(state.coeffs[:, 1])])
-    return AncillaState(coeffs=out)
-
-
-def register_probabilities(state: AncillaState) -> np.ndarray:
-    """Marginal distribution of a register measurement (branches traced out)."""
-    return np.sum(np.abs(state.coeffs) ** 2, axis=1)
 
 
 def circle_distance(a, b):
@@ -204,16 +129,6 @@ def measurement_distribution(y: float, m_size: int) -> RegisterDistribution:
         weight_phase_complement=w_c,
         total=w_y * b_y + w_c * b_c,
     )
-
-
-def concentration_probability(phase: float, m_size: int, m: int = 1) -> float:
-    """Branch-conditional probability that k/M lands within m/M of the phase."""
-    if int(m) < 1:
-        raise ValueError(f"window multiple m must be >= 1, got {m}")
-    probs = branch_distribution(phase, m_size)
-    k = np.arange(m_size)
-    d = circle_distance(phase, k / m_size)
-    return float(np.sum(probs[d <= m / m_size + 1e-12]))
 
 
 def sample_phase_register(y: float, m_size: int, n_samples: int, seed: int) -> np.ndarray:
@@ -540,72 +455,4 @@ def run_counting(
         estimate=est,
         scenario=counting,
         samples=samples,
-    )
-
-
-@dataclass(frozen=True)
-class TailBound:
-    """One tail-window check: both branches must concentrate within m/M."""
-
-    m: int
-    bound: float
-    prob_phase_y: float
-    prob_phase_complement: float
-    satisfied: bool
-
-
-@dataclass(frozen=True)
-class TailBoundReport:
-    y: float
-    m_size: int
-    tails: tuple[TailBound, ...]
-    pointwise_ok: bool
-    pointwise_margin: float
-
-    @property
-    def all_satisfied(self) -> bool:
-        return self.pointwise_ok and all(t.satisfied for t in self.tails)
-
-
-def tail_bound_report(y: float, m_size: int, m_values=(2, 3, 5, 10)) -> TailBoundReport:
-    """Check concentration guarantees of the register distribution.
-
-    Tail windows: P(circle distance <= m/M | branch) >= 1 - 1/(2*(m-1)) for
-    each m >= 2, on both branches.  Pointwise: every outcome at circle
-    distance d > 0 from the branch phase has probability at most 1/(2*M*d)**2.
-    """
-    y = _check_overlap(y)
-    m_size = _require_power_of_two(m_size)
-    k = np.arange(m_size)
-
-    pointwise_margin = math.inf
-    pointwise_ok = True
-    for phase in (y, 1.0 - y):
-        if phase == 0.0:
-            continue  # y == 1: the complement branch has zero weight
-        probs = branch_distribution(phase, m_size)
-        d = circle_distance(phase, k / m_size)
-        far = d > 0.0
-        caps = 1.0 / (2.0 * m_size * d[far]) ** 2
-        margin = float(np.min(caps - probs[far])) if np.any(far) else math.inf
-        pointwise_margin = min(pointwise_margin, margin)
-        pointwise_ok = pointwise_ok and margin >= -1e-12
-
-    tails = []
-    for m in m_values:
-        m = int(m)
-        if m < 2:
-            raise ValueError(f"tail window multiples must be >= 2, got {m}")
-        bound = 1.0 - 1.0 / (2.0 * (m - 1))
-        prob_y = concentration_probability(y, m_size, m)
-        prob_c = concentration_probability(1.0 - y, m_size, m) if y < 1.0 else 1.0
-        ok = prob_y >= bound - 1e-12 and prob_c >= bound - 1e-12
-        tails.append(TailBound(m, bound, prob_y, prob_c, ok))
-
-    return TailBoundReport(
-        y=y,
-        m_size=m_size,
-        tails=tuple(tails),
-        pointwise_ok=pointwise_ok,
-        pointwise_margin=pointwise_margin,
     )

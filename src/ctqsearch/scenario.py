@@ -233,14 +233,6 @@ def oracle_eval(scenario: SearchScenario, item: int) -> int:
     return int(i < scenario.n_targets and scenario.targets[i] == item)
 
 
-def covers(targets, info_sets) -> bool:
-    """True iff every target belongs to at least one information set."""
-    targets, union = _indices(targets, "targets"), _union_mask(tuple(info_sets))
-    if targets.size and not 0 <= targets[0] <= targets[-1] < union.size:
-        return False
-    return bool(union[targets].all())
-
-
 def classify_confidence(scenario: SearchScenario) -> ConfidenceReport:
     """BASIC iff every information set contains at least one target."""
     overlaps = tuple(

@@ -1,0 +1,289 @@
+"""Oracles and scenario generators that only the tests use.
+
+Nothing in the ``ctqsearch`` pipeline calls these.  They are independent
+routes to what the package computes in closed form, and seeded generators for
+random scenario suites:
+
+* the 2x2 Hamiltonian of the invariant plane, its propagator and eigensystem;
+* the register built from the walk itself: controlled powers of one driving
+  period of the propagator, then a Fourier transform along the register;
+* the branch-conditional window mass and the tail and pointwise bounds of
+  Brassard, Hoyer, Mosca and Tapp (quant-ph/0005055) for the register;
+* the misplaced-confidence scenario, the norm bounds on its weights, and
+  random scenario suites of three families.
+"""
+
+from __future__ import annotations
+
+import math
+from enum import Enum
+
+import numpy as np
+from scipy.linalg import expm
+
+from ctqsearch import InformationSet, SearchScenario, branch_distribution, circle_distance
+from ctqsearch.analysis import _check_misplaced_params
+from ctqsearch.dynamics import _check_energy, _check_overlap, _check_time, _residual_norm
+from ctqsearch.rng import make_rng
+
+# lower bound on the probability that a branch lands within 1/M of its phase
+EIGHT_OVER_PI_SQ = 8.0 / math.pi**2
+
+
+def reduced_hamiltonian(y: float, energy: float) -> np.ndarray:
+    """2x2 Hamiltonian block in the (|w>, |r>) basis."""
+    y = _check_overlap(y)
+    energy = _check_energy(energy)
+    c = _residual_norm(y)
+    return energy * np.array([[1.0 + y * y, y * c], [y * c, 1.0 - y * y]])
+
+
+def evolution_matrix(y: float, energy: float, t: float) -> np.ndarray:
+    """Propagator exp(-i*H2*t) on the invariant plane.
+
+    H2 = E*(I + y*K) with K a reflection (K @ K = I), so the exponential
+    factors into a global phase times a rotation generated by K:
+
+        U(t) = exp(-i*E*t) * (cos(E*y*t)*I - i*sin(E*y*t)*K)
+    """
+    y = _check_overlap(y)
+    energy = _check_energy(energy)
+    t = _check_time(t)
+    c = _residual_norm(y)
+    theta = energy * y * t
+    phase = np.exp(-1j * energy * t)
+    cos_t = math.cos(theta)
+    sin_t = math.sin(theta)
+    k = np.array([[y, c], [c, -y]])
+    return phase * (cos_t * np.eye(2) - 1j * sin_t * k)
+
+
+def eigensystem(y: float, energy: float) -> tuple[tuple[np.ndarray, float], tuple[np.ndarray, float]]:
+    """Eigenpairs of the reduced Hamiltonian, top eigenvalue first.
+
+    Returns ((x1, E*(1+y)), (x2, E*(1-y))) with real unit eigenvectors
+
+        x1 = (sqrt(1+y), sqrt(1-y)) / sqrt(2)
+        x2 = (-sqrt(1-y), sqrt(1+y)) / sqrt(2)
+    """
+    y = _check_overlap(y)
+    energy = _check_energy(energy)
+    sp = math.sqrt(1.0 + y)
+    sm = math.sqrt(1.0 - y)
+    x1 = np.array([sp, sm]) / math.sqrt(2.0)
+    x2 = np.array([-sm, sp]) / math.sqrt(2.0)
+    return (x1, energy * (1.0 + y)), (x2, energy * (1.0 - y))
+
+
+def walk_register(y: float, m_size: int) -> np.ndarray:
+    """Register-system state after the controlled walks, rows m = 0..M-1.
+
+    The walk is Q = expm(-2j*pi*H2) at E = 1, one driving period of the
+    propagator, taken from the 2x2 Hamiltonian by a generic matrix
+    exponential.  Row m is Q**m applied to the plane state (y, sqrt(1-y**2))
+    in the (|w>, |r>) basis, over sqrt(M) for the uniform register.
+    """
+    q = expm(-2j * math.pi * reduced_hamiltonian(y, 1.0))
+    state = np.empty((m_size, 2), dtype=complex)
+    state[0] = (y, math.sqrt(1.0 - y * y))
+    for m in range(1, m_size):
+        state[m] = q @ state[m - 1]
+    return state / math.sqrt(m_size)
+
+
+def walk_register_marginal(y: float, m_size: int) -> np.ndarray:
+    """Register distribution of :func:`walk_register`: the inverse Fourier
+    transform out[k] = sum_m in[m] * exp(-2j*pi*k*m/M) / sqrt(M) along the
+    register, then the system traced out."""
+    register = np.fft.fft(walk_register(y, m_size), axis=0) / math.sqrt(m_size)
+    return np.sum(np.abs(register) ** 2, axis=1)
+
+
+def window_mass(phase: float, m_size: int, m: int = 1) -> float:
+    """Branch-conditional probability that k/M lands within m/M of the phase."""
+    probs = branch_distribution(phase, m_size)
+    d = circle_distance(phase, np.arange(m_size) / m_size)
+    return float(np.sum(probs[d <= m / m_size + 1e-12]))
+
+
+def tail_and_pointwise_hold(y: float, m_size: int, m_values=(2, 3, 5, 10)) -> bool:
+    """Check the register's concentration guarantees on both branches.
+
+    Tail windows: P(circle distance <= m/M | branch) >= 1 - 1/(2*(m-1)) for
+    each m >= 2.  Pointwise: every outcome at circle distance d > 0 from the
+    branch phase has probability at most 1/(2*M*d)**2.  Both within 1e-12.
+    The phase-0 branch of y = 1 carries no weight and is skipped.
+    """
+    k = np.arange(m_size)
+    for phase in (y, 1.0 - y):
+        if phase == 0.0:
+            continue
+        probs = branch_distribution(phase, m_size)
+        d = circle_distance(phase, k / m_size)
+        far = d > 0.0
+        if np.any(probs[far] > 1.0 / (2.0 * m_size * d[far]) ** 2 + 1e-12):
+            return False
+        for m in m_values:
+            if window_mass(phase, m_size, m) < 1.0 - 1.0 / (2.0 * (m - 1)) - 1e-12:
+                return False
+    return True
+
+
+def weight_power_sum(scenario: SearchScenario) -> float:
+    """Sum of squared weights; at least 1/n for any normalized weight vector."""
+    return math.fsum(s.weight * s.weight for s in scenario.info_sets)
+
+
+def nu_squared_lower(scenario: SearchScenario) -> float:
+    """Lower bound sum_j |A_j| * alpha_j**2 <= nu**2 (equality iff disjoint)."""
+    return math.fsum(s.size * s.weight * s.weight for s in scenario.info_sets)
+
+
+def misplaced_scenario(
+    l: int,
+    n1: int,
+    n2: int,
+    n12: int,
+    alpha2: float,
+    *,
+    n_items: int | None = None,
+    energy: float = 1.0,
+) -> SearchScenario:
+    """Concrete scenario realizing the misplaced-confidence model.
+
+    Items 0..l-1 are the targets; the first set is 0..n1-1, the second covers
+    the last n12 items of the first plus n2-n12 fresh items.
+    """
+    _check_misplaced_params(l, n1, n2, n12)
+    if not 0.0 < alpha2 < 1.0:
+        raise ValueError(f"alpha2 must lie in (0, 1), got {alpha2}")
+    span = n1 + n2 - n12
+    if n_items is None:
+        n_items = span
+    if n_items < span:
+        raise ValueError(f"n_items={n_items} cannot hold {span} covered items")
+    return SearchScenario(
+        n_items=n_items,
+        targets=range(l),
+        info_sets=(
+            InformationSet(range(n1), 1.0 - alpha2),
+            InformationSet(range(n1 - n12, n1 - n12 + n2), alpha2),
+        ),
+        energy=energy,
+    )
+
+
+class ScenarioMode(Enum):
+    """Families the random generator can produce."""
+
+    BASIC = "basic"
+    DISJOINT = "disjoint"
+    MISPLACED = "misplaced"
+
+
+def _normalized_weights(rng: np.random.Generator, n_sets: int, uniform: bool) -> np.ndarray:
+    if uniform:
+        return np.full(n_sets, 1.0 / n_sets)
+    raw = rng.uniform(0.05, 1.0, n_sets)
+    return raw / raw.sum()
+
+
+def _random_basic(
+    rng: np.random.Generator, n_items_range, n_sets_range, uniform_weights, energy_range
+) -> SearchScenario:
+    n_items = int(rng.integers(n_items_range[0], n_items_range[1] + 1))
+    n_sets = int(rng.integers(n_sets_range[0], n_sets_range[1] + 1))
+    l = int(rng.integers(1, max(1, n_items // 8) + 1))
+    targets = rng.choice(n_items, size=l, replace=False)
+    members: list[set[int]] = []
+    for _ in range(n_sets):
+        size = int(rng.integers(0, max(2, n_items // 4)))
+        base = set(int(i) for i in rng.choice(n_items, size=size, replace=False))
+        base.add(int(targets[int(rng.integers(l))]))  # every set meets the targets
+        members.append(base)
+    for t in targets:  # every target is covered
+        members[int(rng.integers(n_sets))].add(int(t))
+    weights = _normalized_weights(rng, n_sets, uniform_weights)
+    return SearchScenario(
+        n_items=n_items,
+        targets=targets,
+        info_sets=tuple(InformationSet(m, w) for m, w in zip(members, weights)),
+        energy=float(rng.uniform(*energy_range)),
+    )
+
+
+def _random_disjoint(
+    rng: np.random.Generator,
+    n_items_range,
+    n_sets_range,
+    uniform_weights,
+    energy_range,
+    support_cap,
+) -> SearchScenario:
+    n_items = int(rng.integers(n_items_range[0], n_items_range[1] + 1))
+    n_sets = int(rng.integers(n_sets_range[0], n_sets_range[1] + 1))
+    n_sets = min(n_sets, n_items)
+    l = n_sets + int(rng.integers(0, 4))  # at least one target per set
+    if support_cap is not None:
+        l = min(l, support_cap)
+    l = min(l, n_items)
+    n_sets = min(n_sets, l)
+    r_cap = (support_cap - l) if support_cap is not None else 24
+    r_cap = max(0, min(r_cap, n_items - l))
+    r = int(rng.integers(0, r_cap + 1))
+
+    pool = [int(i) for i in rng.choice(n_items, size=l + r, replace=False)]
+    targets, rest = pool[:l], pool[l:]
+    members: list[set[int]] = [set() for _ in range(n_sets)]
+    for j in range(n_sets):
+        members[j].add(targets[j])
+    for item in targets[n_sets:] + rest:
+        members[int(rng.integers(n_sets))].add(item)
+    weights = _normalized_weights(rng, n_sets, uniform_weights)
+    return SearchScenario(
+        n_items=n_items,
+        targets=targets,
+        info_sets=tuple(InformationSet(m, w) for m, w in zip(members, weights)),
+        energy=float(rng.uniform(*energy_range)),
+    )
+
+
+def _random_misplaced(rng: np.random.Generator, energy_range) -> SearchScenario:
+    l = int(rng.integers(1, 4))
+    n1 = l + int(rng.integers(0, 6))
+    n2 = 1 + int(rng.integers(0, 7))
+    n12 = int(rng.integers(0, min(n1 - l, n2) + 1))
+    alpha2 = float(rng.uniform(0.5, 0.98))
+    n_items = n1 + n2 - n12 + int(rng.integers(0, 17))
+    return misplaced_scenario(
+        l, n1, n2, n12, alpha2, n_items=n_items, energy=float(rng.uniform(*energy_range))
+    )
+
+
+def random_scenario_suite(
+    seed: int,
+    count: int,
+    mode: ScenarioMode = ScenarioMode.BASIC,
+    *,
+    n_items_range: tuple[int, int] = (8, 256),
+    n_sets_range: tuple[int, int] = (1, 6),
+    uniform_weights: bool = False,
+    support_cap: int | None = None,
+    energy_range: tuple[float, float] = (0.5, 2.0),
+) -> list[SearchScenario]:
+    """Seeded stream of random scenarios of the requested family.
+
+    BASIC scenarios have every set intersecting the targets; DISJOINT ones
+    additionally keep the sets pairwise disjoint (``support_cap`` limits the
+    covered-item count, which counting-mode callers use); MISPLACED ones
+    realize the two-set misplaced-confidence shape.
+    """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    rng = make_rng(seed, f"scenario-suite/{mode.value}")
+    ranges = (rng, n_items_range, n_sets_range, uniform_weights, energy_range)
+    if mode is ScenarioMode.BASIC:
+        return [_random_basic(*ranges) for _ in range(count)]
+    if mode is ScenarioMode.DISJOINT:
+        return [_random_disjoint(*ranges, support_cap) for _ in range(count)]
+    return [_random_misplaced(rng, energy_range) for _ in range(count)]

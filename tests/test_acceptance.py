@@ -14,35 +14,37 @@ from scipy.optimize import brentq
 
 from conftest import SCENARIO_DIR, build_scenario
 from ctqsearch import (
-    EIGHT_OVER_PI_SQ,
     Confidence,
-    ScenarioMode,
     classify_confidence,
     cli,
-    concentration_probability,
     counting_scenario,
     disambiguate,
     estimate_count,
     estimate_y,
-    invariant_subspace_residual,
     measurement_distribution,
     misplaced_confidence_curve,
-    misplaced_scenario,
     next_power_of_two,
-    nu_squared_lower,
     optimal_time,
-    random_scenario_suite,
+    plane_projection_on_grid,
     reduced_basis,
     sample_phase_register,
     sets_pairwise_disjoint,
     success_distribution,
-    tail_bound_report,
     trajectory,
-    weight_power_sum,
     weighted_superposition,
 )
-from ctqsearch.fullsim import evolve_on_grid, full_evolve, full_hamiltonian, project_reduced
-from ctqsearch.phase_estimation import apply_inverse_qft, build_psi1, register_probabilities
+from ctqsearch.fullsim import evolve_on_grid, full_hamiltonian, project_reduced
+from oracles import (
+    EIGHT_OVER_PI_SQ,
+    ScenarioMode,
+    misplaced_scenario,
+    nu_squared_lower,
+    random_scenario_suite,
+    tail_and_pointwise_hold,
+    walk_register_marginal,
+    weight_power_sum,
+    window_mass,
+)
 
 
 def _criterion(num: int, description: str, passed: bool) -> None:
@@ -72,7 +74,8 @@ def test_criterion_01_reduced_full_equivalence():
         for i, row in enumerate(states):
             a, b, _ = project_reduced(prep, row)
             max_dev = max(max_dev, abs(a - traj.a[i]), abs(b - traj.b[i]))
-        max_resid = max(max_resid, invariant_subspace_residual(s, prep, times))
+        _, _, leak = plane_projection_on_grid(s, prep, times)
+        max_resid = max(max_resid, float(np.max(leak)))
     elapsed = time.perf_counter() - start
     _criterion(
         1,
@@ -116,9 +119,9 @@ def test_criterion_03_window_concentration():
     for y in ys:
         for m_size in (8, 16, 64, 256):
             for phase in (y, 1.0 - y):
-                min_prob = min(min_prob, concentration_probability(phase, m_size))
+                min_prob = min(min_prob, window_mass(phase, m_size))
     grid = np.arange(1, 8 * 64) / (8 * 64)  # hits the worst case at half-bin offsets
-    grid_min = min(concentration_probability(y, 64) for y in grid)
+    grid_min = min(window_mass(y, 64) for y in grid)
     elapsed = time.perf_counter() - start
     _criterion(
         3,
@@ -139,8 +142,7 @@ def test_criterion_04_tail_and_pointwise_bounds():
     for _ in range(100):
         y = float(rng.uniform(0.001, 0.999))
         m_size = 2 ** int(rng.integers(3, 9))
-        report = tail_bound_report(y, m_size, m_values=(2, 3, 5, 10))
-        all_ok = all_ok and report.all_satisfied
+        all_ok = all_ok and tail_and_pointwise_hold(y, m_size, m_values=(2, 3, 5, 10))
     _criterion(
         4,
         "tail windows m in {2,3,5,10}: P(distance <= m/M | branch) >= 1 - 1/(2(m-1)) "
@@ -153,12 +155,12 @@ def test_criterion_05_pipeline_equivalence():
     worst = 0.0
     for y in (0.1, 0.25, 1 / 3, 0.5, 0.70711, 0.9):
         for m_size in (8, 16, 64):
-            simulated = register_probabilities(apply_inverse_qft(build_psi1(y, m_size)))
+            simulated = walk_register_marginal(y, m_size)
             analytic = measurement_distribution(y, m_size).total
             worst = max(worst, float(np.max(np.abs(simulated - analytic))))
     _criterion(
         5,
-        f"simulated register marginal vs analytic mixture: max entrywise gap "
+        f"walk-built register marginal vs analytic mixture: max entrywise gap "
         f"{worst:.2e} <= 1e-10 on the declared 6x3 (y, M) grid",
         worst <= 1e-10,
     )
@@ -241,7 +243,7 @@ def test_criterion_08_misplaced_confidence_divergence():
         _, r_axis = reduced_basis(prep, s.n_items)
 
         def residual(t):
-            state = full_evolve(h, prep.beta, t)
+            state = evolve_on_grid(h, prep.beta, [t])[0]
             return (np.exp(1j * s.energy * t) * np.vdot(r_axis, state)).real
 
         ts = np.linspace(0.0, 1.5 * pt.time, 2001)

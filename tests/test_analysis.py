@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,22 +12,24 @@ from ctqsearch import (
     Confidence,
     MisplacedStructure,
     ScenarioError,
-    ScenarioMode,
     basic_confidence_bound,
     check_scenario_bounds,
     classify_confidence,
     compare_structured_unstructured,
     disjoint_bound,
     misplaced_confidence_curve,
-    misplaced_scenario,
     misplaced_structure,
-    nu_squared_lower,
     optimal_time,
-    random_scenario_suite,
     scenario_to_dict,
     sets_pairwise_disjoint,
-    weight_power_sum,
     weighted_superposition,
+)
+from oracles import (
+    ScenarioMode,
+    misplaced_scenario,
+    nu_squared_lower,
+    random_scenario_suite,
+    weight_power_sum,
 )
 
 
@@ -66,7 +69,7 @@ def test_guaranteed_bounds_hold_on_random_basic_suite():
         prep = weighted_superposition(s)
         # direct-route check of the overlap guarantee
         assert prep.y >= 1 / math.sqrt(s.n_sets * s.support_size) - 1e-12
-        for rep in check_scenario_bounds(s, prep):
+        for rep in check_scenario_bounds(s):
             if rep.bound_kind is not BoundKind.UNSTRUCTURED_BASELINE:
                 assert rep.satisfied, rep
 
@@ -75,7 +78,7 @@ def test_guaranteed_bounds_hold_on_random_disjoint_suite():
     for s in random_scenario_suite(102, 30, ScenarioMode.DISJOINT, n_items_range=(8, 64)):
         prep = weighted_superposition(s)
         assert prep.y >= 1 / math.sqrt(s.support_size) - 1e-12
-        reports = check_scenario_bounds(s, prep)
+        reports = check_scenario_bounds(s)
         kinds = {r.bound_kind for r in reports}
         assert BoundKind.DISJOINT in kinds
         for rep in reports:
@@ -100,7 +103,7 @@ def test_report_fields_consistent():
     for s in random_scenario_suite(103, 10, ScenarioMode.BASIC, n_items_range=(8, 32)):
         prep = weighted_superposition(s)
         t = optimal_time(prep.y, s.energy)
-        for rep in check_scenario_bounds(s, prep):
+        for rep in check_scenario_bounds(s):
             assert rep.y == prep.y
             assert rep.time == pytest.approx(t, rel=1e-15)
             if rep.bound_on == "overlap":
@@ -336,3 +339,9 @@ def test_misplaced_curve_rejects_grid_outside_open_interval(bad):
     grid[500] = bad
     with pytest.raises(ValueError, match=r"alpha2 must lie in \(0, 1\)"):
         misplaced_confidence_curve(1, 2, 1, 0, grid)
+
+
+@pytest.mark.parametrize("energy", [1e-320, 5e-324, 1e308])
+def test_misplaced_curve_refuses_a_time_out_of_range(energy):
+    with pytest.raises(ValueError, match=re.escape(f"out of range for energy {energy!r} and y")):
+        misplaced_confidence_curve(1, 2, 1, 0, [0.5, 0.9], energy=energy)

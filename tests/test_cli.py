@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +381,38 @@ def test_fuzzed_scenario_field_exits_cleanly(command, field, value):
             assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
         for output in out.glob("*.json"):
             json.loads(output.read_text(), parse_constant=refuse_constant)
+
+
+SHIPPED_FOR = {"sweep": "misplaced_pair.json", "count": "disjoint_counting.json"}
+
+
+@pytest.mark.parametrize("route", ["flag", "file"])
+@pytest.mark.parametrize("energy", ["1e-320", "5e-324", "1e308"])
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_extreme_energy_exits_cleanly(tmp_path, capsys, command, energy, route):
+    # 2*E*y leaves the float range: pi over it overflows, divides by zero or is 0
+    source = SCENARIO_DIR / SHIPPED_FOR.get(command, "library_demo.json")
+    if route == "flag":
+        argv = ["--scenario", source, "--energy", energy]
+    else:
+        doc = json.loads(source.read_text())
+        doc["energy"] = float(energy)
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps(doc))
+        argv = ["--scenario", path]
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(command, *argv, "--out", out)
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error:") and err.count("\n") == 1
+    if command in ("simulate", "verify", "sweep", "compare"):  # each needs an optimal time
+        assert code == 1 and "energy" in err
+    for output in out.glob("*.json"):
+        json.loads(output.read_text(), parse_constant=refuse_constant)
 
 
 def test_compare_on_one_item_writes_strict_json(tmp_path):

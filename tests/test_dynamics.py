@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,17 +11,15 @@ from scipy.linalg import expm
 from conftest import build_scenario
 from ctqsearch import (
     SuccessDistribution,
-    eigensystem,
-    evolution_matrix,
     evolve_state,
     make_rng,
     optimal_time,
-    reduced_hamiltonian,
     success_distribution,
     trajectory,
     weighted_superposition,
 )
 from ctqsearch.rng import sample_inverse_cdf
+from oracles import eigensystem, evolution_matrix, reduced_hamiltonian
 
 
 def expm_propagator(y, energy, t):
@@ -238,3 +237,10 @@ def test_input_validation():
         evolution_matrix(0.5, 1.0, -0.1)
     with pytest.raises(ValueError):
         optimal_time(0.0, 1.0)
+
+
+@pytest.mark.parametrize("energy", [1e-320, 5e-324, 1e308])
+def test_optimal_time_refuses_a_time_out_of_range(energy):
+    # 2*E*y is subnormal (pi over it overflows), underflows to 0 or overflows
+    with pytest.raises(ValueError, match=re.escape(f"out of range for energy {energy!r} and y 0.5")):
+        optimal_time(0.5, energy)

@@ -15,16 +15,15 @@ import pytest
 from ctqsearch import (
     MisplacedStructure,
     ScenarioError,
-    ScenarioMode,
+    SearchScenario,
     classify_confidence,
-    covers,
     disjointify,
     misplaced_structure,
-    random_scenario_suite,
     scenario_from_dict,
     scenario_to_dict,
     sets_pairwise_disjoint,
 )
+from oracles import ScenarioMode, random_scenario_suite
 
 
 def members(info_set):
@@ -43,6 +42,16 @@ def oracle_covers(targets, info_sets):
     for s in info_sets:
         union |= members(s)
     return set(targets) <= union
+
+
+def scenario_covers(targets, info_sets, n_items):
+    # the production coverage check is the one SearchScenario runs when built
+    try:
+        SearchScenario(n_items=n_items, targets=targets, info_sets=info_sets)
+    except ScenarioError as exc:
+        assert "coverage invariant violated" in str(exc)
+        return False
+    return True
 
 
 def oracle_overlaps(scenario):
@@ -129,8 +138,8 @@ def test_array_helpers_agree_with_frozenset_oracles(index):
     rng = np.random.default_rng(index)
     for size in (1, 2, 5):
         probe = rng.choice(s.n_items, size=min(size, s.n_items), replace=False).tolist()
-        assert covers(probe, s.info_sets) == oracle_covers(probe, s.info_sets)
-    assert covers(s.targets, s.info_sets)
+        assert scenario_covers(probe, s.info_sets, s.n_items) == oracle_covers(probe, s.info_sets)
+    assert scenario_covers(s.targets, s.info_sets, s.n_items)
 
 
 @pytest.mark.parametrize("index", range(0, len(SCENARIOS), 7))

@@ -9,16 +9,13 @@ from numpy.testing import assert_allclose
 
 from conftest import build_scenario
 from ctqsearch import (
-    EIGHT_OVER_PI_SQ,
     InformationSet,
     ScenarioError,
     branch_distribution,
     circle_distance,
-    concentration_probability,
     counting_scenario,
     disambiguate,
     disjointify,
-    eigensystem,
     estimate_count,
     estimate_y,
     evolve_state,
@@ -29,23 +26,18 @@ from ctqsearch import (
     run_counting,
     run_phase_estimation,
     sample_phase_register,
-    tail_bound_report,
-    walk_operator,
     weighted_superposition,
 )
-from ctqsearch.phase_estimation import (
-    AncillaState,
-    apply_inverse_qft,
-    build_psi1,
-    inverse_qft,
-    register_probabilities,
+import oracles
+from oracles import (
+    EIGHT_OVER_PI_SQ,
+    eigensystem,
+    evolution_matrix,
+    tail_and_pointwise_hold,
+    walk_register,
+    walk_register_marginal,
+    window_mass,
 )
-
-
-def dft_matrix(m):
-    # explicit transform matrix, independent of any FFT routine
-    k = np.arange(m)
-    return np.exp(-2j * np.pi * np.outer(k, k) / m) / math.sqrt(m)
 
 
 def direct_alpha_sq(phase, m, k):
@@ -54,9 +46,14 @@ def direct_alpha_sq(phase, m, k):
     return abs(amp) ** 2
 
 
+def walk(y, energy):
+    # the reduced propagator over one driving period
+    return evolution_matrix(y, energy, 2.0 * math.pi / energy)
+
+
 def test_walk_operator_eigenphases():
     y, energy = 0.37, 1.7
-    q = walk_operator(y, energy)
+    q = walk(y, energy)
     (x1, _), (x2, _) = eigensystem(y, energy)
     assert_allclose(q @ x1, np.exp(-2j * np.pi * y) * x1, atol=1e-12)
     assert_allclose(q @ x2, np.exp(-2j * np.pi * (1 - y)) * x2, atol=1e-12)
@@ -67,72 +64,33 @@ def test_walk_operator_energy_independent_phases():
     # the driving period scales away the energy: same eigenphases for any E
     y = 0.61
     for energy in (0.5, 1.0, 3.0):
-        q = walk_operator(y, energy)
+        q = walk(y, energy)
         (x1, _), _ = eigensystem(y, energy)
         assert_allclose(q @ x1, np.exp(-2j * np.pi * y) * x1, atol=1e-12)
 
 
-def test_register_state_entries_literal():
-    y, m = 0.6, 4
-    state = build_psi1(y, m)
-    for x in range(m):
-        expected0 = math.sqrt(0.8) * cmath.exp(2j * math.pi * x * 0.4) / 2.0
-        expected1 = math.sqrt(0.2) * cmath.exp(2j * math.pi * x * 0.6) / 2.0
-        assert state.coeffs[x, 0] == pytest.approx(expected0, abs=1e-12)
-        assert state.coeffs[x, 1] == pytest.approx(expected1, abs=1e-12)
-    assert np.linalg.norm(state.coeffs) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_register_state_from_prep_matches_scalar(boosted_pair):
-    # m controlled walks on the prepared plane state, read in the walk's
-    # eigenbasis, give the closed form build_psi1 writes from y alone
+    # the walk-built register starts from the prepared plane state and, read
+    # in the walk's eigenbasis, is the closed form the analytic mixture rests on
     prep = weighted_superposition(boosted_pair)
-    m_size = 8
-    q = walk_operator(prep.y, 1.0)
-    (x1, _), (x2, _) = eigensystem(prep.y, 1.0)
+    y, m_size = prep.y, 8
+    state = walk_register(y, m_size)
     start = evolve_state(prep, 1.0, 0.0)
-    state = np.array([start.a, start.b])
-    walked = np.empty((m_size, 2), dtype=complex)
-    for m in range(m_size):
-        walked[m] = [x1 @ state, x2 @ state]
-        state = q @ state
-    assert_allclose(build_psi1(prep.y, m_size).coeffs, walked / math.sqrt(m_size), atol=1e-12)
-
-
-def test_inverse_qft_matches_matrix():
-    rng = make_rng(7, "qft-test")
-    for m in (2, 8, 16):
-        v = rng.normal(size=m) + 1j * rng.normal(size=m)
-        assert_allclose(inverse_qft(v), dft_matrix(m) @ v, atol=1e-12)
-
-
-def test_inverse_qft_unitary_roundtrip():
-    rng = make_rng(8, "qft-roundtrip")
-    v = rng.normal(size=16) + 1j * rng.normal(size=16)
-    w = inverse_qft(v)
-    assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(v), abs=1e-12)
-    assert_allclose(np.fft.ifft(w) * math.sqrt(16), v, atol=1e-12)
-
-
-def test_inverse_qft_on_basis_states():
-    # delta at x -> pure phase ramp; uniform -> delta at 0
-    m = 8
-    delta = np.zeros(m, dtype=complex)
-    delta[3] = 1.0
-    out = inverse_qft(delta)
-    assert_allclose(out, np.exp(-2j * np.pi * 3 * np.arange(m) / m) / math.sqrt(m), atol=1e-12)
-    uniform = np.full(m, 1 / math.sqrt(m), dtype=complex)
-    out = inverse_qft(uniform)
-    expected = np.zeros(m)
-    expected[0] = 1.0
-    assert_allclose(out, expected, atol=1e-12)
+    assert_allclose(state[0] * math.sqrt(m_size), [start.a, start.b], atol=1e-15)
+    (x1, _), (x2, _) = eigensystem(y, 1.0)
+    m = np.arange(m_size)
+    closed = np.column_stack([
+        math.sqrt((1 + y) / 2) * np.exp(2j * np.pi * m * (1 - y)),
+        math.sqrt((1 - y) / 2) * np.exp(2j * np.pi * m * y),
+    ]) / math.sqrt(m_size)
+    assert_allclose(state @ np.column_stack([x1, x2]), closed, atol=1e-12)
 
 
 def test_register_size_must_be_power_of_two():
+    with pytest.raises(ValueError, match="m_size must be a power of two"):
+        branch_distribution(0.5, 12)
     with pytest.raises(ValueError):
-        build_psi1(0.5, 12)
-    with pytest.raises(ValueError):
-        inverse_qft(np.ones(3))
+        measurement_distribution(0.5, 12)
     with pytest.raises(ValueError):
         measurement_distribution(0.5, 1)
 
@@ -210,8 +168,18 @@ def test_mixture_is_weighted_sum_of_branches():
 @pytest.mark.parametrize("y", [0.1, 0.25, 1 / 3, 0.5, 0.70711, 0.9])
 @pytest.mark.parametrize("m", [8, 16, 64])
 def test_circuit_pipeline_matches_analytic_mixture(y, m):
-    marginal = register_probabilities(apply_inverse_qft(build_psi1(y, m)))
+    marginal = walk_register_marginal(y, m)
     assert np.max(np.abs(marginal - measurement_distribution(y, m).total)) <= 1e-10
+
+
+@pytest.mark.parametrize("y", [0.25, 0.5, 0.9])
+def test_walk_register_catches_swapped_branch_weights(y):
+    # the mutant gives phase y the weight (1+y)/2 that belongs to phase 1-y;
+    # at y = 1/2 both branches sit at phase 1/2, so there the swap is a no-op
+    marginal = walk_register_marginal(y, 64)
+    swapped = (1 + y) / 2 * branch_distribution(y, 64) + (1 - y) / 2 * branch_distribution(1 - y, 64)
+    gap = np.max(np.abs(marginal - swapped))
+    assert gap <= 1e-12 if y == 0.5 else gap > 1e-3
 
 
 def test_circle_distance_values():
@@ -239,22 +207,20 @@ def test_concentration_probability_lower_bound_random():
     for _ in range(50):
         y = float(rng.uniform(0.01, 0.99))
         for m in (8, 16, 64, 256):
-            assert concentration_probability(y, m) >= EIGHT_OVER_PI_SQ - 1e-12
+            assert window_mass(y, m) >= EIGHT_OVER_PI_SQ - 1e-12
 
 
 def test_concentration_exact_at_register_points():
     # phase on the grid: all mass inside the window
-    assert concentration_probability(0.25, 8) == pytest.approx(1.0, abs=1e-12)
+    assert window_mass(0.25, 8) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tail_windows_and_pointwise_cap():
-    report = tail_bound_report(0.37, 64)
-    assert [t.m for t in report.tails] == [2, 3, 5, 10]
-    assert [t.bound for t in report.tails] == pytest.approx(
-        [0.5, 0.75, 0.875, 1 - 1 / 18], abs=1e-15
-    )
-    assert report.all_satisfied
-    assert report.pointwise_ok
+    assert tail_and_pointwise_hold(0.37, 64)
+    # the windows m = 2, 3, 5, 10 promise 1/2, 3/4, 7/8 and 17/18
+    for m, bound in zip((2, 3, 5, 10), (0.5, 0.75, 0.875, 1 - 1 / 18)):
+        assert window_mass(0.37, 64, m) >= bound
+        assert window_mass(0.63, 64, m) >= bound
     # spot-check the cap at one outcome by hand
     probs = branch_distribution(0.37, 64)
     d = circle_distance(0.37, 10 / 64)
@@ -262,13 +228,12 @@ def test_tail_windows_and_pointwise_cap():
 
 
 def test_tail_report_handles_full_overlap():
-    report = tail_bound_report(1.0, 16)
-    assert report.all_satisfied
+    assert tail_and_pointwise_hold(1.0, 16)
 
 
-def test_tail_rejects_bad_window():
-    with pytest.raises(ValueError):
-        tail_bound_report(0.4, 16, m_values=(1,))
+def test_tail_check_rejects_a_flat_register(monkeypatch):
+    monkeypatch.setattr(oracles, "branch_distribution", lambda phase, m: np.full(m, 1.0 / m))
+    assert not tail_and_pointwise_hold(0.37, 64)
 
 
 def test_sampler_respects_support_and_seed():
@@ -561,8 +526,3 @@ def test_next_power_of_two():
     assert next_power_of_two(65) == 128
     with pytest.raises(ValueError):
         next_power_of_two(0)
-
-
-def test_ancilla_state_validation():
-    with pytest.raises(ValueError):
-        AncillaState(coeffs=np.ones((8, 2)))  # not normalized

@@ -12,7 +12,6 @@ from ctqsearch import (
     ScenarioError,
     SearchScenario,
     classify_confidence,
-    covers,
     load_scenario,
     oracle_eval,
     scenario_from_dict,
@@ -65,15 +64,17 @@ def test_bad_weight_rejected(weight):
 
 def test_uncovered_target_rejected():
     # T = {0, 1} but the only set is {0, 2}
-    assert not covers({0, 1}, (InformationSet(frozenset({0, 2}), 1.0),))
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="coverage invariant violated"):
         build_scenario(4, {0, 1}, [({0, 2}, 1.0)])
 
 
 def test_coverage_through_union():
     # neither set alone covers T, their union does
     s = build_scenario(4, {0, 1}, [({0, 2}, 0.5), ({1, 3}, 0.5)])
-    assert covers(s.targets, s.info_sets)
+    assert s.targets.tolist() == [0, 1]
+    for members in ({0, 2}, {1, 3}):
+        with pytest.raises(ScenarioError, match="coverage invariant violated"):
+            build_scenario(4, {0, 1}, [(members, 1.0)])
 
 
 def test_weights_autonormalized_with_flag():

@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import build_scenario
-from ctqsearch import (
-    ScenarioMode,
-    random_scenario_suite,
-    uniform_superposition,
-    weighted_superposition,
-)
+from ctqsearch import uniform_superposition, weighted_superposition
+from oracles import ScenarioMode, random_scenario_suite
 
 
 def test_overlapping_sets_boost_shared_item(boosted_pair):
