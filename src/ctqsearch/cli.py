@@ -253,13 +253,13 @@ def cmd_estimate(args, scenario: SearchScenario) -> Output:
     est, samples = run_phase_estimation(
         scenario, prep, m_size=args.m_size, n_samples=args.samples, seed=args.seed
     )
-    counts = np.bincount(samples, minlength=args.m_size)
+    ks, counts = np.unique(samples, return_counts=True)
     return Output(
         payload={
             "m_size": int(args.m_size),
             "n_samples": int(args.samples),
             "seed": int(args.seed),
-            "k_histogram": {str(k): int(c) for k, c in enumerate(counts) if c},
+            "k_histogram": dict(zip(map(str, ks.tolist()), counts.tolist())),
             "k_mode": est.k_mode,
             "y_candidates": list(est.y_candidates),
             "y_hat": est.y_hat,

@@ -20,6 +20,14 @@ The register distribution here is the exact closed form of the measurement
 after controlled powers of the walk and an inverse Fourier transform;
 sampling it stands in for running the hardware.  The tests build that
 register from the walk itself to check the closed form.
+
+:func:`measurement_distribution` tabulates all M bins; the CLI writes it as
+``register_distribution.csv``.  :func:`sample_phase_register` never builds
+that table.  A branch holds at least 8/pi**2 of its mass within one bin of
+its phase, so each draw picks a branch, then an offset from the branch's
+nearest bin, exactly tabulated on ``|j| <= REGISTER_WINDOW``; the rarer
+tail offsets are drawn by rejection from the pointwise envelope
+sin(pi*f)**2/(4*d**2).  Its cost is O(REGISTER_WINDOW + n), whatever M.
 """
 
 from __future__ import annotations
@@ -42,12 +50,19 @@ AMBIGUITY_SIGMA = 2.0
 # verification draws per candidate, and the hit lead a candidate needs to win
 N_VERIFY = 48
 MIN_LEAD = 2
+# register offsets |j| <= REGISTER_WINDOW around a branch peak are tabulated
+# exactly for sampling; farther offsets are drawn by rejection
+REGISTER_WINDOW = 64
+# above 2**53, y_hat = 1 - k/M is no longer exact in float64
+MAX_M_SIZE = 2**53
 
 
 def _require_power_of_two(m_size: int) -> int:
     m_size = int(m_size)
     if m_size < 2 or m_size & (m_size - 1):
         raise ValueError(f"m_size must be a power of two >= 2, got {m_size}")
+    if m_size > MAX_M_SIZE:
+        raise ValueError(f"m_size must be at most 2**53, got {m_size}")
     return m_size
 
 
@@ -131,13 +146,98 @@ def measurement_distribution(y: float, m_size: int) -> RegisterDistribution:
     )
 
 
+def _branch_window(phase: float, m_size: int) -> tuple[int, float, np.ndarray, np.ndarray]:
+    """The exact branch law near its peak, as offsets from the nearest bin.
+
+    Returns ``k0`` (the bin nearest ``M*phase``, reduced mod M), ``f =
+    M*phase - k0``, the offsets ``j`` and their probabilities
+    P(j) = sin(pi*f)**2 / (M*sin(pi*(f - j)/M))**2 (1 where ``f - j`` is 0).
+    The offsets are ``|j| <= REGISTER_WINDOW``, followed by one bin holding
+    the tail's total mass, or the whole register when it is no wider.
+    """
+    scaled = m_size * phase  # exact: M is a power of two
+    k0 = round(scaled)
+    f = scaled - k0
+    if 2 * REGISTER_WINDOW + 1 >= m_size:
+        offsets = np.arange(-(m_size // 2), m_size // 2)
+    else:
+        offsets = np.arange(-REGISTER_WINDOW, REGISTER_WINDOW + 1)
+    d = f - offsets
+    centre = d == 0.0
+    den = m_size * np.sin(np.pi / m_size * d)
+    den[centre] = 1.0
+    probs = np.square(math.sin(math.pi * f) / den)
+    probs[centre] = 1.0
+    if offsets.size < m_size:
+        # a peak on a bin (f == 0) puts all its mass there: the tail is empty
+        tail = max(0.0, 1.0 - float(probs.sum())) if f else 0.0
+        probs = np.append(probs, tail)
+    return k0 % m_size, f, offsets, probs
+
+
+def _tail_acceptance(d, m_size: int):
+    """Probability of keeping a proposed tail offset at distance ``d`` from M*phase.
+
+    The proposal gives offset distance ``d`` the mass of 1/x**2 over
+    (d - 1, d], that is 1/(d*(d - 1)); the envelope sin(pi*f)**2/(4*d**2)
+    dominates the branch law because M*sin(pi*d/M) >= 2d for d <= M/2.  The
+    ratio of law to scaled proposal is therefore at most 1, and at least
+    4/pi**2 * (d - 1)/d.
+    """
+    return 4.0 * d * (d - 1.0) / np.square(m_size * np.sin(np.pi / m_size * d))
+
+
+def _draw_tail(f: float, m_size: int, rng: np.random.Generator, n_draws: int) -> np.ndarray:
+    """Offsets ``j`` with ``|j| > REGISTER_WINDOW``, exactly from the branch law.
+
+    Each side ``s`` (+1 right, -1 left) covers ``|j| = i`` for
+    ``REGISTER_WINDOW < i <= floor(M/2 + s*f)``, the offsets within circular
+    distance M/2 of ``M*phase``, so the two sides and the window hold every
+    register bin once.  A side is chosen by its proposal mass, ``X`` is drawn
+    by inverse CDF from the density 1/(x - s*f)**2 on it, ``i = ceil(X)``,
+    and the draw is kept with probability :func:`_tail_acceptance`.
+    """
+    sides = np.array([1.0, -1.0])
+    last = np.floor(m_size / 2 + sides * f)
+    near = REGISTER_WINDOW - sides * f
+    far = last - sides * f
+    mass = (far - near) / (near * far)  # 1/near - 1/far without cancellation
+    out = np.empty(0, dtype=np.int64)
+    while out.size < n_draws:
+        u = rng.random((3, n_draws - out.size))
+        side = (u[0] * mass.sum() >= mass[0]).astype(np.intp)
+        s = sides[side]
+        x = s * f + 1.0 / (1.0 / near[side] - u[1] * mass[side])
+        i = np.clip(np.ceil(x), REGISTER_WINDOW + 1, last[side])
+        keep = u[2] < _tail_acceptance(i - s * f, m_size)
+        out = np.concatenate([out, (s * i)[keep].astype(np.int64)])
+    return out
+
+
 def sample_phase_register(y: float, m_size: int, n_samples: int, seed: int) -> np.ndarray:
-    """Draw register outcomes from the exact mixture (inverse-CDF sampling)."""
+    """Draw register outcomes from the exact mixture in O(REGISTER_WINDOW + n).
+
+    One uniform per sample picks the phase-y branch with probability
+    (1 - y)/2.  The offset from that branch's nearest bin is drawn by inverse
+    CDF over the window of :func:`_branch_window`; a draw that lands in its
+    tail bin is replaced by an exact rejection draw (:func:`_draw_tail`).
+    Nothing of length M is built.
+    """
     if int(n_samples) < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    dist = measurement_distribution(y, m_size)
-    rng = make_rng(seed, "phase-register")
-    return sample_inverse_cdf(dist.total, rng, n_samples).astype(np.int64)
+    y = _check_overlap(y)
+    m_size = _require_power_of_two(m_size)
+    rng = make_rng(seed, "phase-register-window")
+    on_y = rng.random(int(n_samples)) < (1.0 - y) / 2.0
+    samples = np.empty(int(n_samples), dtype=np.int64)
+    for phase, chosen in ((y, on_y), (1.0 - y, ~on_y)):
+        k0, f, offsets, probs = _branch_window(phase, m_size)
+        picks = sample_inverse_cdf(probs, rng, np.count_nonzero(chosen))
+        in_tail = picks == offsets.size
+        drawn = offsets[np.minimum(picks, offsets.size - 1)]
+        drawn[in_tail] = _draw_tail(f, m_size, rng, np.count_nonzero(in_tail))
+        samples[chosen] = (k0 + drawn) % m_size
+    return samples
 
 
 @dataclass(frozen=True)
@@ -194,9 +294,8 @@ def estimate_y(samples, m_size: int) -> PhaseEstimate:
     if np.any((ks < 0) | (ks >= m_size)):
         raise ValueError(f"register samples must lie in [0, {m_size})")
 
-    pair_keys = np.minimum(ks, (m_size - ks) % m_size)
-    counts = np.bincount(pair_keys, minlength=m_size)
-    p = int(np.argmax(counts))  # modal pair; ties resolve to the smallest key
+    pair_keys, counts = np.unique(np.minimum(ks, (m_size - ks) % m_size), return_counts=True)
+    p = int(pair_keys[np.argmax(counts)])  # modal pair; ties resolve to the smallest key
     mirror = (m_size - p) % m_size
 
     n_low = int(np.sum(ks == p))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import SCENARIO_DIR
-from ctqsearch import cli
+from ctqsearch import cli, load_scenario, run_phase_estimation, weighted_superposition
 
 
 def run(*args):
@@ -160,6 +160,41 @@ def test_estimate_outputs_and_histogram(tmp_path, library_demo_path):
     lines = (tmp_path / "register_distribution.csv").read_text().splitlines()
     assert lines[0] == "k,p_total,p_phase_y,p_phase_complement"
     assert len(lines) == 1 + 64
+
+
+@pytest.mark.parametrize("m_size", [8, 64, 4096, 65536])
+def test_estimate_histogram_matches_full_bincount(tmp_path, library_demo_path, m_size):
+    # k_histogram is built from np.unique; the full-length bincount it
+    # replaced is the oracle (sort_keys makes equal dicts equal text)
+    scenario = load_scenario(library_demo_path)
+    prep = weighted_superposition(scenario)
+    for seed in (0, 11, 902):
+        out = tmp_path / f"s{seed}"
+        assert run("estimate", "--scenario", library_demo_path, "--out", out, "--seed", seed,
+                   "--m-size", m_size, "--samples", 500, "--format", "json") == 0
+        _, samples = run_phase_estimation(scenario, prep, m_size=m_size, n_samples=500,
+                                          seed=seed)
+        counts = np.bincount(samples, minlength=m_size)
+        old = {str(k): int(c) for k, c in enumerate(counts) if c}
+        assert read_json(out / "estimate.json")["k_histogram"] == old
+
+
+@pytest.mark.parametrize("command", ["estimate", "count"])
+@pytest.mark.parametrize("exponent", [40, 54, 63, 64])
+def test_huge_register_size_exits_cleanly(tmp_path, library_demo_path, capsys, command,
+                                          exponent):
+    # above 2**53 the register size is refused by name; 2**40 runs, since no
+    # table of register length is built for the JSON report
+    code = run(command, "--scenario", library_demo_path, "--out", tmp_path,
+               "--m-size", 2**exponent, "--format", "json")
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if exponent > 53:
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ") and "m_size" in err
+    else:
+        assert code == 0 and err == ""
+        assert read_json(tmp_path / f"{command}.json")["m_size"] == 2**exponent
 
 
 class RegisterBuilt(Exception):

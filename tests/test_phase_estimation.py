@@ -1,11 +1,13 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import stats
 
 from conftest import build_scenario
 from ctqsearch import (
@@ -23,6 +25,7 @@ from ctqsearch import (
     make_rng,
     measurement_distribution,
     next_power_of_two,
+    phase_estimation,
     run_counting,
     run_phase_estimation,
     sample_phase_register,
@@ -255,21 +258,141 @@ def test_sampler_total_variation_small():
     assert tv < 0.03
 
 
-def inline_register_draws(y, m_size, n_samples, seed):
-    # the sampler's own inline lookup before it moved to the shared sampler;
-    # estimate.json and count.json depend on these exact draws
-    cum = np.cumsum(measurement_distribution(y, m_size).total)
-    cum[-1] = 1.0
-    u = make_rng(seed, "phase-register").random(n_samples)
-    return np.searchsorted(cum, u, side="right").astype(np.int64)
+def assembled_register_law(y, m_size):
+    """The law the sampler draws from, assembled from its parts: the branch
+    weights, each branch's window probabilities, and its tail mass spread
+    over the tail as proposal times acceptance, normalised."""
+    law = np.zeros(m_size)
+    for weight, phase in (((1 - y) / 2, y), ((1 + y) / 2, 1 - y)):
+        k0, f, offsets, probs = phase_estimation._branch_window(phase, m_size)
+        law[(k0 + offsets) % m_size] += weight * probs[: offsets.size]
+        if probs.size == offsets.size:
+            continue
+        tail_j, tail_p = [], []
+        for side in (1, -1):
+            i = np.arange(phase_estimation.REGISTER_WINDOW + 1, math.floor(m_size / 2 + side * f) + 1)
+            d = i - side * f
+            accept = phase_estimation._tail_acceptance(d, m_size)
+            # a valid rejection step, at least as efficient as claimed
+            assert np.all(accept <= 1.0) and np.all(accept >= 4 / math.pi**2 * (d - 1) / d)
+            tail_j.append(side * i)
+            # proposal mass of 1/x**2 over (d - 1, d], times acceptance
+            tail_p.append(accept / (d * (d - 1)))
+        tail_p = np.concatenate(tail_p)
+        law[(k0 + np.concatenate(tail_j)) % m_size] += weight * probs[-1] * tail_p / tail_p.sum()
+    return law
 
 
-@pytest.mark.parametrize("y, m_size", [(0.25, 8), (0.37, 64), (0.0112, 2**12), (0.71, 2**21)])
-def test_sampler_draws_match_inline_formula(y, m_size):
-    for seed in (0, 4401):
-        drawn = sample_phase_register(y, m_size, 200, seed)
+@pytest.mark.parametrize("y", [0.0112, 0.25, 0.37, 0.4999, 0.5, 0.71, 1.0])
+def test_sampler_parts_assemble_exact_law(y):
+    # registers up to 128 bins are tabulated whole; wider ones have a tail
+    for m_size in (8, 64, 128, 256, 512, 1024):
+        law = assembled_register_law(y, m_size)
+        assert np.max(np.abs(law - measurement_distribution(y, m_size).total)) <= 1e-12
+    for m_size in (8, 1024, 2**21):
+        drawn = sample_phase_register(y, m_size, 200, seed=4401)
         assert drawn.dtype == np.int64
-        assert np.array_equal(drawn, inline_register_draws(y, m_size, 200, seed))
+        assert np.all((drawn >= 0) & (drawn < m_size))
+
+
+@pytest.mark.parametrize("f", [0.37, -0.21, 0.5, -0.5, 1e-3])
+def test_tail_draws_cover_the_tail_with_its_law(f):
+    # the tail alone, against P(j) ~ 1/sin(pi*(f - j)/M)**2 over every offset
+    # within circular distance M/2 of f that the window leaves out
+    m_size, n = 1024, 200_000
+    window = phase_estimation.REGISTER_WINDOW
+    j = np.arange(-m_size, m_size + 1)
+    j = j[(np.abs(j) > window) & (np.abs(f - j) <= m_size / 2)]
+    assert j.size == m_size - 2 * window - 1
+    law = 1.0 / np.sin(np.pi * (f - j) / m_size) ** 2
+    law /= law.sum()
+    draws = phase_estimation._draw_tail(f, m_size, make_rng(5, "tail"), n)
+    values, observed = np.unique(draws, return_counts=True)
+    assert np.array_equal(values, j)  # every tail offset, and nothing else
+    expected = n * law
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    assert stats.chi2.sf(stat, j.size - 1) > 1e-3
+
+
+@pytest.mark.parametrize("y", [0.37, 0.71])
+def test_sampler_chi_square_at_2_16(y):
+    m_size, n = 2**16, 200_000
+    expected = n * measurement_distribution(y, m_size).total
+    observed = np.bincount(sample_phase_register(y, m_size, n, seed=16), minlength=m_size)
+    # bins expecting fewer than 5 draws are pooled into one
+    big = expected >= 5
+    assert observed[~big].sum() > 0  # the pooled tail is drawn at all
+    e = np.append(expected[big], expected[~big].sum())
+    o = np.append(observed[big], observed[~big].sum())
+    stat = float(np.sum((o - e) ** 2 / e))
+    assert stats.chi2.sf(stat, e.size - 1) > 1e-3
+
+
+def near_mirror_scenarios():
+    # two disjoint equal-weight sets over a support of 20-80 items, with the
+    # target count putting y = sqrt(l/support) in [0.45, 0.55]
+    for support in range(20, 81):
+        half = support // 2
+        for l in range(math.ceil(0.45**2 * support), math.floor(0.55**2 * support) + 1):
+            targets = set(range(0, 2 * l, 2))
+            sets = [(set(range(half)), 0.5), (set(range(half, support)), 0.5)]
+            yield build_scenario(support + 3, targets, sets), l
+
+
+def test_near_mirror_estimates_and_counts_are_exact():
+    cases = 0
+    for scenario, l in near_mirror_scenarios():
+        prep = weighted_superposition(scenario)
+        assert 0.45 <= prep.y <= 0.55
+        for seed in range(5):
+            est, _ = run_phase_estimation(scenario, prep, seed=seed)
+            assert abs(est.y_hat - prep.y) <= est.resolution, (l, scenario.support_size, seed)
+            assert run_counting(scenario, seed=seed).count_estimate == l
+        cases += 1
+    assert cases > 300
+
+
+def test_sampler_allocates_nothing_of_register_length():
+    sample_phase_register(0.37, 2**24, 1000, seed=1)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        sample_phase_register(0.37, 2**24, 1000, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+class TableBuilt(Exception):
+    pass
+
+
+def test_phase_estimation_never_builds_the_register_table(monkeypatch, library_demo_path):
+    def refuse(*args, **kwargs):
+        raise TableBuilt
+    for name in ("measurement_distribution", "branch_distribution"):
+        monkeypatch.setattr(phase_estimation, name, refuse)
+    scenario = load_scenario(library_demo_path)
+    prep = weighted_superposition(scenario)
+    est, samples = run_phase_estimation(scenario, prep, m_size=2**21, seed=3)
+    assert samples.size == 200
+    assert abs(est.y_hat - prep.y) <= est.resolution
+
+
+def test_modal_pair_matches_full_histogram():
+    # estimate_y counts pairs with np.unique; a full bincount is the oracle
+    rng = np.random.default_rng(8)
+    for m_size in (8, 64, 4096):
+        for n in (1, 2, 7, 200):
+            ks = rng.integers(0, m_size, n)
+            counts = np.bincount(np.minimum(ks, (m_size - ks) % m_size), minlength=m_size)
+            assert estimate_y(ks, m_size).y_candidates[0] == int(np.argmax(counts)) / m_size
+
+
+def test_register_size_limit_names_the_field():
+    with pytest.raises(ValueError, match="m_size must be at most 2\\*\\*53"):
+        sample_phase_register(0.3, 2**54, 10, seed=0)
+    assert sample_phase_register(0.3, 2**53, 10, seed=0).max() < 2**53
 
 
 def test_estimate_clear_split():
