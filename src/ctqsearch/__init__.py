@@ -37,7 +37,6 @@ from .phase_estimation import (
     CountResult,
     PhaseEstimate,
     RegisterDistribution,
-    branch_distribution,
     circle_distance,
     counting_scenario,
     disambiguate,

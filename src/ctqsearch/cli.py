@@ -244,7 +244,12 @@ def cmd_verify(args, scenario: SearchScenario) -> Output:
 
 
 def _register_rows(y: float, m_size: int) -> tuple:
-    dist = measurement_distribution(y, m_size)
+    try:
+        dist = measurement_distribution(y, m_size)
+    except (MemoryError, ValueError) as exc:
+        raise CliInputError(
+            f"register table of m_size={m_size} bins cannot be built ({exc}); use --format json"
+        ) from None
     return range(m_size), dist.total, dist.branch_phase_y, dist.branch_phase_complement
 
 
@@ -377,17 +382,22 @@ def _run(args) -> None:
     if args.energy is not None:
         scenario = dataclasses.replace(scenario, energy=args.energy)
     result = COMMANDS[args.command](args, scenario)
+    # json skips the tables; every table is built before the first file is
+    # written, so one that cannot be built leaves no partial output
+    tables = [] if args.format == "json" else [
+        (name, header, columns() if callable(columns) else columns)
+        for name, header, columns in result.tables
+    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    # json skips the tables; csv skips the report only where tables stand in for it
+    # csv skips the report only where tables stand in for it
     if args.format != "csv" or not result.tables:
         _write_json(
             out / f"{args.command}.json",
             {"command": args.command, "scenario": scenario_to_dict(scenario), **result.payload},
         )
-    if args.format != "json":
-        for name, header, columns in result.tables:
-            _write_csv(out / name, header, columns() if callable(columns) else columns)
+    for name, header, columns in tables:
+        _write_csv(out / name, header, columns)
     print(result.summary)
     if result.failure:
         raise InternalCheckError(result.failure)

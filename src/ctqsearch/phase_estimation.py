@@ -21,13 +21,16 @@ after controlled powers of the walk and an inverse Fourier transform;
 sampling it stands in for running the hardware.  The tests build that
 register from the walk itself to check the closed form.
 
-:func:`measurement_distribution` tabulates all M bins; the CLI writes it as
-``register_distribution.csv``.  :func:`sample_phase_register` never builds
-that table.  A branch holds at least 8/pi**2 of its mass within one bin of
-its phase, so each draw picks a branch, then an offset from the branch's
-nearest bin, exactly tabulated on ``|j| <= REGISTER_WINDOW``; the rarer
-tail offsets are drawn by rejection from the pointwise envelope
-sin(pi*f)**2/(4*d**2).  Its cost is O(REGISTER_WINDOW + n), whatever M.
+One function, :func:`_branch_window`, evaluates a branch's law, as offsets
+``j`` from the bin nearest ``M*phase``, at two widths.  At full width it is
+every bin: :func:`measurement_distribution` rotates it onto bins
+``0..M-1``, and the CLI writes that table as ``register_distribution.csv``.
+At ``|j| <= REGISTER_WINDOW`` it is what :func:`sample_phase_register`
+draws from, and that sampler never builds the table.  A branch holds at
+least 8/pi**2 of its mass within one bin of its phase, so each draw picks a
+branch, then an offset from the window; the rarer tail offsets are drawn by
+rejection from the pointwise envelope sin(pi*f)**2/(4*d**2).  Its cost is
+O(REGISTER_WINDOW + n), whatever M.
 """
 
 from __future__ import annotations
@@ -81,31 +84,6 @@ def circle_distance(a, b):
     return out
 
 
-def branch_distribution(phase: float, m_size: int) -> np.ndarray:
-    """Register distribution conditioned on one branch.
-
-    P(k) = sin(pi*(M*phase - k))**2 / (M * sin(pi*(phase - k/M)))**2 with the
-    removable singularity P(k) = 1 when ``phase - k/M`` is an integer.
-    """
-    m_size = _require_power_of_two(m_size)
-    phase = float(phase)
-    # in place over two float buffers: at M = 2**21 each is 16 MiB
-    k = np.arange(m_size, dtype=float)
-    u = np.divide(k, m_size)
-    np.subtract(phase, u, out=u)
-    singular = np.remainder(u, 1.0) == 0.0
-    den = np.multiply(np.pi, u, out=u)
-    np.sin(den, out=den)
-    np.multiply(m_size, den, out=den)
-    den[singular] = 1.0
-    num = np.subtract(m_size * phase, k, out=k)
-    np.multiply(np.pi, num, out=num)
-    np.sin(num, out=num)
-    ratio = np.divide(num, den, out=num)
-    ratio[singular] = 1.0
-    return np.square(ratio, out=ratio)
-
-
 @dataclass(frozen=True)
 class RegisterDistribution:
     """Exact register statistics for overlap ``y``: the two branch
@@ -131,8 +109,15 @@ def measurement_distribution(y: float, m_size: int) -> RegisterDistribution:
     """
     y = _check_overlap(y)
     m_size = _require_power_of_two(m_size)
-    b_y = branch_distribution(y, m_size)
-    b_c = branch_distribution(1.0 - y, m_size)
+    branches = np.empty(m_size), np.empty(m_size)
+    for phase, table in zip((y, 1.0 - y), branches):
+        k0, _, offsets, probs = _branch_window(phase, m_size, m_size // 2)
+        # offset j lands on bin (k0 + j) mod M: a rotation in two slice copies
+        cut = (k0 + offsets.start) % m_size
+        table[cut:] = probs[: m_size - cut]
+        table[:cut] = probs[m_size - cut :]
+        del probs  # freed before the next buffer: the peak stays at four tables
+    b_y, b_c = branches
     w_y = (1.0 - y) / 2.0
     w_c = (1.0 + y) / 2.0
     return RegisterDistribution(
@@ -146,29 +131,34 @@ def measurement_distribution(y: float, m_size: int) -> RegisterDistribution:
     )
 
 
-def _branch_window(phase: float, m_size: int) -> tuple[int, float, np.ndarray, np.ndarray]:
+def _branch_window(
+    phase: float, m_size: int, width: int = REGISTER_WINDOW
+) -> tuple[int, float, range, np.ndarray]:
     """The exact branch law near its peak, as offsets from the nearest bin.
 
     Returns ``k0`` (the bin nearest ``M*phase``, reduced mod M), ``f =
     M*phase - k0``, the offsets ``j`` and their probabilities
     P(j) = sin(pi*f)**2 / (M*sin(pi*(f - j)/M))**2 (1 where ``f - j`` is 0).
-    The offsets are ``|j| <= REGISTER_WINDOW``, followed by one bin holding
-    the tail's total mass, or the whole register when it is no wider.
+    The offsets are ``|j| <= width``, followed by one bin holding the tail's
+    total mass, or all of ``-M/2 <= j < M/2`` when the register is no wider.
     """
     scaled = m_size * phase  # exact: M is a power of two
     k0 = round(scaled)
     f = scaled - k0
-    if 2 * REGISTER_WINDOW + 1 >= m_size:
-        offsets = np.arange(-(m_size // 2), m_size // 2)
-    else:
-        offsets = np.arange(-REGISTER_WINDOW, REGISTER_WINDOW + 1)
-    d = f - offsets
-    centre = d == 0.0
-    den = m_size * np.sin(np.pi / m_size * d)
-    den[centre] = 1.0
-    probs = np.square(math.sin(math.pi * f) / den)
+    whole = 2 * width + 1 >= m_size
+    offsets = range(-(m_size // 2), m_size // 2) if whole else range(-width, width + 1)
+    # in place over one float buffer: at M = 2**21 it is 16 MiB
+    probs = np.arange(offsets.start, offsets.stop, dtype=float)
+    np.subtract(f, probs, out=probs)
+    centre = probs == 0.0
+    np.multiply(np.pi / m_size, probs, out=probs)
+    np.sin(probs, out=probs)
+    np.multiply(m_size, probs, out=probs)  # the denominator M*sin(pi*(f - j)/M)
     probs[centre] = 1.0
-    if offsets.size < m_size:
+    np.divide(math.sin(math.pi * f), probs, out=probs)
+    np.square(probs, out=probs)
+    probs[centre] = 1.0
+    if not whole:
         # a peak on a bin (f == 0) puts all its mass there: the tail is empty
         tail = max(0.0, 1.0 - float(probs.sum())) if f else 0.0
         probs = np.append(probs, tail)
@@ -233,8 +223,8 @@ def sample_phase_register(y: float, m_size: int, n_samples: int, seed: int) -> n
     for phase, chosen in ((y, on_y), (1.0 - y, ~on_y)):
         k0, f, offsets, probs = _branch_window(phase, m_size)
         picks = sample_inverse_cdf(probs, rng, np.count_nonzero(chosen))
-        in_tail = picks == offsets.size
-        drawn = offsets[np.minimum(picks, offsets.size - 1)]
+        in_tail = picks == len(offsets)
+        drawn = picks + offsets.start
         drawn[in_tail] = _draw_tail(f, m_size, rng, np.count_nonzero(in_tail))
         samples[chosen] = (k0 + drawn) % m_size
     return samples
@@ -253,18 +243,22 @@ class PhaseEstimate:
     callers should then run :func:`disambiguate`.
     ``log_likelihood_ratio`` compares the observed split under the reading
     ``y = y_hat`` against the mirror reading; it is 0 when the pair has a
-    single side.
+    single side.  ``resolution`` is one register bin, 1/``m_size``.
     """
 
     k_mode: int
     y_candidates: tuple[float, float]
     y_hat: float
-    resolution: float
+    m_size: int
     samples_used: int
     cluster_counts: tuple[int, int]
     ambiguous: bool
     candidate_gap: float
     log_likelihood_ratio: float
+
+    @property
+    def resolution(self) -> float:
+        return 1.0 / self.m_size
 
 
 def _mirror_log_likelihood_ratio(c: float, heavy_n: int, light_n: int) -> float:
@@ -302,34 +296,19 @@ def estimate_y(samples, m_size: int) -> PhaseEstimate:
     n_high = int(np.sum(ks == mirror)) if mirror != p else 0
     c_low, c_high = p / m_size, 1.0 - p / m_size
 
-    if mirror == p and 2 * p == m_size:
-        # both candidates coincide at 1/2: nothing to disambiguate
-        return PhaseEstimate(
-            k_mode=p,
-            y_candidates=(0.5, 0.5),
-            y_hat=0.5,
-            resolution=1.0 / m_size,
-            samples_used=int(ks.size),
-            cluster_counts=(n_low, 0),
-            ambiguous=False,
-            candidate_gap=0.0,
-            log_likelihood_ratio=0.0,
-        )
-
-    if n_high > n_low:
-        heavy_k, heavy_n, light_n = mirror, n_high, n_low
-    elif n_low > n_high:
+    if n_low > n_high:
         heavy_k, heavy_n, light_n = p, n_low, n_high
     else:
-        # dead-even split: pick the high side so the default reads y_hat = c_low
+        # a dead-even split also picks the high side: the default reads y_hat = c_low
         heavy_k, heavy_n, light_n = mirror, n_high, n_low
 
     pair_total = n_low + n_high
     gap = (heavy_n - light_n) / pair_total
     y_hat = 1.0 - heavy_k / m_size
-    # with p == 0 the pair {0} has one side and the ratio is undefined
+    # the pairs {0} and {M/2} have one side, where the ratio is undefined
     llr = _mirror_log_likelihood_ratio(y_hat, heavy_n, light_n) if mirror != p else 0.0
-    ambiguous = (
+    # at p = M/2 both candidates are 1/2: nothing to disambiguate
+    ambiguous = c_low != c_high and (
         light_n == 0
         or gap < AMBIGUITY_SIGMA / math.sqrt(pair_total)
         or llr < AMBIGUITY_SIGMA**2 / 2.0
@@ -339,7 +318,7 @@ def estimate_y(samples, m_size: int) -> PhaseEstimate:
         k_mode=heavy_k,
         y_candidates=(c_low, c_high),
         y_hat=y_hat,
-        resolution=1.0 / m_size,
+        m_size=m_size,
         samples_used=int(ks.size),
         cluster_counts=(heavy_n, light_n),
         ambiguous=ambiguous,
@@ -426,7 +405,7 @@ def disambiguate(
     if chosen == estimate.y_hat:
         return replace(estimate, ambiguous=False)
     # the flip reads the other side as phase 1 - y
-    m_size = round(1.0 / estimate.resolution)
+    m_size = estimate.m_size
     at_mode, at_mirror = estimate.cluster_counts
     return replace(
         estimate,

@@ -8,7 +8,8 @@ random scenario suites:
 * the register built from the walk itself: controlled powers of one driving
   period of the propagator, then a Fourier transform along the register;
 * the branch-conditional window mass and the tail and pointwise bounds of
-  Brassard, Hoyer, Mosca and Tapp (quant-ph/0005055) for the register;
+  Brassard, Hoyer, Mosca and Tapp (quant-ph/0005055), checked on the branch
+  law the sampler draws from, read through ``measurement_distribution``;
 * the misplaced-confidence scenario, the norm bounds on its weights, and
   random scenario suites of three families.
 """
@@ -21,7 +22,12 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import expm
 
-from ctqsearch import InformationSet, SearchScenario, branch_distribution, circle_distance
+from ctqsearch import (
+    InformationSet,
+    SearchScenario,
+    circle_distance,
+    measurement_distribution,
+)
 from ctqsearch.analysis import _check_misplaced_params
 from ctqsearch.dynamics import _check_energy, _check_overlap, _check_time, _residual_norm
 from ctqsearch.rng import make_rng
@@ -99,15 +105,26 @@ def walk_register_marginal(y: float, m_size: int) -> np.ndarray:
     return np.sum(np.abs(register) ** 2, axis=1)
 
 
+def branch_law(phase: float, m_size: int) -> np.ndarray:
+    """The package's register law of the branch at ``phase``, on bins 0..M-1.
+
+    It is ``_branch_window`` at full width, the one function that also gives
+    the sampler its window, so the bounds below certify what is sampled.
+    """
+    return measurement_distribution(phase, m_size).branch_phase_y
+
+
 def window_mass(phase: float, m_size: int, m: int = 1) -> float:
-    """Branch-conditional probability that k/M lands within m/M of the phase."""
-    probs = branch_distribution(phase, m_size)
+    """Branch-conditional probability that k/M lands within m/M of the phase
+    (criterion 03: at least 8/pi**2 for m = 1), on :func:`branch_law`."""
+    probs = branch_law(phase, m_size)
     d = circle_distance(phase, np.arange(m_size) / m_size)
     return float(np.sum(probs[d <= m / m_size + 1e-12]))
 
 
 def tail_and_pointwise_hold(y: float, m_size: int, m_values=(2, 3, 5, 10)) -> bool:
-    """Check the register's concentration guarantees on both branches.
+    """Check the register's concentration guarantees on both branches of
+    :func:`branch_law` (criterion 04).
 
     Tail windows: P(circle distance <= m/M | branch) >= 1 - 1/(2*(m-1)) for
     each m >= 2.  Pointwise: every outcome at circle distance d > 0 from the
@@ -118,7 +135,7 @@ def tail_and_pointwise_hold(y: float, m_size: int, m_values=(2, 3, 5, 10)) -> bo
     for phase in (y, 1.0 - y):
         if phase == 0.0:
             continue
-        probs = branch_distribution(phase, m_size)
+        probs = branch_law(phase, m_size)
         d = circle_distance(phase, k / m_size)
         far = d > 0.0
         if np.any(probs[far] > 1.0 / (2.0 * m_size * d[far]) ** 2 + 1e-12):

@@ -197,6 +197,22 @@ def test_huge_register_size_exits_cleanly(tmp_path, library_demo_path, capsys, c
         assert read_json(tmp_path / f"{command}.json")["m_size"] == 2**exponent
 
 
+@pytest.mark.parametrize("fmt", ["both", "csv"])
+@pytest.mark.parametrize("exponent", [40, 53])
+def test_unbuildable_register_table_writes_nothing(tmp_path, library_demo_path, capsys, fmt,
+                                                   exponent):
+    # the table (8 TiB and 64 PiB here) is built before any file is written
+    out = tmp_path / "out"
+    code = run("estimate", "--scenario", library_demo_path, "--out", out,
+               "--m-size", 2**exponent, "--format", fmt)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "m_size" in err and "--format json" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 class RegisterBuilt(Exception):
     pass
 

@@ -13,7 +13,6 @@ from conftest import build_scenario
 from ctqsearch import (
     InformationSet,
     ScenarioError,
-    branch_distribution,
     circle_distance,
     counting_scenario,
     disambiguate,
@@ -34,6 +33,7 @@ from ctqsearch import (
 import oracles
 from oracles import (
     EIGHT_OVER_PI_SQ,
+    branch_law,
     eigensystem,
     evolution_matrix,
     tail_and_pointwise_hold,
@@ -90,17 +90,14 @@ def test_register_state_from_prep_matches_scalar(boosted_pair):
 
 
 def test_register_size_must_be_power_of_two():
-    with pytest.raises(ValueError, match="m_size must be a power of two"):
-        branch_distribution(0.5, 12)
-    with pytest.raises(ValueError):
-        measurement_distribution(0.5, 12)
-    with pytest.raises(ValueError):
-        measurement_distribution(0.5, 1)
+    for m_size in (12, 1):
+        with pytest.raises(ValueError, match="m_size must be a power of two"):
+            measurement_distribution(0.5, m_size)
 
 
 def test_branch_distribution_integer_lock():
     # M*y integral: all mass on the matching register value
-    probs = branch_distribution(0.25, 8)
+    probs = branch_law(0.25, 8)
     expected = np.zeros(8)
     expected[2] = 1.0
     assert_allclose(probs, expected, atol=1e-12)
@@ -117,13 +114,14 @@ def test_mixture_two_point_support():
 
 def test_branch_distribution_matches_direct_sum():
     for phase, m in ((0.3, 4), (0.137, 16), (0.71, 32)):
-        probs = branch_distribution(phase, m)
+        probs = branch_law(phase, m)
         direct = [direct_alpha_sq(phase, m, k) for k in range(m)]
         assert_allclose(probs, direct, atol=1e-12)
 
 
 def _branch_distribution_by_where(phase, m_size):
-    # the expression branch_distribution replaced, kept as its bitwise oracle
+    # the register table's first form, numerator sin(pi*(M*phase - k)), kept
+    # as an oracle of another floating-point route to the same law
     k = np.arange(m_size)
     u = phase - k / m_size
     singular = (u % 1.0) == 0.0
@@ -135,16 +133,48 @@ def _branch_distribution_by_where(phase, m_size):
 
 @pytest.mark.parametrize("m_size", [64, 2**21])
 @pytest.mark.parametrize("phase", [0.25, 0.5, 0.0112, 0.3, 0.71, 1 - 0.0112, 1.0])
-def test_branch_distribution_bit_identical_to_where_form(phase, m_size):
-    probs = branch_distribution(phase, m_size)
-    assert np.array_equal(probs, _branch_distribution_by_where(phase, m_size))
+def test_branch_table_matches_where_form(phase, m_size):
+    probs = branch_law(phase, m_size)
+    assert np.max(np.abs(probs - _branch_distribution_by_where(phase, m_size))) <= 2e-15
+
+
+@pytest.mark.parametrize("m_size", [8, 64, 256, 2**16, 2**21])
+@pytest.mark.parametrize("y", [0.0112, 0.25, 0.3, 0.4999, 0.71, 1.0])
+def test_register_table_holds_the_sampled_window_bit_for_bit(y, m_size):
+    # one law: the table's bins around each peak are the window the sampler draws from
+    dist = measurement_distribution(y, m_size)
+    for phase, table in ((y, dist.branch_phase_y), (1 - y, dist.branch_phase_complement)):
+        k0, _, offsets, probs = phase_estimation._branch_window(phase, m_size)
+        bins = (k0 + np.arange(offsets.start, offsets.stop)) % m_size
+        assert np.array_equal(table[bins], probs[: len(offsets)])
+
+
+def test_integer_locked_register_is_exactly_zero_off_peak():
+    for m_size in 2 ** np.arange(3, 22):
+        dist = measurement_distribution(0.25, int(m_size))
+        for table, peak in ((dist.branch_phase_y, 1), (dist.branch_phase_complement, 3)):
+            expected = np.zeros(m_size)
+            expected[peak * m_size // 4] = 1.0
+            assert np.array_equal(table, expected), m_size
+
+
+def test_register_table_peak_memory():
+    measurement_distribution(0.3, 64)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        measurement_distribution(0.3, 2**21)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the two branches, the mixture and the temporaries of the weighted sum
+    assert peak <= 66 * 2**20
 
 
 def test_known_off_grid_amplitude():
     # phase 0.3 on a 4-point register, nearest bin k=1
     direct = direct_alpha_sq(0.3, 4, 1)
-    assert branch_distribution(0.3, 4)[1] == pytest.approx(direct, abs=1e-13)
-    assert branch_distribution(0.3, 4)[1] == pytest.approx(0.8823735987409785, abs=1e-12)
+    assert branch_law(0.3, 4)[1] == pytest.approx(direct, abs=1e-13)
+    assert branch_law(0.3, 4)[1] == pytest.approx(0.8823735987409785, abs=1e-12)
 
 
 @settings(deadline=None, max_examples=50)
@@ -153,7 +183,7 @@ def test_known_off_grid_amplitude():
     m=st.sampled_from([2, 8, 16, 64]),
 )
 def test_distributions_normalized(y, m):
-    assert np.sum(branch_distribution(y, m)) == pytest.approx(1.0, abs=1e-11)
+    assert np.sum(branch_law(y, m)) == pytest.approx(1.0, abs=1e-11)
     assert np.sum(measurement_distribution(y, m).total) == pytest.approx(1.0, abs=1e-11)
 
 
@@ -180,7 +210,7 @@ def test_walk_register_catches_swapped_branch_weights(y):
     # the mutant gives phase y the weight (1+y)/2 that belongs to phase 1-y;
     # at y = 1/2 both branches sit at phase 1/2, so there the swap is a no-op
     marginal = walk_register_marginal(y, 64)
-    swapped = (1 + y) / 2 * branch_distribution(y, 64) + (1 - y) / 2 * branch_distribution(1 - y, 64)
+    swapped = (1 + y) / 2 * branch_law(y, 64) + (1 - y) / 2 * branch_law(1 - y, 64)
     gap = np.max(np.abs(marginal - swapped))
     assert gap <= 1e-12 if y == 0.5 else gap > 1e-3
 
@@ -225,7 +255,7 @@ def test_tail_windows_and_pointwise_cap():
         assert window_mass(0.37, 64, m) >= bound
         assert window_mass(0.63, 64, m) >= bound
     # spot-check the cap at one outcome by hand
-    probs = branch_distribution(0.37, 64)
+    probs = branch_law(0.37, 64)
     d = circle_distance(0.37, 10 / 64)
     assert probs[10] <= 1 / (2 * 64 * d) ** 2 + 1e-12
 
@@ -235,7 +265,7 @@ def test_tail_report_handles_full_overlap():
 
 
 def test_tail_check_rejects_a_flat_register(monkeypatch):
-    monkeypatch.setattr(oracles, "branch_distribution", lambda phase, m: np.full(m, 1.0 / m))
+    monkeypatch.setattr(oracles, "branch_law", lambda phase, m: np.full(m, 1.0 / m))
     assert not tail_and_pointwise_hold(0.37, 64)
 
 
@@ -265,8 +295,8 @@ def assembled_register_law(y, m_size):
     law = np.zeros(m_size)
     for weight, phase in (((1 - y) / 2, y), ((1 + y) / 2, 1 - y)):
         k0, f, offsets, probs = phase_estimation._branch_window(phase, m_size)
-        law[(k0 + offsets) % m_size] += weight * probs[: offsets.size]
-        if probs.size == offsets.size:
+        law[(k0 + np.arange(offsets.start, offsets.stop)) % m_size] += weight * probs[: len(offsets)]
+        if probs.size == len(offsets):
             continue
         tail_j, tail_p = [], []
         for side in (1, -1):
@@ -368,10 +398,17 @@ class TableBuilt(Exception):
 
 
 def test_phase_estimation_never_builds_the_register_table(monkeypatch, library_demo_path):
+    # the table is measurement_distribution, or the branch law at full width
     def refuse(*args, **kwargs):
         raise TableBuilt
-    for name in ("measurement_distribution", "branch_distribution"):
-        monkeypatch.setattr(phase_estimation, name, refuse)
+    window = phase_estimation._branch_window
+
+    def window_only(phase, m_size, width=phase_estimation.REGISTER_WINDOW):
+        if 2 * width + 1 >= m_size:
+            raise TableBuilt
+        return window(phase, m_size, width)
+    monkeypatch.setattr(phase_estimation, "measurement_distribution", refuse)
+    monkeypatch.setattr(phase_estimation, "_branch_window", window_only)
     scenario = load_scenario(library_demo_path)
     prep = weighted_superposition(scenario)
     est, samples = run_phase_estimation(scenario, prep, m_size=2**21, seed=3)

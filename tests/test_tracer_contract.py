@@ -52,3 +52,20 @@ def test_traced_compare_records_every_layer_it_touches(tmp_path, library_demo_pa
     assert metrics["cli.bytes_written"] == (tmp_path / "compare.json").stat().st_size
     assert SearchScenario.__dict__["support"] is support
     assert ctqsearch.scenario.load_scenario is load
+
+
+def test_traced_estimate_records_the_register_table_size(tmp_path, library_demo_path):
+    # the tracer reads RegisterDistribution.m_size from measurement_distribution
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_command()
+        code = cli.main(["estimate", "--scenario", str(library_demo_path), "--out", str(tmp_path),
+                         "--format", "both"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert "phase_estimation.register" in {span[0] for span in tracer.spans}
+    metrics = tracer_module.layer_metrics(tracer.spans, tracer_module.self_times(tracer.spans))
+    assert metrics["phase_estimation.m_size"] == 64
