@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -41,8 +42,12 @@ from .phase_estimation import (
 from .scenario import ScenarioError, SearchScenario, load_scenario, scenario_to_dict
 from .stateprep import weighted_superposition
 
-SCHEMA_VERSION = "1.0"
+SCHEMA_VERSION = "2.0"
 VERIFY_TOL = 1e-10
+SIZE_FLAG_BUDGET = 2**30  # bytes a size flag may ask for, refused when parsed
+# size flag: (lower bound, tracemalloc peak bytes per unit at 10**5 units)
+SIZE_FLAGS = {"--points": (2, 90), "--grid-points": (2, 123), "--alpha2-points": (2, 74),
+              "--samples": (1, 40)}
 
 
 class CliInputError(ValueError):
@@ -59,6 +64,25 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
+def _size(minimum: int, bytes_per_unit: int):
+    """argparse type of a size flag: an int >= ``minimum`` whose peak memory,
+    ``value * bytes_per_unit``, is within ``SIZE_FLAG_BUDGET``.  The check runs
+    when the flag is parsed, so a refused value allocates nothing."""
+
+    def size(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid size value"
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if value * bytes_per_unit > SIZE_FLAG_BUDGET:
+            raise argparse.ArgumentTypeError(
+                f"{value} needs ~{value * bytes_per_unit / 2**20:.0f} MiB, over the "
+                f"{SIZE_FLAG_BUDGET // 2**20} MiB budget"
+            )
+        return value
+
+    return size
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     sub.add_argument("--energy", type=float, default=None, help="override the energy scale")
@@ -72,85 +96,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("simulate", help="trajectory and success statistics")
     _add_common(p)
-    p.add_argument("--points", type=int, default=256, help="trajectory grid size")
+    p.add_argument("--points", type=_size(*SIZE_FLAGS["--points"]), default=256,
+                   help="trajectory grid size")
     p.add_argument("--t-max", type=float, default=None, help="trajectory horizon (default 2T)")
 
     p = subs.add_parser("verify", help="check the reduced model against full-space evolution")
     _add_common(p)
-    p.add_argument("--grid-points", type=int, default=64)
+    p.add_argument("--grid-points", type=_size(*SIZE_FLAGS["--grid-points"]), default=64)
 
     p = subs.add_parser("estimate", help="estimate the overlap y from register samples")
     _add_common(p)
     p.add_argument("--m-size", type=int, default=64, help="register size (power of two)")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_size(*SIZE_FLAGS["--samples"]), default=200)
     p.add_argument("--seed", type=int, default=0)
 
     p = subs.add_parser("count", help="estimate the number of targets in the support")
     _add_common(p)
     p.add_argument("--m-size", type=int, default=None, help="register size (default: auto)")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_size(*SIZE_FLAGS["--samples"]), default=200)
     p.add_argument("--seed", type=int, default=0)
 
     p = subs.add_parser("sweep", help="misplaced-confidence cost curve")
     _add_common(p)
     p.add_argument("--alpha2-min", type=float, default=0.05)
     p.add_argument("--alpha2-max", type=float, default=0.999)
-    p.add_argument("--alpha2-points", type=int, default=64)
+    p.add_argument("--alpha2-points", type=_size(*SIZE_FLAGS["--alpha2-points"]), default=64)
 
     p = subs.add_parser("compare", help="structured vs. uniform preparation")
     _add_common(p)
     return parser
 
 
-_LEAF_TYPES = {str, int, float, bool, type(None)}
-
-
-def _iterencode(obj, level: int = 0):
-    """Yield the text of ``json.dumps(obj, sort_keys=True, indent=2)`` in chunks.
-
-    With ``indent`` set, the stdlib falls back to its pure-Python encoder,
-    one call per element.  Here a container whose elements are all plain
-    scalars (a members list, a histogram) goes through the C encoder in one
-    call, its item separator carrying the newline and indent; deeper
-    containers recurse.
-    """
-    pad = "\n" + "  " * (level + 1)
-    close = "\n" + "  " * level
-    if isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-        elif set(map(type, obj.values())) <= _LEAF_TYPES:
-            text = json.dumps(obj, sort_keys=True, separators=("," + pad, ": "))
-            yield "{" + pad + text[1:-1] + close + "}"
-        else:
-            sep = "{"
-            for key, value in sorted(obj.items()):
-                # the C encoder quotes (or rejects) the key as json.dumps would
-                yield sep + pad + json.dumps({key: 0})[1:-4] + ": "
-                yield from _iterencode(value, level + 1)
-                sep = ","
-            yield close + "}"
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            yield "[]"
-        elif set(map(type, obj)) <= _LEAF_TYPES:
-            yield "[" + pad + json.dumps(obj, separators=("," + pad, ": "))[1:-1] + close + "]"
-        else:
-            sep = "["
-            for value in obj:
-                yield sep + pad
-                yield from _iterencode(value, level + 1)
-                sep = ","
-            yield close + "]"
-    else:
-        yield json.dumps(obj)
-
-
 def _write_json(path: Path, payload: dict) -> None:
     document = {"schema_version": SCHEMA_VERSION, **payload}
-    with path.open("w") as fh:
-        fh.writelines(_iterencode(document))
-        fh.write("\n")
+    path.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
     print(f"wrote {path}")
 
 
@@ -171,6 +150,23 @@ def _write_csv(path: Path, header, columns) -> None:
             cells = [map(str, p.tolist() if isinstance(p, np.ndarray) else p) for p in parts]
             fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
     print(f"wrote {path}")
+
+
+def _scenario_summary(scenario: SearchScenario) -> dict:
+    """Name a scenario by the SHA-256 of its canonical JSON, beside its sizes.
+
+    The canonical form is the validated scenario (sorted, duplicate-free
+    members, normalised weights, the energy as run) as compact sorted JSON.
+    """
+    canonical = json.dumps(scenario_to_dict(scenario), sort_keys=True, separators=(",", ":"))
+    return {
+        "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+        "n_items": scenario.n_items,
+        "n_targets": scenario.n_targets,
+        "n_sets": scenario.n_sets,
+        "support_size": scenario.support_size,
+        "energy": scenario.energy,
+    }
 
 
 def _bound_dict(report: BoundReport) -> dict:
@@ -270,6 +266,8 @@ def cmd_estimate(args, scenario: SearchScenario) -> Output:
             "y_hat": est.y_hat,
             "resolution": est.resolution,
             "cluster_counts": list(est.cluster_counts),
+            "candidate_gap": est.candidate_gap,
+            "log_likelihood_ratio": est.log_likelihood_ratio,
             "true_y": prep.y,
         },
         summary=f"y_hat={est.y_hat:.6f} candidates={est.y_candidates} true_y={prep.y:.6f}",
@@ -290,7 +288,7 @@ def cmd_count(args, scenario: SearchScenario) -> Output:
     )
     return Output(
         payload={
-            "disjoint_scenario": scenario_to_dict(result.scenario),
+            "disjoint_scenario": _scenario_summary(result.scenario),
             "support_size": result.support_size,
             "m_size": result.m_size,
             "n_samples": int(args.samples),
@@ -310,8 +308,6 @@ def cmd_sweep(args, scenario: SearchScenario) -> Output:
     structure = misplaced_structure(scenario)
     if not 0.0 < args.alpha2_min < args.alpha2_max < 1.0:
         raise CliInputError("need 0 < --alpha2-min < --alpha2-max < 1")
-    if args.alpha2_points < 2:
-        raise CliInputError("--alpha2-points must be >= 2")
     grid = np.linspace(args.alpha2_min, args.alpha2_max, args.alpha2_points)
     curve = misplaced_confidence_curve(
         structure.l, structure.n1, structure.n2, structure.n12, grid, scenario.energy
@@ -394,7 +390,7 @@ def _run(args) -> None:
     if args.format != "csv" or not result.tables:
         _write_json(
             out / f"{args.command}.json",
-            {"command": args.command, "scenario": scenario_to_dict(scenario), **result.payload},
+            {"command": args.command, "scenario": _scenario_summary(scenario), **result.payload},
         )
     for name, header, columns in tables:
         _write_csv(out / name, header, columns)

@@ -1,5 +1,7 @@
 import contextlib
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -14,7 +16,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import SCENARIO_DIR
-from ctqsearch import cli, load_scenario, run_phase_estimation, weighted_superposition
+from ctqsearch import (
+    cli,
+    counting_scenario,
+    load_scenario,
+    run_phase_estimation,
+    scenario_to_dict,
+    weighted_superposition,
+)
 
 
 def run(*args):
@@ -28,7 +37,7 @@ def read_json(path):
 def test_simulate_writes_all_outputs(tmp_path, library_demo_path, capsys):
     assert run("simulate", "--scenario", library_demo_path, "--out", tmp_path) == 0
     data = read_json(tmp_path / "simulate.json")
-    assert data["schema_version"] == "1.0"
+    assert data["schema_version"] == "2.0"
     assert data["command"] == "simulate"
     assert data["success_distribution"]["failure"] <= 1e-12
     assert set(data["success_distribution"]["targets"]) == {"2", "5", "10", "12"}
@@ -247,7 +256,9 @@ def test_count_recovers_target_count(tmp_path, counting_demo_path):
     assert data["true_count"] == 3
     assert data["support_size"] == 6
     assert data["m_size"] == 64
-    assert data["disjoint_scenario"]["info_sets"]  # rewritten scenario included
+    disjoint = counting_scenario(load_scenario(counting_demo_path))
+    assert data["disjoint_scenario"]["n_sets"] == disjoint.n_sets
+    assert data["disjoint_scenario"]["support_size"] == disjoint.support_size == 6
 
 
 def test_count_auto_register_size(tmp_path, library_demo_path):
@@ -511,12 +522,6 @@ documents = st.recursive(
 )
 
 
-@settings(deadline=None, max_examples=100)
-@given(doc=documents)
-def test_iterencode_matches_indented_dumps(doc):
-    assert "".join(cli._iterencode(doc)) == indent2(doc)
-
-
 @settings(deadline=None, max_examples=40)
 @given(payload=st.dictionaries(st.text(), documents, max_size=6))
 def test_write_json_bytes_match_indented_dumps(payload):
@@ -525,15 +530,6 @@ def test_write_json_bytes_match_indented_dumps(payload):
         cli._write_json(path, payload)
         expected = indent2({"schema_version": cli.SCHEMA_VERSION, **payload}) + "\n"
         assert path.read_bytes() == expected.encode()
-
-
-def test_iterencode_edge_documents():
-    for doc in ([], {}, [[]], {"a": {}}, [1, True, 2.5, -0.0], {"k": [10**30, -1]},
-                ["\u00e9\u4e2d", "a, b"], {"x": [{"y": []}, None]}, {2: "int key"},
-                {2: [[1]], 3.5: {}}, {True: [{}]}, {None: [[]]}):
-        assert "".join(cli._iterencode(doc)) == indent2(doc)
-    with pytest.raises(TypeError):
-        "".join(cli._iterencode({(1, 2): [[]]}))
 
 
 @pytest.mark.parametrize("scenario", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
@@ -546,8 +542,13 @@ def test_cli_json_reserializes_to_same_bytes(tmp_path, scenario):
             continue  # sweep refuses scenarios that are not misplaced
         for output in out.glob("*.json"):
             text = output.read_text()
-            assert text == indent2(json.loads(text)) + "\n", output.name
+            doc = json.loads(text, parse_constant=refuse_constant)
+            assert text == indent2(doc) + "\n", output.name
             written += 1
+        if command == "estimate":  # written only in schema 2.0; finite by construction
+            doc = read_json(out / "estimate.json")
+            assert math.isfinite(doc["log_likelihood_ratio"])
+            assert 0.0 <= doc["candidate_gap"] <= 0.5
     assert written >= 5
 
 
@@ -595,3 +596,175 @@ def test_write_csv_edge_columns():
     ):
         header = ["a", "b", "c"][: len(columns)]
         assert write_csv_bytes(header, columns) == csv_writer_bytes(header, columns)
+
+
+def library_doc():
+    return json.loads((SCENARIO_DIR / "library_demo.json").read_text())
+
+
+def written_digest(tmp_path, text, *flags):
+    path = tmp_path / "digest.json"
+    path.write_text(text if isinstance(text, str) else json.dumps(text))
+    out = tmp_path / "digest_out"
+    assert run("compare", "--scenario", path, "--out", out, *flags) == 0
+    return read_json(out / "compare.json")["scenario"]["sha256"]
+
+
+def reordered(doc):
+    # every object's keys reversed, every index list reversed
+    sets = [{"weight": s["weight"], "members": s["members"][::-1]} for s in doc["info_sets"]]
+    labels = dict(reversed(doc["labels"].items()))
+    return {"labels": labels, "energy": doc["energy"], "info_sets": sets,
+            "targets": doc["targets"][::-1], "n_items": doc["n_items"]}
+
+
+def with_duplicate(doc):
+    doc["info_sets"][0]["members"].append(doc["info_sets"][0]["members"][0])
+    doc["targets"].append(doc["targets"][-1])
+    return doc
+
+
+def test_scenario_digest_ignores_the_file_form(tmp_path):
+    base = written_digest(tmp_path, library_doc())
+    assert len(base) == 64 and int(base, 16) >= 0
+    assert written_digest(tmp_path, json.dumps(library_doc(), indent=7)) == base
+    assert written_digest(tmp_path, json.dumps(library_doc(), separators=(",", ":"))) == base
+    assert written_digest(tmp_path, reordered(library_doc())) == base
+    assert written_digest(tmp_path, with_duplicate(library_doc())) == base
+    # the energy is the one run, whether the file or --energy sets it
+    doc = library_doc()
+    doc["energy"] = 2.5
+    assert written_digest(tmp_path, doc) == written_digest(tmp_path, library_doc(), "--energy", 2.5)
+
+
+def edited(**edits):
+    doc = library_doc()
+    if "member" in edits:
+        doc["info_sets"][0]["members"].append(edits["member"])
+    if "target" in edits:
+        doc["targets"].remove(edits["target"])
+    if "weight" in edits:
+        doc["info_sets"][1]["weight"] = edits["weight"]
+    if "label" in edits:
+        doc["labels"]["5"] = edits["label"]
+    if "energy" in edits:
+        doc["energy"] = edits["energy"]
+    return doc
+
+
+def test_scenario_digest_moves_with_each_field(tmp_path):
+    digests = [
+        written_digest(tmp_path, library_doc()),
+        written_digest(tmp_path, edited(member=19)),
+        written_digest(tmp_path, edited(target=12)),
+        written_digest(tmp_path, edited(weight=0.4)),
+        written_digest(tmp_path, edited(label="fly-fishing-atlas-2")),
+        written_digest(tmp_path, edited(energy=1.5)),
+        written_digest(tmp_path, library_doc(), "--energy", 0.75),
+    ]
+    assert len(set(digests)) == len(digests)
+
+
+def readme_digest_recipe():
+    readme = (SCENARIO_DIR.parent / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    (recipe,) = [b.split("```")[0] for b in blocks if "hashlib.sha256" in b]
+    return recipe
+
+
+@pytest.mark.parametrize("scenario", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
+def test_readme_digest_recipe_gives_the_written_digest(tmp_path, scenario):
+    path = SCENARIO_DIR / scenario
+    namespace = {"path": path}
+    exec(readme_digest_recipe(), namespace)
+    assert run("compare", "--scenario", path, "--out", tmp_path) == 0
+    summary = read_json(tmp_path / "compare.json")["scenario"]
+    loaded = load_scenario(path)
+    assert summary == {
+        "sha256": namespace["digest"],
+        "n_items": loaded.n_items,
+        "n_targets": loaded.n_targets,
+        "n_sets": loaded.n_sets,
+        "support_size": loaded.support_size,
+        "energy": loaded.energy,
+    }
+    # after --energy, the summary names the scenario as run
+    assert run("compare", "--scenario", path, "--out", tmp_path / "e", "--energy", 2.5) == 0
+    summary = read_json(tmp_path / "e" / "compare.json")["scenario"]
+    as_run = scenario_to_dict(dataclasses.replace(loaded, energy=2.5))
+    canonical = json.dumps(as_run, sort_keys=True, separators=(",", ":"))
+    assert summary["energy"] == 2.5
+    assert summary["sha256"] == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def test_count_json_stays_small_at_a_million_items(tmp_path):
+    # the large_items shape: 8 overlapping sets of 5e4 members, 64 targets
+    rng = np.random.default_rng(1)
+    n = 10**6
+    targets = rng.choice(n, 64, replace=False)
+    sets = [rng.choice(n, 50_000, replace=False) for _ in range(8)]
+    sets[0] = np.union1d(sets[0], targets)
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps({
+        "n_items": n,
+        "targets": targets.tolist(),
+        "info_sets": [{"members": s.tolist(), "weight": 1.0 + i} for i, s in enumerate(sets)],
+    }))
+    assert run("count", "--scenario", path, "--out", tmp_path / "out") == 0
+    written = tmp_path / "out" / "count.json"
+    assert written.stat().st_size < 16 * 1024
+    disjoint = counting_scenario(load_scenario(path))
+    summary = read_json(written)["disjoint_scenario"]
+    assert summary["n_sets"] == disjoint.n_sets == 8
+    assert summary["support_size"] == disjoint.support_size
+    assert summary["n_items"] == n and summary["n_targets"] == 64
+
+
+SIZE_CASES = [("simulate", "--points"), ("verify", "--grid-points"),
+              ("sweep", "--alpha2-points"), ("estimate", "--samples"), ("count", "--samples")]
+
+
+def test_size_cases_cover_every_size_flag():
+    assert {flag for _, flag in SIZE_CASES} == set(cli.SIZE_FLAGS)
+
+
+@pytest.mark.parametrize("case", ["below", "zero", "negative", "over_budget", "past_int64",
+                                  "fraction", "nan"])
+@pytest.mark.parametrize("command, flag", SIZE_CASES)
+def test_size_flag_refusal_names_the_flag(tmp_path, capsys, monkeypatch, command, flag, case):
+    # a small budget: the smallest refused value allocates almost nothing
+    # were the refusal missing
+    monkeypatch.setattr(cli, "SIZE_FLAG_BUDGET", 4096)
+    minimum, bytes_per_unit = cli.SIZE_FLAGS[flag]
+    value = {"below": minimum - 1, "zero": 0, "negative": -5,
+             "over_budget": 4096 // bytes_per_unit + 1, "past_int64": 2**64,
+             "fraction": 2.5, "nan": "nan"}[case]
+    source = SCENARIO_DIR / SHIPPED_FOR.get(command, "library_demo.json")
+    out = tmp_path / "out"
+    assert run(command, "--scenario", source, "--out", out, flag, value) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: argument {flag}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", SIZE_CASES)
+def test_size_flag_budget_boundary(tmp_path, monkeypatch, command, flag):
+    # the largest value within the budget parses and runs; one more is refused
+    monkeypatch.setattr(cli, "SIZE_FLAG_BUDGET", 4096)
+    _, bytes_per_unit = cli.SIZE_FLAGS[flag]
+    largest = 4096 // bytes_per_unit
+    source = SCENARIO_DIR / SHIPPED_FOR.get(command, "library_demo.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(command, "--scenario", source, "--out", tmp_path, flag, largest) == 0
+    argv = [command, "--scenario", str(source), flag, str(largest + 1)]
+    with pytest.raises(cli.CliInputError, match=f"argument {flag}: "):
+        cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("command, flag", SIZE_CASES)
+def test_size_flag_refuses_a_billion_at_parse_time(command, flag):
+    # parsing alone: nothing is run, so nothing of this size is allocated
+    argv = [command, "--scenario", "unread.json", flag, str(10**9)]
+    with pytest.raises(cli.CliInputError, match=f"argument {flag}: .*over the 1024 MiB budget"):
+        cli.build_parser().parse_args(argv)
