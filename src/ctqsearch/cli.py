@@ -32,9 +32,10 @@ from .analysis import (
     misplaced_confidence_curve,
     misplaced_structure,
 )
-from .dynamics import optimal_time, success_distribution, trajectory
+from .dynamics import _check_time, optimal_time, success_distribution, trajectory
 from .fullsim import plane_projection_on_grid
 from .phase_estimation import (
+    _require_power_of_two,
     measurement_distribution,
     run_counting,
     run_phase_estimation,
@@ -83,6 +84,18 @@ def _size(minimum: int, bytes_per_unit: int):
     return size
 
 
+def _checked(check):
+    """argparse type: ``check`` on the flag's text, a ``ValueError`` refusing the flag."""
+
+    def checked(text: str):
+        try:
+            return check(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return checked
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     sub.add_argument("--energy", type=float, default=None, help="override the energy scale")
@@ -98,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--points", type=_size(*SIZE_FLAGS["--points"]), default=256,
                    help="trajectory grid size")
-    p.add_argument("--t-max", type=float, default=None, help="trajectory horizon (default 2T)")
+    p.add_argument("--t-max", type=_checked(_check_time), default=None,
+                   help="trajectory horizon (default 2T)")
 
     p = subs.add_parser("verify", help="check the reduced model against full-space evolution")
     _add_common(p)
@@ -106,13 +120,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("estimate", help="estimate the overlap y from register samples")
     _add_common(p)
-    p.add_argument("--m-size", type=int, default=64, help="register size (power of two)")
+    p.add_argument("--m-size", type=_checked(_require_power_of_two), default=64,
+                   help="register size (power of two)")
     p.add_argument("--samples", type=_size(*SIZE_FLAGS["--samples"]), default=200)
     p.add_argument("--seed", type=int, default=0)
 
     p = subs.add_parser("count", help="estimate the number of targets in the support")
     _add_common(p)
-    p.add_argument("--m-size", type=int, default=None, help="register size (default: auto)")
+    p.add_argument("--m-size", type=_checked(_require_power_of_two), default=None,
+                   help="register size (default: auto)")
     p.add_argument("--samples", type=_size(*SIZE_FLAGS["--samples"]), default=200)
     p.add_argument("--seed", type=int, default=0)
 
@@ -179,7 +195,7 @@ class Output(NamedTuple):
 
     payload: dict  # report fields besides schema_version, command and scenario
     summary: str  # the line printed after the files are written
-    tables: tuple = ()  # (file name, header, columns) per CSV; columns may be a callable
+    tables: tuple = ()  # (file name, header, columns) per CSV
     failure: str | None = None  # an internal check failed: exit 2 once written
 
 
@@ -239,14 +255,14 @@ def cmd_verify(args, scenario: SearchScenario) -> Output:
     )
 
 
-def _register_rows(y: float, m_size: int) -> tuple:
-    try:
-        dist = measurement_distribution(y, m_size)
-    except (MemoryError, ValueError) as exc:
-        raise CliInputError(
-            f"register table of m_size={m_size} bins cannot be built ({exc}); use --format json"
-        ) from None
-    return range(m_size), dist.total, dist.branch_phase_y, dist.branch_phase_complement
+def _register_table(y: float, m_size: int) -> tuple:
+    """The register law on its windowed bins, then a ``rest`` row when they
+    leave bins out, as ``success_distribution.csv`` ends in ``failure``."""
+    dist = measurement_distribution(y, m_size)
+    columns = (dist.k, dist.total, dist.branch_phase_y, dist.branch_phase_complement)
+    if dist.rest is not None:
+        columns = tuple((*col.tolist(), last) for col, last in zip(columns, ("rest", *dist.rest)))
+    return "register_distribution.csv", ["k", "p_total", "p_phase_y", "p_phase_complement"], columns
 
 
 def cmd_estimate(args, scenario: SearchScenario) -> Output:
@@ -271,14 +287,7 @@ def cmd_estimate(args, scenario: SearchScenario) -> Output:
             "true_y": prep.y,
         },
         summary=f"y_hat={est.y_hat:.6f} candidates={est.y_candidates} true_y={prep.y:.6f}",
-        tables=(
-            (
-                "register_distribution.csv",
-                ["k", "p_total", "p_phase_y", "p_phase_complement"],
-                # called only when the CSV is written: --format json never builds it
-                lambda: _register_rows(prep.y, args.m_size),
-            ),
-        ),
+        tables=(_register_table(prep.y, args.m_size),),
     )
 
 
@@ -290,7 +299,7 @@ def cmd_count(args, scenario: SearchScenario) -> Output:
         payload={
             "disjoint_scenario": _scenario_summary(result.scenario),
             "support_size": result.support_size,
-            "m_size": result.m_size,
+            "m_size": result.estimate.m_size,
             "n_samples": int(args.samples),
             "seed": int(args.seed),
             "y_hat": result.estimate.y_hat,
@@ -378,12 +387,6 @@ def _run(args) -> None:
     if args.energy is not None:
         scenario = dataclasses.replace(scenario, energy=args.energy)
     result = COMMANDS[args.command](args, scenario)
-    # json skips the tables; every table is built before the first file is
-    # written, so one that cannot be built leaves no partial output
-    tables = [] if args.format == "json" else [
-        (name, header, columns() if callable(columns) else columns)
-        for name, header, columns in result.tables
-    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # csv skips the report only where tables stand in for it
@@ -392,7 +395,8 @@ def _run(args) -> None:
             out / f"{args.command}.json",
             {"command": args.command, "scenario": _scenario_summary(scenario), **result.payload},
         )
-    for name, header, columns in tables:
+    # json skips the tables
+    for name, header, columns in () if args.format == "json" else result.tables:
         _write_csv(out / name, header, columns)
     print(result.summary)
     if result.failure:

@@ -21,16 +21,14 @@ after controlled powers of the walk and an inverse Fourier transform;
 sampling it stands in for running the hardware.  The tests build that
 register from the walk itself to check the closed form.
 
-One function, :func:`_branch_window`, evaluates a branch's law, as offsets
-``j`` from the bin nearest ``M*phase``, at two widths.  At full width it is
-every bin: :func:`measurement_distribution` rotates it onto bins
-``0..M-1``, and the CLI writes that table as ``register_distribution.csv``.
-At ``|j| <= REGISTER_WINDOW`` it is what :func:`sample_phase_register`
-draws from, and that sampler never builds the table.  A branch holds at
-least 8/pi**2 of its mass within one bin of its phase, so each draw picks a
-branch, then an offset from the window; the rarer tail offsets are drawn by
-rejection from the pointwise envelope sin(pi*f)**2/(4*d**2).  Its cost is
-O(REGISTER_WINDOW + n), whatever M.
+One function, :func:`_branch_law`, evaluates a branch's law at any register
+bins.  :func:`sample_phase_register` draws from it on the offsets
+``|j| <= REGISTER_WINDOW`` around the bin nearest ``M*phase``, and
+:func:`measurement_distribution`, the CLI's ``register_distribution.csv``,
+tabulates it on the union of the two branches' windows.  A branch holds at
+least 8/pi**2 of its mass within one bin of its phase; the rarer tail
+offsets are drawn by rejection from the envelope sin(pi*f)**2/(4*d**2).
+Nothing of length M is built: a draw costs O(REGISTER_WINDOW + n), whatever M.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ AMBIGUITY_SIGMA = 2.0
 N_VERIFY = 48
 MIN_LEAD = 2
 # register offsets |j| <= REGISTER_WINDOW around a branch peak are tabulated
-# exactly for sampling; farther offsets are drawn by rejection
+# exactly, for sampling and the register table; farther ones are drawn by rejection
 REGISTER_WINDOW = 64
 # above 2**53, y_hat = 1 - k/M is no longer exact in float64
 MAX_M_SIZE = 2**53
@@ -86,11 +84,12 @@ def circle_distance(a, b):
 
 @dataclass(frozen=True)
 class RegisterDistribution:
-    """Exact register statistics for overlap ``y``: the two branch
-    distributions, their weights, and the observable mixture."""
+    """Exact register statistics for overlap ``y`` on the sorted bins ``k`` of the
+    two branches' windows: the branch laws, their weights, and the mixture."""
 
     y: float
     m_size: int
+    k: np.ndarray
     branch_phase_y: np.ndarray
     branch_phase_complement: np.ndarray
     weight_phase_y: float
@@ -98,57 +97,54 @@ class RegisterDistribution:
     total: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("branch_phase_y", "branch_phase_complement", "total"):
+        for name in ("k", "branch_phase_y", "branch_phase_complement", "total"):
             getattr(self, name).setflags(write=False)
+
+    @property
+    def rest(self) -> tuple[float, float, float] | None:
+        """Each column's mass off ``k``, max(0, 1 - sum); None when ``k`` is every bin."""
+        columns = (self.total, self.branch_phase_y, self.branch_phase_complement)
+        if self.k.size < self.m_size:
+            return tuple(max(0.0, 1.0 - float(column.sum())) for column in columns)
+        return None
 
 
 def measurement_distribution(y: float, m_size: int) -> RegisterDistribution:
-    """Mixture observed when measuring the register:
+    """Mixture observed when measuring the register, on the bins of the branch windows:
 
     P(k) = (1-y)/2 * P(k | phase y) + (1+y)/2 * P(k | phase 1-y).
     """
     y = _check_overlap(y)
     m_size = _require_power_of_two(m_size)
-    branches = np.empty(m_size), np.empty(m_size)
-    for phase, table in zip((y, 1.0 - y), branches):
-        k0, _, offsets, probs = _branch_window(phase, m_size, m_size // 2)
-        # offset j lands on bin (k0 + j) mod M: a rotation in two slice copies
-        cut = (k0 + offsets.start) % m_size
-        table[cut:] = probs[: m_size - cut]
-        table[:cut] = probs[m_size - cut :]
-        del probs  # freed before the next buffer: the peak stays at four tables
-    b_y, b_c = branches
+    bins = {b for k0, _, offsets in (_window(y, m_size), _window(1.0 - y, m_size))
+            for b in ((k0 + offsets) % m_size).tolist()}
+    k = np.array(sorted(bins), dtype=np.int64)  # np.union1d would import numpy.ma
+    b_y = _branch_law(y, m_size, k)
+    b_c = _branch_law(1.0 - y, m_size, k)
     w_y = (1.0 - y) / 2.0
     w_c = (1.0 + y) / 2.0
-    return RegisterDistribution(
-        y=y,
-        m_size=m_size,
-        branch_phase_y=b_y,
-        branch_phase_complement=b_c,
-        weight_phase_y=w_y,
-        weight_phase_complement=w_c,
-        total=w_y * b_y + w_c * b_c,
-    )
+    return RegisterDistribution(y=y, m_size=m_size, k=k, branch_phase_y=b_y,
+                                branch_phase_complement=b_c, weight_phase_y=w_y,
+                                weight_phase_complement=w_c, total=w_y * b_y + w_c * b_c)
 
 
-def _branch_window(
-    phase: float, m_size: int, width: int = REGISTER_WINDOW
-) -> tuple[int, float, range, np.ndarray]:
-    """The exact branch law near its peak, as offsets from the nearest bin.
-
-    Returns ``k0`` (the bin nearest ``M*phase``, reduced mod M), ``f =
-    M*phase - k0``, the offsets ``j`` and their probabilities
-    P(j) = sin(pi*f)**2 / (M*sin(pi*(f - j)/M))**2 (1 where ``f - j`` is 0).
-    The offsets are ``|j| <= width``, followed by one bin holding the tail's
-    total mass, or all of ``-M/2 <= j < M/2`` when the register is no wider.
-    """
+def _window(phase: float, m_size: int) -> tuple[int, float, np.ndarray]:
+    """``k0``, the bin nearest ``M*phase`` (not reduced mod M), ``f = M*phase - k0``,
+    and the offsets ``|j| <= REGISTER_WINDOW`` from it, clipped to ``[-M/2, M/2)``."""
     scaled = m_size * phase  # exact: M is a power of two
     k0 = round(scaled)
-    f = scaled - k0
-    whole = 2 * width + 1 >= m_size
-    offsets = range(-(m_size // 2), m_size // 2) if whole else range(-width, width + 1)
-    # in place over one float buffer: at M = 2**21 it is 16 MiB
-    probs = np.arange(offsets.start, offsets.stop, dtype=float)
+    half = m_size // 2
+    offsets = np.arange(max(-REGISTER_WINDOW, -half), min(REGISTER_WINDOW, half - 1) + 1)
+    return k0, scaled - k0, offsets
+
+
+def _branch_law(phase: float, m_size: int, k) -> np.ndarray:
+    """The exact law of the branch at ``phase`` on register bins ``k``:
+    P(k) = sin(pi*f)**2 / (M*sin(pi*(f - j)/M))**2, and 1 where ``f - j`` is 0,
+    with ``k0, f`` from :func:`_window` and ``j = (k - k0 + M/2) mod M - M/2``."""
+    k0, f, _ = _window(phase, m_size)
+    half = m_size // 2
+    probs = ((np.asarray(k) - k0 + half) % m_size - half).astype(float)
     np.subtract(f, probs, out=probs)
     centre = probs == 0.0
     np.multiply(np.pi / m_size, probs, out=probs)
@@ -158,11 +154,7 @@ def _branch_window(
     np.divide(math.sin(math.pi * f), probs, out=probs)
     np.square(probs, out=probs)
     probs[centre] = 1.0
-    if not whole:
-        # a peak on a bin (f == 0) puts all its mass there: the tail is empty
-        tail = max(0.0, 1.0 - float(probs.sum())) if f else 0.0
-        probs = np.append(probs, tail)
-    return k0 % m_size, f, offsets, probs
+    return probs
 
 
 def _tail_acceptance(d, m_size: int):
@@ -209,8 +201,9 @@ def sample_phase_register(y: float, m_size: int, n_samples: int, seed: int) -> n
 
     One uniform per sample picks the phase-y branch with probability
     (1 - y)/2.  The offset from that branch's nearest bin is drawn by inverse
-    CDF over the window of :func:`_branch_window`; a draw that lands in its
-    tail bin is replaced by an exact rejection draw (:func:`_draw_tail`).
+    CDF over :func:`_branch_law` on its :func:`_window`, plus one bin holding
+    the tail's mass when the window is not the whole register; a draw there is
+    replaced by an exact rejection draw (:func:`_draw_tail`).
     Nothing of length M is built.
     """
     if int(n_samples) < 1:
@@ -221,10 +214,14 @@ def sample_phase_register(y: float, m_size: int, n_samples: int, seed: int) -> n
     on_y = rng.random(int(n_samples)) < (1.0 - y) / 2.0
     samples = np.empty(int(n_samples), dtype=np.int64)
     for phase, chosen in ((y, on_y), (1.0 - y, ~on_y)):
-        k0, f, offsets, probs = _branch_window(phase, m_size)
+        k0, f, offsets = _window(phase, m_size)
+        probs = _branch_law(phase, m_size, k0 + offsets)
+        if offsets.size < m_size:
+            # a peak on a bin (f == 0) puts all its mass there: the tail is empty
+            probs = np.append(probs, max(0.0, 1.0 - float(probs.sum())) if f else 0.0)
         picks = sample_inverse_cdf(probs, rng, np.count_nonzero(chosen))
-        in_tail = picks == len(offsets)
-        drawn = picks + offsets.start
+        in_tail = picks == offsets.size
+        drawn = picks + offsets[0]
         drawn[in_tail] = _draw_tail(f, m_size, rng, np.count_nonzero(in_tail))
         samples[chosen] = (k0 + drawn) % m_size
     return samples
@@ -488,7 +485,6 @@ class CountResult:
 
     count_estimate: int
     support_size: int
-    m_size: int
     estimate: PhaseEstimate
     scenario: SearchScenario
     samples: np.ndarray
@@ -529,7 +525,6 @@ def run_counting(
     return CountResult(
         count_estimate=estimate_count(est.y_hat, support),
         support_size=support,
-        m_size=m_size,
         estimate=est,
         scenario=counting,
         samples=samples,

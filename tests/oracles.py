@@ -7,9 +7,10 @@ random scenario suites:
 * the 2x2 Hamiltonian of the invariant plane, its propagator and eigensystem;
 * the register built from the walk itself: controlled powers of one driving
   period of the propagator, then a Fourier transform along the register;
+* the register law at full width, on every bin 0..M-1, through the one
+  evaluator the sampler and the register table read on their windows;
 * the branch-conditional window mass and the tail and pointwise bounds of
-  Brassard, Hoyer, Mosca and Tapp (quant-ph/0005055), checked on the branch
-  law the sampler draws from, read through ``measurement_distribution``;
+  Brassard, Hoyer, Mosca and Tapp (quant-ph/0005055), checked on that law;
 * the misplaced-confidence scenario, the norm bounds on its weights, and
   random scenario suites of three families.
 """
@@ -26,8 +27,8 @@ from ctqsearch import (
     InformationSet,
     SearchScenario,
     circle_distance,
-    measurement_distribution,
 )
+from ctqsearch.phase_estimation import _branch_law
 from ctqsearch.analysis import _check_misplaced_params
 from ctqsearch.dynamics import _check_energy, _check_overlap, _check_time, _residual_norm
 from ctqsearch.rng import make_rng
@@ -108,10 +109,16 @@ def walk_register_marginal(y: float, m_size: int) -> np.ndarray:
 def branch_law(phase: float, m_size: int) -> np.ndarray:
     """The package's register law of the branch at ``phase``, on bins 0..M-1.
 
-    It is ``_branch_window`` at full width, the one function that also gives
+    It is ``_branch_law`` over every bin, the one function that also gives
     the sampler its window, so the bounds below certify what is sampled.
     """
-    return measurement_distribution(phase, m_size).branch_phase_y
+    return _branch_law(phase, m_size, np.arange(m_size))
+
+
+def register_law(y: float, m_size: int) -> np.ndarray:
+    """The observable mixture on bins 0..M-1, weighted as
+    ``measurement_distribution`` weighs its windowed columns."""
+    return (1.0 - y) / 2.0 * branch_law(y, m_size) + (1.0 + y) / 2.0 * branch_law(1.0 - y, m_size)
 
 
 def window_mass(phase: float, m_size: int, m: int = 1) -> float:

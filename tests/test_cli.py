@@ -192,8 +192,8 @@ def test_estimate_histogram_matches_full_bincount(tmp_path, library_demo_path, m
 @pytest.mark.parametrize("exponent", [40, 54, 63, 64])
 def test_huge_register_size_exits_cleanly(tmp_path, library_demo_path, capsys, command,
                                           exponent):
-    # above 2**53 the register size is refused by name; 2**40 runs, since no
-    # table of register length is built for the JSON report
+    # above 2**53 the register size is refused by name; 2**40 runs, since
+    # nothing of register length is built
     code = run(command, "--scenario", library_demo_path, "--out", tmp_path,
                "--m-size", 2**exponent, "--format", "json")
     err = capsys.readouterr().err
@@ -208,33 +208,20 @@ def test_huge_register_size_exits_cleanly(tmp_path, library_demo_path, capsys, c
 
 @pytest.mark.parametrize("fmt", ["both", "csv"])
 @pytest.mark.parametrize("exponent", [40, 53])
-def test_unbuildable_register_table_writes_nothing(tmp_path, library_demo_path, capsys, fmt,
-                                                   exponent):
-    # the table (8 TiB and 64 PiB here) is built before any file is written
+def test_huge_register_table_is_windowed(tmp_path, library_demo_path, capsys, fmt, exponent):
+    # the table holds the two branch windows and a rest row, whatever M
     out = tmp_path / "out"
-    code = run("estimate", "--scenario", library_demo_path, "--out", out,
-               "--m-size", 2**exponent, "--format", fmt)
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err.count("\n") == 1 and err.startswith("error: ")
-    assert "m_size" in err and "--format json" in err
-    assert "Traceback" not in err
-    assert not out.exists() or not any(out.iterdir())
-
-
-class RegisterBuilt(Exception):
-    pass
-
-
-def test_estimate_register_table_is_lazy(tmp_path, library_demo_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise RegisterBuilt
-    monkeypatch.setattr(cli, "measurement_distribution", refuse)
-    args = ("estimate", "--scenario", library_demo_path)
-    assert run(*args, "--out", tmp_path / "j", "--format", "json") == 0
-    assert (tmp_path / "j" / "estimate.json").exists()
-    with pytest.raises(RegisterBuilt):
-        run(*args, "--out", tmp_path / "b", "--format", "both")
+    assert run("estimate", "--scenario", library_demo_path, "--out", out,
+               "--m-size", 2**exponent, "--format", fmt) == 0
+    assert capsys.readouterr().err == ""
+    with (out / "register_distribution.csv").open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["k", "p_total", "p_phase_y", "p_phase_complement"]
+    assert len(rows) <= 259 and rows[-1][0] == "rest"
+    ks = [int(row[0]) for row in rows[:-1]]
+    assert ks == sorted(set(ks)) and 0 <= ks[0] and ks[-1] < 2**exponent
+    for column in range(1, 4):
+        assert math.fsum(float(row[column]) for row in rows) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_estimate_runs_are_byte_deterministic(tmp_path, library_demo_path):
@@ -267,6 +254,36 @@ def test_count_auto_register_size(tmp_path, library_demo_path):
     data = read_json(tmp_path / "count.json")
     assert data["m_size"] == 64
     assert data["count_estimate"] == data["true_count"] == 4
+
+
+REGISTER_SIZE_CASES = [0, 3, 2**54, 2.5, -1, "nan", "inf"]
+
+
+@pytest.mark.parametrize("value", REGISTER_SIZE_CASES)
+@pytest.mark.parametrize("command", ["estimate", "count"])
+def test_register_size_refusal_names_the_flag(tmp_path, capsys, command, value):
+    out = tmp_path / "out"
+    assert run(command, "--scenario", SCENARIO_DIR / "library_demo.json", "--out", out,
+               "--m-size", value) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --m-size: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", REGISTER_SIZE_CASES)
+def test_time_horizon_flag_is_checked_when_parsed(tmp_path, capsys, value):
+    # a horizon is any finite time >= 0: 0, 3, 2**54 and 2.5 run
+    out = tmp_path / "out"
+    code = run("simulate", "--scenario", SCENARIO_DIR / "library_demo.json", "--out", out,
+               "--points", 8, "--t-max", value)
+    err = capsys.readouterr().err
+    if value in (-1, "nan", "inf"):
+        assert code == 1
+        assert err.startswith("error: argument --t-max: ") and err.count("\n") == 1
+        assert not out.exists()
+    else:
+        assert code == 0 and err == ""
+        assert read_json(out / "simulate.json")["trajectory"]["t_max"] == float(value)
 
 
 def test_count_rejects_small_register(tmp_path, counting_demo_path, capsys):
@@ -768,3 +785,46 @@ def test_size_flag_refuses_a_billion_at_parse_time(command, flag):
     argv = [command, "--scenario", "unread.json", flag, str(10**9)]
     with pytest.raises(cli.CliInputError, match=f"argument {flag}: .*over the 1024 MiB budget"):
         cli.build_parser().parse_args(argv)
+
+
+# every numeric flag that sizes or bounds a command's work, per command
+SIZED_FLAGS = {
+    "simulate": ("--points", "--t-max"),
+    "verify": ("--grid-points",),
+    "estimate": ("--samples", "--m-size"),
+    "count": ("--samples", "--m-size"),
+    "sweep": ("--alpha2-points",),
+    "compare": (),
+}
+flag_texts = (
+    st.integers(min_value=-3, max_value=130)
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.integers(min_value=1, max_value=60).map(lambda e: 2**e)
+    | st.floats()
+    | st.sampled_from(["nan", "inf", "-inf", "1e400", "0x10", "", " 8 "])
+).map(str)
+
+
+@settings(deadline=None, max_examples=80)
+@given(data=st.data(), command=st.sampled_from(sorted(SIZED_FLAGS)))
+def test_fuzzed_size_flags_exit_cleanly(data, command):
+    flags = {flag: data.draw(flag_texts, label=flag)
+             for flag in SIZED_FLAGS[command] if data.draw(st.booleans(), label=f"use {flag}")}
+    source = SCENARIO_DIR / SHIPPED_FOR.get(command, "library_demo.json")
+    # "--flag=text" hands a text such as "-inf" to the flag, not to the option parser
+    argv = [command, "--scenario", str(source), *(f"{f}={t}" for f, t in flags.items())]
+    err = io.StringIO()
+    # a small budget keeps every accepted value cheap to run
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        patch.setattr(cli, "SIZE_FLAG_BUDGET", 4096)
+        code = cli.main([*argv, "--out", tmp])
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        # one line naming a flag it was given: as argparse names it, or by its field name
+        assert err.startswith("error: ") and err.count("\n") == 1
+        named = [f for f in flags
+                 if err.startswith(f"error: argument {f}: ") or f[2:].replace("-", "_") in err]
+        assert named, err

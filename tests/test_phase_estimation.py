@@ -1,4 +1,7 @@
 import cmath
+import contextlib
+import hashlib
+import io
 import math
 import tracemalloc
 
@@ -12,6 +15,7 @@ from scipy import stats
 from conftest import build_scenario
 from ctqsearch import (
     InformationSet,
+    cli,
     ScenarioError,
     circle_distance,
     counting_scenario,
@@ -36,6 +40,7 @@ from oracles import (
     branch_law,
     eigensystem,
     evolution_matrix,
+    register_law,
     tail_and_pointwise_hold,
     walk_register,
     walk_register_marginal,
@@ -144,30 +149,100 @@ def test_register_table_holds_the_sampled_window_bit_for_bit(y, m_size):
     # one law: the table's bins around each peak are the window the sampler draws from
     dist = measurement_distribution(y, m_size)
     for phase, table in ((y, dist.branch_phase_y), (1 - y, dist.branch_phase_complement)):
-        k0, _, offsets, probs = phase_estimation._branch_window(phase, m_size)
-        bins = (k0 + np.arange(offsets.start, offsets.stop)) % m_size
-        assert np.array_equal(table[bins], probs[: len(offsets)])
+        k0, _, offsets = phase_estimation._window(phase, m_size)
+        rows = np.searchsorted(dist.k, (k0 + offsets) % m_size)
+        assert np.array_equal(dist.k[rows], (k0 + offsets) % m_size)
+        assert np.array_equal(table[rows], phase_estimation._branch_law(phase, m_size, k0 + offsets))
+
+
+WINDOWED_Y = [0.013, 0.25, 0.3, 0.49, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("m_size", [256, 512, 2**16, 2**21])
+@pytest.mark.parametrize("y", WINDOWED_Y)
+def test_windowed_table_rows_are_the_full_width_rows(y, m_size):
+    dist = measurement_distribution(y, m_size)
+    assert dist.k.dtype == np.int64 and np.all(np.diff(dist.k) > 0)
+    assert dist.k.size <= 2 * (2 * phase_estimation.REGISTER_WINDOW + 1)
+    for column, full in ((dist.total, register_law(y, m_size)),
+                         (dist.branch_phase_y, branch_law(y, m_size)),
+                         (dist.branch_phase_complement, branch_law(1 - y, m_size))):
+        assert np.array_equal(column, full[dist.k])
+    # near y = 1/2 the two windows overlap; at y = 1/4 on 256 bins they tile the register
+    covered = m_size == 256 and y == 0.25
+    assert (dist.k.size == m_size) == covered
+    assert (dist.rest is None) == covered
+
+
+@pytest.mark.parametrize("m_size", [512, 2**16, 2**21])
+@pytest.mark.parametrize("y", WINDOWED_Y)
+def test_rest_is_the_mass_off_the_table(y, m_size):
+    dist = measurement_distribution(y, m_size)
+    columns = (dist.total, dist.branch_phase_y, dist.branch_phase_complement)
+    for rest, column in zip(dist.rest, columns):
+        assert rest >= 0.0
+        assert abs(rest - (1.0 - column.sum())) <= 1e-15
+
+
+# sha256 of the register_distribution.csv bytes of y in CSV_PINNED_Y, in that
+# order, and of the full-width columns (total, phase y, complement) as float64
+# bytes, as the table read when it held all M bins
+CSV_PINNED_Y = (0.013, 0.3, 0.49, 0.5, 1.0)
+PINNED_CSV = {
+    2: "53855eb8e8c355b25fe1ec69d2197c4a5bc34e615dad201e5814fe46204ce321",
+    8: "d3547725aaa12e24faf448d9959e4600b18d6c758912e27cf0f7df82c92a9dfb",
+    64: "b7a2ae4e0f6910e523aaede662ccc61617e97a42647e50eaab84a36b08fae534",
+    128: "9b9a4e6143b57da61b8f640c6711b8d7183eb3491b9d27dea6ef7e6daa04db74",
+}
+PINNED_FULL_WIDTH = {
+    256: "b9508a89452af8127806893b4f96470f605c0b4f8e72ecbff1faed0629c0f4c9",
+    2**16: "f62ce845a80a9c85d6dafeecffcf3ad4129efd5553f8600f75c6017d4cbdec47",
+}
+
+
+@pytest.mark.parametrize("m_size", sorted(PINNED_CSV))
+def test_small_register_table_keeps_its_bytes(tmp_path, m_size):
+    digest = hashlib.sha256()
+    for y in CSV_PINNED_Y:
+        name, header, columns = cli._register_table(y, m_size)
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli._write_csv(tmp_path / name, header, columns)
+        digest.update((tmp_path / name).read_bytes())
+    assert digest.hexdigest() == PINNED_CSV[m_size]
+
+
+@pytest.mark.parametrize("m_size", sorted(PINNED_FULL_WIDTH))
+def test_full_width_oracle_keeps_the_bytes_of_the_full_table(m_size):
+    digest = hashlib.sha256()
+    for y in CSV_PINNED_Y:
+        digest.update(np.stack([register_law(y, m_size), branch_law(y, m_size),
+                                branch_law(1 - y, m_size)]).tobytes())
+    assert digest.hexdigest() == PINNED_FULL_WIDTH[m_size]
 
 
 def test_integer_locked_register_is_exactly_zero_off_peak():
     for m_size in 2 ** np.arange(3, 22):
-        dist = measurement_distribution(0.25, int(m_size))
-        for table, peak in ((dist.branch_phase_y, 1), (dist.branch_phase_complement, 3)):
+        m_size = int(m_size)
+        for phase, peak in ((0.25, 1), (0.75, 3)):
             expected = np.zeros(m_size)
             expected[peak * m_size // 4] = 1.0
-            assert np.array_equal(table, expected), m_size
+            assert np.array_equal(branch_law(phase, m_size), expected), m_size
+        # the table's rows are exact too, so nothing is left for its rest row
+        dist = measurement_distribution(0.25, m_size)
+        assert dist.rest is None or dist.rest == (0.0, 0.0, 0.0)
 
 
 def test_register_table_peak_memory():
     measurement_distribution(0.3, 64)  # warm up imports and caches
-    tracemalloc.start()
-    try:
-        measurement_distribution(0.3, 2**21)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the two branches, the mixture and the temporaries of the weighted sum
-    assert peak <= 66 * 2**20
+    for m_size in (2**21, 2**53):
+        tracemalloc.start()
+        try:
+            measurement_distribution(0.3, m_size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # at most 258 rows of four columns and their temporaries, whatever M
+        assert peak <= 2**16, m_size
 
 
 def test_known_off_grid_amplitude():
@@ -294,9 +369,10 @@ def assembled_register_law(y, m_size):
     over the tail as proposal times acceptance, normalised."""
     law = np.zeros(m_size)
     for weight, phase in (((1 - y) / 2, y), ((1 + y) / 2, 1 - y)):
-        k0, f, offsets, probs = phase_estimation._branch_window(phase, m_size)
-        law[(k0 + np.arange(offsets.start, offsets.stop)) % m_size] += weight * probs[: len(offsets)]
-        if probs.size == len(offsets):
+        k0, f, offsets = phase_estimation._window(phase, m_size)
+        probs = phase_estimation._branch_law(phase, m_size, k0 + offsets)
+        law[(k0 + offsets) % m_size] += weight * probs
+        if offsets.size == m_size:
             continue
         tail_j, tail_p = [], []
         for side in (1, -1):
@@ -309,7 +385,8 @@ def assembled_register_law(y, m_size):
             # proposal mass of 1/x**2 over (d - 1, d], times acceptance
             tail_p.append(accept / (d * (d - 1)))
         tail_p = np.concatenate(tail_p)
-        law[(k0 + np.concatenate(tail_j)) % m_size] += weight * probs[-1] * tail_p / tail_p.sum()
+        tail_mass = max(0.0, 1.0 - float(probs.sum())) if f else 0.0
+        law[(k0 + np.concatenate(tail_j)) % m_size] += weight * tail_mass * tail_p / tail_p.sum()
     return law
 
 
@@ -318,7 +395,7 @@ def test_sampler_parts_assemble_exact_law(y):
     # registers up to 128 bins are tabulated whole; wider ones have a tail
     for m_size in (8, 64, 128, 256, 512, 1024):
         law = assembled_register_law(y, m_size)
-        assert np.max(np.abs(law - measurement_distribution(y, m_size).total)) <= 1e-12
+        assert np.max(np.abs(law - register_law(y, m_size))) <= 1e-12
     for m_size in (8, 1024, 2**21):
         drawn = sample_phase_register(y, m_size, 200, seed=4401)
         assert drawn.dtype == np.int64
@@ -347,7 +424,7 @@ def test_tail_draws_cover_the_tail_with_its_law(f):
 @pytest.mark.parametrize("y", [0.37, 0.71])
 def test_sampler_chi_square_at_2_16(y):
     m_size, n = 2**16, 200_000
-    expected = n * measurement_distribution(y, m_size).total
+    expected = n * register_law(y, m_size)
     observed = np.bincount(sample_phase_register(y, m_size, n, seed=16), minlength=m_size)
     # bins expecting fewer than 5 draws are pooled into one
     big = expected >= 5
@@ -398,17 +475,17 @@ class TableBuilt(Exception):
 
 
 def test_phase_estimation_never_builds_the_register_table(monkeypatch, library_demo_path):
-    # the table is measurement_distribution, or the branch law at full width
+    # the table is measurement_distribution, or the branch law past one window
     def refuse(*args, **kwargs):
         raise TableBuilt
-    window = phase_estimation._branch_window
+    law = phase_estimation._branch_law
 
-    def window_only(phase, m_size, width=phase_estimation.REGISTER_WINDOW):
-        if 2 * width + 1 >= m_size:
+    def window_only(phase, m_size, k):
+        if np.size(k) > 2 * phase_estimation.REGISTER_WINDOW + 1:
             raise TableBuilt
-        return window(phase, m_size, width)
+        return law(phase, m_size, k)
     monkeypatch.setattr(phase_estimation, "measurement_distribution", refuse)
-    monkeypatch.setattr(phase_estimation, "_branch_window", window_only)
+    monkeypatch.setattr(phase_estimation, "_branch_law", window_only)
     scenario = load_scenario(library_demo_path)
     prep = weighted_superposition(scenario)
     est, samples = run_phase_estimation(scenario, prep, m_size=2**21, seed=3)
@@ -655,13 +732,13 @@ def test_counting_on_disjoint_demo(counting_demo_path):
     result = run_counting(s, m_size=64, seed=7)
     assert result.count_estimate == 3
     assert result.support_size == 6
-    assert result.m_size == 64
+    assert result.estimate.m_size == 64
 
 
 def test_counting_auto_register_size(library_demo_path):
     s = load_scenario(library_demo_path)
     result = run_counting(s, seed=13)
-    assert result.m_size == 64  # max(64, 4 * 13) -> 64
+    assert result.estimate.m_size == 64  # max(64, 4 * 13) -> 64
     assert result.count_estimate == s.n_targets
 
 
