@@ -3,7 +3,7 @@
 Simulation and analysis toolkit for searching an unsorted item space when
 the searcher holds weighted hints (information sets) about where the targets
 sit.  The package prepares weighted initial states, evolves them exactly on
-the two-dimensional invariant subspace (with a matrix-free N-dimensional
+the two-dimensional invariant subspace (with a matrix-free full-space
 cross-check), estimates the state-target overlap by phase-register sampling,
 counts targets, and analyzes when partial information helps or hurts.
 """

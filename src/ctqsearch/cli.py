@@ -35,6 +35,7 @@ from .analysis import (
 from .dynamics import _check_time, optimal_time, success_distribution, trajectory
 from .fullsim import plane_projection_on_grid
 from .phase_estimation import (
+    _counting_m_size,
     _require_power_of_two,
     measurement_distribution,
     run_counting,
@@ -292,9 +293,11 @@ def cmd_estimate(args, scenario: SearchScenario) -> Output:
 
 
 def cmd_count(args, scenario: SearchScenario) -> Output:
-    result = run_counting(
-        scenario, m_size=args.m_size, n_samples=args.samples, seed=args.seed
-    )
+    try:  # the one refusal that needs the scenario, so it comes after parsing
+        _counting_m_size(args.m_size, scenario.support_size)
+    except ValueError as exc:
+        raise CliInputError(f"argument --m-size: {exc}") from None
+    result = run_counting(scenario, m_size=args.m_size, n_samples=args.samples, seed=args.seed)
     return Output(
         payload={
             "disjoint_scenario": _scenario_summary(result.scenario),

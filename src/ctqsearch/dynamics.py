@@ -12,7 +12,7 @@ in the (|w>, |r>) basis.  Everything downstream -- the evolved state,
 trajectories, measurement statistics, the optimal measurement time -- has an
 exact closed form in the overlap ``y`` and energy ``E``, so no 2x2 matrix is
 built here; the matrix, its exponential and its eigensystem serve only as
-test oracles.  The N-dimensional simulator in :mod:`ctqsearch.fullsim`
+test oracles.  The full-space simulator in :mod:`ctqsearch.fullsim`
 exists to cross-check this module, not to replace it.
 """
 

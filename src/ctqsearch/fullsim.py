@@ -1,14 +1,15 @@
-"""Full N-dimensional simulation, used to validate the reduced dynamics.
+"""Full-space simulation, used to validate the reduced dynamics.
 
 The search Hamiltonian H = E * (P_target + |beta><beta|) is a diagonal
-projector plus one rank-one term, so ``H @ v`` costs O(N).
+projector plus one rank-one term, so ``H @ v`` costs one pass over ``v``.
 :func:`plane_projection_on_grid` evolves the prepared state with the
 Chebyshev propagator of Tal-Ezer and Kosloff (J. Chem. Phys. 81, 3967, 1984),
 which is built from such products alone, and projects every state onto the
-invariant plane.  It never forms an N x N array and never uses the 2x2
-closed form of :mod:`ctqsearch.dynamics`, which is what it checks; ``verify``
-runs on it.  Its one size limit is the Chebyshev basis, ``(K+1) * N * 8``
-bytes at most ``CHEBYSHEV_BASIS_LIMIT``.
+invariant plane.  It runs on the d symmetry classes of the items, an exact
+image of the item space, and never uses the 2x2 closed form of
+:mod:`ctqsearch.dynamics`, which is what it checks; ``verify`` runs on it.
+Its one size limit is the basis, ``(K+1) * d * 8`` bytes at most
+``CHEBYSHEV_BASIS_LIMIT``.
 
 :func:`full_hamiltonian`, :func:`evolve_on_grid` and :func:`project_reduced`
 are test oracles: they build the dense matrix and diagonalise it, so their
@@ -25,7 +26,7 @@ from typing import Iterator
 import numpy as np
 
 from .scenario import SearchScenario
-from .stateprep import StatePrep
+from .stateprep import StatePrep, symmetry_classes
 
 DEFAULT_DIM_CAP = 4096
 HERMITIAN_TOL = 1e-12
@@ -77,32 +78,29 @@ def evolve_on_grid(
     return (phases * amplitudes) @ vecs.T
 
 
-def reduced_basis(prep: StatePrep, n_items: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full-space unit vectors |w> and |r> spanning the invariant plane.
-
-    |r> is returned as the zero vector when the prepared state has no
-    residual component (y == 1).
-    """
-    w = np.zeros(n_items)
-    w[prep.target_items] = prep.target_coeffs
-    r = np.zeros(n_items)
-    if prep.r_count:
-        r[prep.residual_items] = prep.residual_coeffs
+def reduced_basis(beta: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors |w> and |r> spanning the invariant plane: beta on and off
+    ``targets`` (indices or a mask), each normalised; |r> = 0 when y == 1."""
+    w = np.zeros_like(beta)
+    w[targets] = beta[targets]
+    r = beta - w
+    w /= np.linalg.norm(w)
+    norm = np.linalg.norm(r)
+    if norm:
+        r /= norm
     return w, r
 
 
-def project_reduced(
-    prep: StatePrep, state: np.ndarray
-) -> tuple[complex, complex, float]:
+def project_reduced(prep: StatePrep, state: np.ndarray) -> tuple[complex, complex, float]:
     """Project a full-space state onto the invariant plane.
 
     Returns (a, b, leak) where a = <w|state>, b = <r|state>, and ``leak`` is
     the norm of the component outside the plane.
     """
     psi = np.asarray(state, dtype=complex)
-    w, r = reduced_basis(prep, psi.shape[0])
+    w, r = reduced_basis(prep.beta, prep.target_items)
     a = complex(w @ psi)  # basis vectors are real
-    b = complex(r @ psi) if prep.r_count else 0.0 + 0.0j
+    b = complex(r @ psi)
     residual = psi - a * w - b * r
     return a, b, float(np.linalg.norm(residual))
 
@@ -137,14 +135,12 @@ def chebyshev_coefficients(a, order: int) -> np.ndarray:
     return coeffs
 
 
-def _chebyshev_basis(prep: StatePrep, order: int) -> np.ndarray:
+def _chebyshev_basis(beta: np.ndarray, targets, order: int) -> np.ndarray:
     """Rows T_k(X) beta for k = 0..order, with X = H/E - I.
 
     H/E = P_target + |beta><beta| has its spectrum in [0, 2], so X's lies in
     [-1, 1].  X is applied as beta * (beta @ v) - v plus v on the targets.
     """
-    beta = prep.beta
-    targets = prep.target_items
 
     def shifted(v: np.ndarray) -> np.ndarray:
         out = beta * (beta @ v) - v
@@ -160,15 +156,14 @@ def _chebyshev_basis(prep: StatePrep, order: int) -> np.ndarray:
     return basis
 
 
-def evolve_blocks(
-    scenario: SearchScenario, prep: StatePrep, times
-) -> Iterator[np.ndarray]:
+def evolve_blocks(beta: np.ndarray, targets, energy: float, times) -> Iterator[np.ndarray]:
     """Yield exp(-i*H*t) beta for consecutive blocks of ``times``; rows are states.
 
-    With a = E*t, exp(-i*H*t) = exp(-i*a) * exp(-i*a*X), and the second factor
-    is the Chebyshev series sum_k g_k(a) T_k(X) on the basis of
-    :func:`_chebyshev_basis`.  The basis is built once for the largest |a|;
-    each block of time rows then costs one product with it.
+    H = E * (P_targets + |beta><beta|) on any unit vector ``beta``: over items
+    or symmetry classes.  With a = E*t, exp(-i*H*t) = exp(-i*a) * exp(-i*a*X),
+    and the second factor is the Chebyshev series sum_k g_k(a) T_k(X) on the
+    basis of :func:`_chebyshev_basis`, built once for the largest |a|; each
+    block of time rows then costs one product with it.
 
     Raises ``ValueError`` before allocating the basis when it would exceed
     ``CHEBYSHEV_BASIS_LIMIT``.
@@ -176,23 +171,22 @@ def evolve_blocks(
     ts = np.asarray(times, dtype=float)
     if ts.ndim != 1 or not np.all(np.isfinite(ts)):
         raise ValueError("times must be a one-dimensional array of finite values")
-    energy = scenario.energy
-    n = scenario.n_items
+    d = beta.size
     order = chebyshev_order(energy * float(np.max(np.abs(ts), initial=0.0)))
-    need = (order + 1) * n * 8
+    need = (order + 1) * d * 8
     if need > CHEBYSHEV_BASIS_LIMIT:
         raise ValueError(
             f"full-space check needs a {need / 2**20:.0f} MiB Chebyshev basis "
-            f"((K+1)*N*8 bytes for N={n}, K={order}), over the "
+            f"((K+1)*d*8 bytes for d={d}, K={order}), over the "
             f"{CHEBYSHEV_BASIS_LIMIT // 2**20} MiB limit"
         )
-    basis = _chebyshev_basis(prep, order)
-    rows = max(1, BLOCK_BYTES // (16 * (n + 2 * (order + 1))))
+    basis = _chebyshev_basis(beta, targets, order)
+    rows = max(1, BLOCK_BYTES // (16 * (d + 2 * (order + 1))))
     for start in range(0, ts.size, rows):
         block = ts[start : start + rows]
         coeffs = chebyshev_coefficients(energy * block, order)
         coeffs *= np.exp(-1j * energy * block)[:, None]
-        states = np.empty((block.size, n), dtype=complex)
+        states = np.empty((block.size, d), dtype=complex)
         states.real = coeffs.real @ basis
         states.imag = coeffs.imag @ basis
         yield states
@@ -205,15 +199,17 @@ def plane_projection_on_grid(
 
     Returns arrays (a, b, leak) aligned with ``times``: a = <w|psi(t)>,
     b = <r|psi(t)>, and ``leak`` the norm of the component of psi(t) outside
-    the invariant plane.  The states come from :func:`evolve_blocks`, one
-    block of rows at a time, so the whole grid of states is never held.
+    the invariant plane, all three exact on the symmetry classes.  The states
+    come from :func:`evolve_blocks`, one block of rows at a time, so the whole
+    grid of states is never held.
     """
     ts = np.asarray(times, dtype=float)
-    plane = np.column_stack(reduced_basis(prep, scenario.n_items))
+    beta, targets = symmetry_classes(prep)
+    plane = np.column_stack(reduced_basis(beta, targets))
     ab = np.empty((ts.size, 2), dtype=complex)
     leak = np.empty(ts.size)
     start = 0
-    for states in evolve_blocks(scenario, prep, ts):
+    for states in evolve_blocks(beta, targets, scenario.energy, ts):
         rows = slice(start, start + len(states))
         ab[rows] = states @ plane
         states -= ab[rows] @ plane.T

@@ -479,6 +479,19 @@ def estimate_count(y_hat: float, support_size: int) -> int:
     return min(max(raw, 1), int(support_size))
 
 
+def _counting_m_size(m_size: int | None, support_size: int) -> int:
+    """Counting register size: at least 4 * support_size, so that the two candidate
+    phases sit two bins apart; ``None`` picks the smallest such power of two >= 64."""
+    if m_size is None:
+        return next_power_of_two(max(64, 4 * support_size))
+    m_size = _require_power_of_two(m_size)
+    if m_size < 4 * support_size:
+        raise ValueError(
+            f"counting requires m_size >= 4 * support_size = {4 * support_size}, got {m_size}"
+        )
+    return m_size
+
+
 @dataclass(frozen=True)
 class CountResult:
     """Counting pipeline output: the integer estimate plus its provenance."""
@@ -504,21 +517,12 @@ def run_counting(
 ) -> CountResult:
     """Estimate the number of targets inside the covered support.
 
-    The scenario is first rewritten with disjoint, uniformly weighted sets.
-    The register must satisfy ``m_size >= 4 * support_size`` so that the two
-    candidate phases sit at least two bins apart; by default the smallest
-    adequate power of two (at least 64) is chosen.
+    The scenario is first rewritten with disjoint, uniformly weighted sets;
+    the register size is :func:`_counting_m_size`.
     """
     counting = counting_scenario(scenario)
     support = counting.support_size
-    if m_size is None:
-        m_size = next_power_of_two(max(64, 4 * support))
-    else:
-        m_size = _require_power_of_two(m_size)
-        if m_size < 4 * support:
-            raise ValueError(
-                f"counting requires m_size >= 4 * support_size = {4 * support}, got {m_size}"
-            )
+    m_size = _counting_m_size(m_size, support)
     est, samples = run_phase_estimation(
         counting, weighted_superposition(counting), m_size=m_size, n_samples=n_samples, seed=seed
     )

@@ -58,7 +58,8 @@ def _indices(value, name: str) -> np.ndarray:
     except OverflowError:
         raise _refuse(name, "item index does not fit in 64 bits") from None
     if items.size > 1 and not (items[1:] > items[:-1]).all():
-        items = np.unique(items)  # duplicates collapse
+        items = np.sort(items)  # duplicates collapse; np.unique would import numpy.ma
+        items = items[np.concatenate(([True], items[1:] != items[:-1]))]
     items.setflags(write=False)
     return items
 

@@ -6,7 +6,7 @@ several sets are boosted; items outside every set get amplitude zero.  The
 normalized amplitude vector splits into a component inside the target
 subspace (norm ``y``) and a residual component (norm ``sqrt(1 - y**2)``);
 the pair of unit vectors spanning those components is what the reduced
-dynamics operates on.
+dynamics operates on.  The full-space check runs on :func:`symmetry_classes`.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ class StatePrep:
         Overlap with the target subspace, ``y**2 = sum(beta[t]**2, t in targets)``.
     r_count:
         Number of non-target items with nonzero amplitude.
-    target_items, residual_items:
-        Sorted int64 index arrays giving the support of the two components.
-    target_coeffs, residual_coeffs:
-        Unit coefficient vectors of the state's components inside and outside
-        the target subspace, aligned with the index arrays.  ``residual_coeffs``
-        is empty when the state lies entirely in the target subspace (y == 1).
+    target_items:
+        Sorted int64 index array of the targets.
+    target_coeffs:
+        Unit coefficient vector of the state's component inside the target
+        subspace, ``beta[target_items] / y``, aligned with ``target_items``.
     """
 
     beta: np.ndarray
@@ -45,18 +44,10 @@ class StatePrep:
     y: float
     r_count: int
     target_items: np.ndarray
-    residual_items: np.ndarray
     target_coeffs: np.ndarray
-    residual_coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, dtype in (
-            ("beta", float),
-            ("target_items", np.int64),
-            ("residual_items", np.int64),
-            ("target_coeffs", float),
-            ("residual_coeffs", float),
-        ):
+        for name, dtype in (("beta", float), ("target_items", np.int64), ("target_coeffs", float)):
             arr = np.asarray(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -70,33 +61,37 @@ def _finalize(scenario: SearchScenario, raw: np.ndarray) -> StatePrep:
     beta = raw / nu
 
     target_items = scenario.targets
-    residual = beta > 0.0
-    residual[target_items] = False
-    residual_items = np.flatnonzero(residual)
-    r_count = int(residual_items.size)
-
     target_slice = beta[target_items]
+    r_count = int(np.count_nonzero(beta)) - int(np.count_nonzero(target_slice))
     y = float(np.linalg.norm(target_slice))
     if y == 0.0:
         raise ScenarioError("state preparation invariant violated: no amplitude on targets")
     if r_count == 0:
         y = 1.0  # all mass sits on targets
-        residual_coeffs = np.empty(0)
-    else:
-        res_slice = beta[residual_items]
-        residual_coeffs = res_slice / np.linalg.norm(res_slice)
-    target_coeffs = target_slice / y
-
     return StatePrep(
         beta=beta,
         nu=nu,
         y=y,
         r_count=r_count,
         target_items=target_items,
-        residual_items=residual_items,
-        target_coeffs=target_coeffs,
-        residual_coeffs=residual_coeffs,
+        target_coeffs=target_slice / y,
     )
+
+
+def symmetry_classes(prep: StatePrep) -> tuple[np.ndarray, np.ndarray]:
+    """The state on its symmetry classes: amplitudes sqrt(n_c) * beta_c, is_target.
+
+    Items with equal amplitude and target flag can be swapped without changing
+    H = E * (P_target + |beta><beta|) or beta, so the evolved state is constant
+    on each class, and this isometry keeps H's form (Childs and Goldstone, PRA
+    70, 022314, 2004).  Items of amplitude zero never move and are left out.
+    """
+    signed = prep.beta.copy()
+    signed[prep.target_items] *= -1.0  # targets are covered, so beta > 0 there
+    values, counts = np.unique(signed, return_counts=True)
+    covered = values != 0.0
+    values, counts = values[covered], counts[covered]
+    return np.sqrt(counts) * np.abs(values), values < 0.0
 
 
 def weighted_superposition(scenario: SearchScenario) -> StatePrep:

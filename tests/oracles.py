@@ -11,6 +11,7 @@ random scenario suites:
   evaluator the sampler and the register table read on their windows;
 * the branch-conditional window mass and the tail and pointwise bounds of
   Brassard, Hoyer, Mosca and Tapp (quant-ph/0005055), checked on that law;
+* states on the symmetry classes of a prepared state lifted back to items;
 * the misplaced-confidence scenario, the norm bounds on its weights, and
   random scenario suites of three families.
 """
@@ -151,6 +152,25 @@ def tail_and_pointwise_hold(y: float, m_size: int, m_values=(2, 3, 5, 10)) -> bo
             if window_mass(phase, m_size, m) < 1.0 - 1.0 / (2.0 * (m - 1)) - 1e-12:
                 return False
     return True
+
+
+def lift_classes(beta: np.ndarray, target_items: np.ndarray, class_states) -> np.ndarray:
+    """Item-level rows from rows over the symmetry classes of ``beta``.
+
+    Each item's class is found again here, with ``return_inverse``, which the
+    pipeline never needs: item i of class c (n_c items) gets c's amplitude over
+    sqrt(n_c), and items of amplitude zero stay zero.
+    """
+    signed = beta.copy()
+    signed[target_items] *= -1.0
+    values, inverse, counts = np.unique(signed, return_inverse=True, return_counts=True)
+    covered = values != 0.0
+    column = np.cumsum(covered) - 1  # index of each covered value among the classes
+    items = np.flatnonzero(covered[inverse])
+    rows = np.atleast_2d(class_states)
+    lifted = np.zeros((rows.shape[0], beta.size), dtype=rows.dtype)
+    lifted[:, items] = rows[:, column[inverse[items]]] / np.sqrt(counts[inverse[items]])
+    return lifted
 
 
 def weight_power_sum(scenario: SearchScenario) -> float:

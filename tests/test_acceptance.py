@@ -240,7 +240,7 @@ def test_criterion_08_misplaced_confidence_divergence():
         formula_ok = formula_ok and abs(prep.y - pt.y) <= 1e-14
 
         h = full_hamiltonian(s, prep)
-        _, r_axis = reduced_basis(prep, s.n_items)
+        _, r_axis = reduced_basis(prep.beta, prep.target_items)
 
         def residual(t):
             state = evolve_on_grid(h, prep.beta, [t])[0]

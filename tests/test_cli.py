@@ -5,6 +5,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -19,6 +22,8 @@ from conftest import SCENARIO_DIR
 from ctqsearch import (
     cli,
     counting_scenario,
+    dynamics,
+    fullsim,
     load_scenario,
     run_phase_estimation,
     scenario_to_dict,
@@ -126,19 +131,51 @@ def test_verify_runs_above_the_dense_cap(tmp_path):
     assert data["max_trajectory_deviation"] <= 1e-10
 
 
-def test_verify_over_basis_limit_exits_1(tmp_path, capsys):
-    # 52 Chebyshev rows of 10^6 items exceed the basis limit; refused before
-    # the basis is built
-    scenario = tmp_path / "huge.json"
-    scenario.write_text(json.dumps({
+def million_items(tmp_path):
+    # one target and one other item share the only set: two symmetry classes
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
         "n_items": 1_000_000,
         "targets": [0],
         "info_sets": [{"members": [0, 1], "weight": 1.0}],
     }))
-    assert run("verify", "--scenario", scenario, "--out", tmp_path / "out") == 1
+    return path
+
+
+def test_verify_at_a_million_items_passes(tmp_path):
+    # the check runs on the symmetry classes, so its basis does not grow with N
+    assert run("verify", "--scenario", million_items(tmp_path), "--out", tmp_path / "out") == 0
+    data = read_json(tmp_path / "out" / "verify.json")
+    assert data["passed"] is True
+    assert data["max_subspace_leak"] <= 1e-10
+    assert data["max_trajectory_deviation"] <= 1e-10
+
+
+def test_verify_catches_a_perturbed_closed_form_at_a_million_items(tmp_path, monkeypatch, capsys):
+    closed_form = dynamics._reduced_coefficients
+
+    def perturbed(y, energy, times):
+        a, b = closed_form(y, energy, times)
+        return a + 1e-8, b
+
+    monkeypatch.setattr(dynamics, "_reduced_coefficients", perturbed)
+    assert run("verify", "--scenario", million_items(tmp_path), "--out", tmp_path / "out") == 2
+    data = read_json(tmp_path / "out" / "verify.json")
+    assert data["passed"] is False
+    assert data["max_trajectory_deviation"] == pytest.approx(1e-8, rel=1e-3)
+    assert "internal check failed" in capsys.readouterr().err
+
+
+def test_verify_over_basis_limit_exits_1_before_the_basis(tmp_path, monkeypatch, capsys):
+    def no_basis(*args):
+        raise AssertionError("basis allocated despite the size limit")
+
+    monkeypatch.setattr(fullsim, "_chebyshev_basis", no_basis)
+    monkeypatch.setattr(fullsim, "CHEBYSHEV_BASIS_LIMIT", 512)
+    assert run("verify", "--scenario", million_items(tmp_path), "--out", tmp_path / "out") == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "N=1000000" in err and "K=" in err
+    assert err.startswith("error: full-space check needs") and err.count("\n") == 1
+    assert "d=2" in err and "K=" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "verify.json").exists()
 
@@ -823,8 +860,61 @@ def test_fuzzed_size_flags_exit_cleanly(data, command):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 1:
-        # one line naming a flag it was given: as argparse names it, or by its field name
-        assert err.startswith("error: ") and err.count("\n") == 1
-        named = [f for f in flags
-                 if err.startswith(f"error: argument {f}: ") or f[2:].replace("-", "_") in err]
-        assert named, err
+        # one line naming a flag it was given, as argparse names it
+        assert err.count("\n") == 1
+        assert any(err.startswith(f"error: argument {f}: ") for f in flags), err
+
+
+def test_count_register_refusal_names_the_flag(tmp_path, capsys, counting_demo_path):
+    # the 4 * support rule needs the scenario, so it is checked after parsing
+    out = tmp_path / "out"
+    assert run("count", "--scenario", counting_demo_path, "--m-size", 8, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        "error: argument --m-size: counting requires m_size >= 4 * support_size = 24, got 8\n"
+    )
+    assert not out.exists()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("count", "--scenario", counting_demo_path, "--m-size", 32, "--out", out) == 0
+
+
+@pytest.mark.parametrize("energy, m_size", [("-1", "8"), ("nan", "8"), ("1e308", "2048")])
+def test_count_energy_refusal_still_names_the_energy(tmp_path, capsys, energy, m_size):
+    # one target among 400 items: the clusters are balanced, so the count runs
+    # the verification experiment, whose optimal time needs the energy
+    path = tmp_path / "balanced.json"
+    path.write_text(json.dumps({"n_items": 400, "targets": [0],
+                                "info_sets": [{"members": list(range(400)), "weight": 1.0}]}))
+    argv = ["count", "--scenario", path, f"--energy={energy}", "--m-size", m_size]
+    assert run(*argv, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "energy" in err and "--m-size" not in err
+
+
+NUMPY_MA_PROBE = """
+import json, sys
+from ctqsearch import cli
+assert "numpy.ma" not in sys.modules, "imported with the package"
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    assert "numpy.ma" not in sys.modules, argv
+"""
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # numpy.ma costs ~17 ms of import; on numpy 2.x plain np.unique pulls it in
+    doc = json.loads((SCENARIO_DIR / "library_demo.json").read_text())
+    doc["targets"] = doc["targets"][::-1] + doc["targets"][:1]
+    doc["info_sets"] = [{**s, "members": s["members"][::-1] + s["members"]} for s in doc["info_sets"]]
+    unsorted = tmp_path / "unsorted.json"
+    unsorted.write_text(json.dumps(doc))
+    runs = [[command, "--scenario", str(SCENARIO_DIR / SHIPPED_FOR.get(command, "library_demo.json"))]
+            for command in cli.COMMANDS]
+    runs += [["compare", "--scenario", str(unsorted)],
+             ["verify", "--scenario", str(million_items(tmp_path))]]
+    runs = [[*argv, "--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(runs)]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE, json.dumps(runs)],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr

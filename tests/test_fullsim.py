@@ -12,7 +12,7 @@ from ctqsearch import (
     reduced_basis,
     weighted_superposition,
 )
-from ctqsearch import fullsim
+from ctqsearch import fullsim, uniform_superposition
 from ctqsearch.fullsim import (
     chebyshev_coefficients,
     chebyshev_order,
@@ -21,7 +21,8 @@ from ctqsearch.fullsim import (
     full_hamiltonian,
     project_reduced,
 )
-from oracles import ScenarioMode, random_scenario_suite, reduced_hamiltonian
+from ctqsearch.stateprep import symmetry_classes
+from oracles import ScenarioMode, lift_classes, random_scenario_suite, reduced_hamiltonian
 
 
 def max_leak(scenario, prep, times):
@@ -56,7 +57,7 @@ def test_spectrum_stays_in_energy_window():
 def test_restriction_to_plane_is_reduced_hamiltonian(boosted_pair):
     prep = weighted_superposition(boosted_pair)
     h = full_hamiltonian(boosted_pair, prep)
-    w, r = reduced_basis(prep, 8)
+    w, r = reduced_basis(prep.beta, prep.target_items)
     basis = np.column_stack([w, r])
     assert_allclose(basis.T @ h @ basis, reduced_hamiltonian(prep.y, 1.0), atol=1e-12)
     # and the plane is invariant: H maps basis vectors into the plane
@@ -69,7 +70,7 @@ def test_restriction_to_plane_is_reduced_hamiltonian(boosted_pair):
 def test_plane_eigenvalues(boosted_pair):
     prep = weighted_superposition(boosted_pair)
     h = full_hamiltonian(boosted_pair, prep)
-    w, r = reduced_basis(prep, 8)
+    w, r = reduced_basis(prep.beta, prep.target_items)
     basis = np.column_stack([w, r])
     vals = np.linalg.eigvalsh(basis.T @ h @ basis)
     expected = sorted([1.0 * (1 - prep.y), 1.0 * (1 + prep.y)])
@@ -128,7 +129,7 @@ def test_projected_trajectory_matches_closed_form(boosted_pair):
 def test_full_overlap_scenario_has_no_residual_axis():
     s = build_scenario(4, {1, 2}, [({1, 2}, 1.0)])
     prep = weighted_superposition(s)
-    w, r = reduced_basis(prep, 4)
+    w, r = reduced_basis(prep.beta, prep.target_items)
     assert np.all(r == 0.0)
     times = np.linspace(0.0, 4.0, 16)
     assert max_leak(s, prep, times) <= 1e-12
@@ -183,7 +184,7 @@ def test_chebyshev_propagator_matches_dense_oracle(monkeypatch, block_bytes):
         prep = weighted_superposition(s)
         times = np.linspace(0.0, 2.0 * optimal_time(prep.y, s.energy), 33)
         dense = evolve_on_grid(full_hamiltonian(s, prep), prep.beta, times)
-        cheb = np.vstack(list(evolve_blocks(s, prep, times)))
+        cheb = np.vstack(list(evolve_blocks(prep.beta, prep.target_items, s.energy, times)))
         assert np.max(np.abs(cheb - dense)) <= 1e-12
 
         a, b, leak = plane_projection_on_grid(s, prep, times)
@@ -208,22 +209,79 @@ def test_chebyshev_coefficients_match_bessel(a_max):
 
 def test_chebyshev_conserves_norm_and_leaves_uncovered_items_zero(boosted_pair):
     prep = weighted_superposition(boosted_pair)
-    states = np.vstack(list(evolve_blocks(boosted_pair, prep, np.linspace(0.0, 40.0, 50))))
+    times = np.linspace(0.0, 40.0, 50)
+    states = np.vstack(list(evolve_blocks(prep.beta, prep.target_items, 1.0, times)))
     assert_allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=1e-12)
     outside = sorted(set(range(8)) - set(boosted_pair.support))
     assert outside and np.max(np.abs(states[:, outside])) == 0.0
 
 
 def test_chebyshev_basis_limit_refused_before_allocation(monkeypatch):
+    # the limit applies to (K+1)*d*8 bytes, d the number of symmetry classes
     def no_basis(*args):
         raise AssertionError("basis allocated despite the size limit")
 
     monkeypatch.setattr(fullsim, "_chebyshev_basis", no_basis)
+    monkeypatch.setattr(fullsim, "CHEBYSHEV_BASIS_LIMIT", 512)
     s = build_scenario(1_000_000, {0}, [({0, 1}, 1.0)])
     prep = weighted_superposition(s)
     times = np.linspace(0.0, 2.0 * optimal_time(prep.y, s.energy), 8)
-    with pytest.raises(ValueError, match=r"N=1000000, K=\d+"):
+    with pytest.raises(ValueError, match=r"\(K\+1\)\*d\*8 bytes for d=2, K=\d+\)"):
         plane_projection_on_grid(s, prep, times)
+
+
+def test_symmetry_classes_of_the_boosted_pair(boosted_pair):
+    # beta = (0.6, 1.0, 0.6, 0.4, 0, 0, 0, 0)/sqrt(1.88), targets {0, 1}: the
+    # two 0.6 items differ in their target flag, so every class is one item
+    prep = weighted_superposition(boosted_pair)
+    amplitudes, is_target = symmetry_classes(prep)
+    assert_allclose(amplitudes, np.array([1.0, 0.6, 0.4, 0.6]) / np.sqrt(1.88), atol=1e-15)
+    assert is_target.tolist() == [True, True, False, False]
+
+
+def test_uniform_state_folds_onto_the_plane():
+    # equal amplitudes: one target class and one residual class, (y, sqrt(1 - y^2))
+    s = build_scenario(16, {0, 1, 2, 3}, [({0, 1, 2, 3, 4}, 1.0)])
+    prep = uniform_superposition(s)
+    amplitudes, is_target = symmetry_classes(prep)
+    assert_allclose(amplitudes, [prep.y, np.sqrt(1.0 - prep.y**2)], rtol=0, atol=1e-15)
+    assert is_target.tolist() == [True, False]
+
+
+@pytest.mark.parametrize("block_bytes", [fullsim.BLOCK_BYTES, 1])
+def test_class_states_lift_to_the_dense_oracle(monkeypatch, block_bytes):
+    monkeypatch.setattr(fullsim, "BLOCK_BYTES", block_bytes)
+    for s in _small_suite():
+        prep = weighted_superposition(s)
+        amplitudes, is_target = symmetry_classes(prep)
+        assert amplitudes.size <= s.support_size and np.all(amplitudes > 0.0)
+        assert np.linalg.norm(amplitudes[is_target]) == pytest.approx(prep.y, abs=1e-14)
+        times = np.linspace(0.0, 2.0 * optimal_time(prep.y, s.energy), 33)
+        dense = evolve_on_grid(full_hamiltonian(s, prep), prep.beta, times)
+        classes = np.vstack(list(evolve_blocks(amplitudes, is_target, s.energy, times)))
+        lifted = lift_classes(prep.beta, prep.target_items, classes)
+        assert np.max(np.abs(lifted - dense)) <= 1e-12
+
+
+def test_distinct_amplitudes_make_every_item_a_class():
+    # nested sets with distinct weights: each covered item has its own beta,
+    # so the class space is the item support itself (d = support_size)
+    sets = [(set(range(k, 12)), w) for k, w in enumerate([0.05, 0.07, 0.11, 0.13, 0.17, 0.19,
+                                                          0.23, 0.29, 0.31, 0.37, 0.41, 0.43])]
+    s = build_scenario(16, {2, 7, 11}, sets, energy=1.3)
+    prep = weighted_superposition(s)
+    amplitudes, is_target = symmetry_classes(prep)
+    assert amplitudes.size == s.support_size == 12
+    assert is_target.sum() == 3
+    times = np.linspace(0.0, 2.0 * optimal_time(prep.y, s.energy), 41)
+    dense = evolve_on_grid(full_hamiltonian(s, prep), prep.beta, times)
+    classes = np.vstack(list(evolve_blocks(amplitudes, is_target, s.energy, times)))
+    assert np.max(np.abs(lift_classes(prep.beta, prep.target_items, classes) - dense)) <= 1e-12
+    a, b, leak = plane_projection_on_grid(s, prep, times)
+    for i, row in enumerate(dense):
+        a_ref, b_ref, _ = project_reduced(prep, row)
+        assert abs(a[i] - a_ref) <= 1e-12 and abs(b[i] - b_ref) <= 1e-12
+    assert np.max(leak) <= 1e-12
 
 
 def test_plane_projection_of_empty_grid():

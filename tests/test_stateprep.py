@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import build_scenario
-from ctqsearch import uniform_superposition, weighted_superposition
+from ctqsearch import reduced_basis, uniform_superposition, weighted_superposition
 from oracles import ScenarioMode, random_scenario_suite
 
 
@@ -24,7 +24,8 @@ def test_overlapping_sets_boost_shared_item(boosted_pair):
     assert prep.y == pytest.approx(math.sqrt(1.36 / 1.88), abs=1e-14)
     assert prep.r_count == 2
     assert prep.target_items.tolist() == [0, 1]
-    assert prep.residual_items.tolist() == [2, 3]
+    _, r = reduced_basis(prep.beta, prep.target_items)
+    assert np.flatnonzero(r).tolist() == [2, 3]
 
 
 def test_lopsided_weights_shrink_overlap(lopsided_pair):
@@ -59,16 +60,17 @@ def test_amplitude_zero_outside_union(boosted_pair):
 
 def test_component_coefficients_are_unit_vectors(boosted_pair):
     prep = weighted_superposition(boosted_pair)
+    w, r = reduced_basis(prep.beta, prep.target_items)
     assert np.linalg.norm(prep.target_coeffs) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.norm(prep.residual_coeffs) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(r) == pytest.approx(1.0, abs=1e-12)
+    assert_allclose(w[prep.target_items], prep.target_coeffs, rtol=0, atol=1e-15)
     # beta reassembles from the split
     assert prep.beta[list(prep.target_items)] == pytest.approx(
         prep.y * prep.target_coeffs, abs=1e-15
     )
     resid = math.sqrt(1.0 - prep.y**2)
-    assert prep.beta[list(prep.residual_items)] == pytest.approx(
-        resid * prep.residual_coeffs, abs=1e-14
-    )
+    assert prep.beta[[2, 3]] == pytest.approx(resid * r[[2, 3]], abs=1e-14)
+    assert_allclose(prep.beta, prep.y * w + resid * r, rtol=0, atol=1e-14)
 
 
 def test_target_mass_defines_y(boosted_pair):
@@ -82,7 +84,8 @@ def test_full_overlap_gives_y_exactly_one():
     prep = weighted_superposition(s)
     assert prep.y == 1.0
     assert prep.r_count == 0
-    assert prep.residual_coeffs.size == 0
+    _, r = reduced_basis(prep.beta, prep.target_items)
+    assert not r.any()
 
 
 def test_disjoint_uniform_overlap_is_count_fraction():
