@@ -16,15 +16,12 @@ from .analysis import (
     basic_confidence_bound,
     check_scenario_bounds,
     compare_structured_unstructured,
-    disjoint_bound,
     misplaced_confidence_curve,
     misplaced_structure,
 )
 from .dynamics import (
-    ReducedState,
     SuccessDistribution,
     Trajectory,
-    evolve_state,
     optimal_time,
     success_distribution,
     trajectory,
@@ -49,7 +46,7 @@ from .phase_estimation import (
     run_phase_estimation,
     sample_phase_register,
 )
-from .rng import derive_key, make_rng
+from .rng import make_rng
 from .scenario import (
     Confidence,
     ConfidenceReport,

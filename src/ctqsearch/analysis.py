@@ -58,19 +58,11 @@ class BoundReport:
 
 def basic_confidence_bound(n_sets: int, support_size: int, energy: float) -> tuple[float, float]:
     """Guarantees when every set holds a target: y >= 1/sqrt(n*(l+R)) and the
-    corresponding time cap pi*sqrt(n*(l+R))/(2E)."""
+    corresponding time cap pi*sqrt(n*(l+R))/(2E).  Pairwise-disjoint sets that
+    each hold a target satisfy the bound of one set, y >= 1/sqrt(l+R)."""
     if n_sets < 1 or support_size < 1:
         raise ValueError("n_sets and support_size must be >= 1")
     y_lower = 1.0 / math.sqrt(n_sets * support_size)
-    return y_lower, optimal_time(y_lower, energy)
-
-
-def disjoint_bound(support_size: int, energy: float) -> tuple[float, float]:
-    """Tighter guarantee for pairwise-disjoint sets that each hold a target:
-    y >= 1/sqrt(l+R), time <= pi*sqrt(l+R)/(2E)."""
-    if support_size < 1:
-        raise ValueError("support_size must be >= 1")
-    y_lower = 1.0 / math.sqrt(support_size)
     return y_lower, optimal_time(y_lower, energy)
 
 
@@ -78,11 +70,9 @@ def _report(y: float, t: float, kind: BoundKind, bound_on: str, bound_value: flo
     if bound_on == "overlap":
         margin = y - bound_value
         satisfied = margin >= -OVERLAP_BOUND_TOL
-    elif bound_on == "time":
+    else:
         margin = bound_value - t
         satisfied = margin >= -TIME_BOUND_TOL
-    else:
-        raise ValueError(f"bound_on must be 'overlap' or 'time', got {bound_on!r}")
     return BoundReport(y=y, time=t, bound_value=bound_value, bound_kind=kind,
                        bound_on=bound_on, satisfied=satisfied, margin=margin)
 
@@ -94,22 +84,18 @@ def check_scenario_bounds(scenario: SearchScenario) -> list[BoundReport]:
     refinement additionally needs pairwise-disjoint sets.  The unstructured
     baseline comparison is always reported.
     """
-    y = weighted_superposition(scenario).y
-    t = optimal_time(y, scenario.energy)
-    basic = classify_confidence(scenario).confidence is Confidence.BASIC
-
+    comparison = compare_structured_unstructured(scenario)
+    y, t = comparison.y_structured, comparison.time_structured
     reports: list[BoundReport] = []
-    if basic:
-        y_lo, t_hi = basic_confidence_bound(scenario.n_sets, scenario.support_size, scenario.energy)
-        reports.append(_report(y, t, BoundKind.BASIC_CONF, "overlap", y_lo))
-        reports.append(_report(y, t, BoundKind.BASIC_CONF, "time", t_hi))
+    if comparison.confidence is Confidence.BASIC:
+        kinds = [(BoundKind.BASIC_CONF, scenario.n_sets)]
         if sets_pairwise_disjoint(scenario.info_sets):
-            y_lo, t_hi = disjoint_bound(scenario.support_size, scenario.energy)
-            reports.append(_report(y, t, BoundKind.DISJOINT, "overlap", y_lo))
-            reports.append(_report(y, t, BoundKind.DISJOINT, "time", t_hi))
-
-    t_uniform = optimal_time(uniform_superposition(scenario).y, scenario.energy)
-    reports.append(_report(y, t, BoundKind.UNSTRUCTURED_BASELINE, "time", t_uniform))
+            kinds.append((BoundKind.DISJOINT, 1))
+        for kind, n_sets in kinds:
+            y_lo, t_hi = basic_confidence_bound(n_sets, scenario.support_size, scenario.energy)
+            reports.append(_report(y, t, kind, "overlap", y_lo))
+            reports.append(_report(y, t, kind, "time", t_hi))
+    reports.append(_report(y, t, BoundKind.UNSTRUCTURED_BASELINE, "time", comparison.time_uniform))
     return reports
 
 
@@ -184,7 +170,7 @@ def misplaced_structure(scenario: SearchScenario) -> MisplacedStructure:
         raise ScenarioError("misplaced analysis requires exactly two information sets")
     l = scenario.n_targets
     a, b = scenario.info_sets
-    in_a, in_b = (np.intersect1d(s.members, scenario.targets, assume_unique=True).size for s in (a, b))
+    in_a, in_b = classify_confidence(scenario).target_overlaps
     if (in_a, in_b) == (l, 0):
         trusted, wrong = a, b
     elif (in_a, in_b) == (0, l):

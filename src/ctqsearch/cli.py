@@ -32,7 +32,7 @@ from .analysis import (
     misplaced_confidence_curve,
     misplaced_structure,
 )
-from .dynamics import _check_time, optimal_time, success_distribution, trajectory
+from .dynamics import _check_energy, _check_time, optimal_time, success_distribution, trajectory
 from .fullsim import plane_projection_on_grid
 from .phase_estimation import (
     _counting_m_size,
@@ -41,7 +41,7 @@ from .phase_estimation import (
     run_counting,
     run_phase_estimation,
 )
-from .scenario import ScenarioError, SearchScenario, load_scenario, scenario_to_dict
+from .scenario import SearchScenario, load_scenario, scenario_to_dict
 from .stateprep import weighted_superposition
 
 SCHEMA_VERSION = "2.0"
@@ -99,7 +99,8 @@ def _checked(check):
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-    sub.add_argument("--energy", type=float, default=None, help="override the energy scale")
+    sub.add_argument("--energy", type=_checked(_check_energy), default=None,
+                     help="override the energy scale")
     sub.add_argument("--out", default="results", help="output directory (created if missing)")
     sub.add_argument("--format", choices=("json", "csv", "both"), default="both")
 
@@ -357,16 +358,7 @@ def cmd_sweep(args, scenario: SearchScenario) -> Output:
 def cmd_compare(args, scenario: SearchScenario) -> Output:
     report = compare_structured_unstructured(scenario)
     return Output(
-        payload={
-            "y_structured": report.y_structured,
-            "y_uniform": report.y_uniform,
-            "time_structured": report.time_structured,
-            "time_uniform": report.time_uniform,
-            "time_ratio": report.time_ratio,
-            "speedup": report.speedup,
-            "confidence": report.confidence.value,
-            "support_exponent": report.support_exponent,
-        },
+        payload={**dataclasses.asdict(report), "confidence": report.confidence.value},
         summary=(
             f"structured T={report.time_structured:.4f} uniform T={report.time_uniform:.4f} "
             f"speedup={report.speedup:.4f}"
@@ -410,7 +402,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         _run(parser.parse_args(argv))
-    except (CliInputError, ScenarioError, OSError, ValueError, OverflowError, MemoryError) as exc:
+    except (OSError, ValueError, OverflowError, MemoryError) as exc:  # incl. CliInputError, ScenarioError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalCheckError as exc:

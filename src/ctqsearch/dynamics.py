@@ -51,19 +51,6 @@ def _residual_norm(y: float) -> float:
     return math.sqrt(max(0.0, 1.0 - y * y))
 
 
-@dataclass(frozen=True)
-class ReducedState:
-    """Coefficients (a, b) of the state a|w> + b|r> on the invariant plane."""
-
-    a: complex
-    b: complex
-
-    @property
-    def success_probability(self) -> float:
-        """Probability of measuring any target item, |a|**2."""
-        return abs(self.a) ** 2
-
-
 def _reduced_coefficients(y: float, energy: float, times) -> tuple[np.ndarray, np.ndarray]:
     # Closed-form evolution of the initial state (a, b) = (y, sqrt(1-y**2)),
     # one entry per time.  The product phase * (y*cos - i*sin) is written out
@@ -80,15 +67,6 @@ def _reduced_coefficients(y: float, energy: float, times) -> tuple[np.ndarray, n
     a.imag = phase.imag * (y * cos_t) - phase.real * sin_t
     b = phase * (c * cos_t)
     return a, b
-
-
-def evolve_state(prep: StatePrep, energy: float, t: float) -> ReducedState:
-    """Evolve the prepared state for time t; exact up to roundoff."""
-    y = _check_overlap(prep.y)
-    energy = _check_energy(energy)
-    t = _check_time(t)
-    a, b = _reduced_coefficients(y, energy, [t])
-    return ReducedState(a=complex(a[0]), b=complex(b[0]))
 
 
 def optimal_time(y: float, energy: float) -> float:
@@ -122,8 +100,8 @@ def success_distribution(prep: StatePrep, energy: float, t: float) -> SuccessDis
     the remaining mass 1 - |a(t)|**2 is spread over non-target items and is
     reported in aggregate as ``failure``.
     """
-    state = evolve_state(prep, energy, t)
-    p_success = state.success_probability
+    a, _ = _reduced_coefficients(_check_overlap(prep.y), _check_energy(energy), [_check_time(t)])
+    p_success = abs(complex(a[0])) ** 2
     probs = {
         int(item): float(p_success * coeff * coeff)
         for item, coeff in zip(prep.target_items, prep.target_coeffs)

@@ -85,15 +85,14 @@ def circle_distance(a, b):
 @dataclass(frozen=True)
 class RegisterDistribution:
     """Exact register statistics for overlap ``y`` on the sorted bins ``k`` of the
-    two branches' windows: the branch laws, their weights, and the mixture."""
+    two branches' windows: the branch laws and their mixture, with weights
+    (1 - y)/2 on the phase-y branch and (1 + y)/2 on its complement."""
 
     y: float
     m_size: int
     k: np.ndarray
     branch_phase_y: np.ndarray
     branch_phase_complement: np.ndarray
-    weight_phase_y: float
-    weight_phase_complement: float
     total: np.ndarray
 
     def __post_init__(self) -> None:
@@ -121,11 +120,9 @@ def measurement_distribution(y: float, m_size: int) -> RegisterDistribution:
     k = np.array(sorted(bins), dtype=np.int64)  # np.union1d would import numpy.ma
     b_y = _branch_law(y, m_size, k)
     b_c = _branch_law(1.0 - y, m_size, k)
-    w_y = (1.0 - y) / 2.0
-    w_c = (1.0 + y) / 2.0
+    total = (1.0 - y) / 2.0 * b_y + (1.0 + y) / 2.0 * b_c
     return RegisterDistribution(y=y, m_size=m_size, k=k, branch_phase_y=b_y,
-                                branch_phase_complement=b_c, weight_phase_y=w_y,
-                                weight_phase_complement=w_c, total=w_y * b_y + w_c * b_c)
+                                branch_phase_complement=b_c, total=total)
 
 
 def _window(phase: float, m_size: int) -> tuple[int, float, np.ndarray]:
@@ -247,7 +244,6 @@ class PhaseEstimate:
     y_candidates: tuple[float, float]
     y_hat: float
     m_size: int
-    samples_used: int
     cluster_counts: tuple[int, int]
     ambiguous: bool
     candidate_gap: float
@@ -316,7 +312,6 @@ def estimate_y(samples, m_size: int) -> PhaseEstimate:
         y_candidates=(c_low, c_high),
         y_hat=y_hat,
         m_size=m_size,
-        samples_used=int(ks.size),
         cluster_counts=(heavy_n, light_n),
         ambiguous=ambiguous,
         candidate_gap=circle_distance(c_low, c_high),
@@ -500,12 +495,6 @@ class CountResult:
     support_size: int
     estimate: PhaseEstimate
     scenario: SearchScenario
-    samples: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.samples, dtype=np.int64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "samples", arr)
 
 
 def run_counting(
@@ -523,7 +512,7 @@ def run_counting(
     counting = counting_scenario(scenario)
     support = counting.support_size
     m_size = _counting_m_size(m_size, support)
-    est, samples = run_phase_estimation(
+    est, _ = run_phase_estimation(
         counting, weighted_superposition(counting), m_size=m_size, n_samples=n_samples, seed=seed
     )
     return CountResult(
@@ -531,5 +520,4 @@ def run_counting(
         support_size=support,
         estimate=est,
         scenario=counting,
-        samples=samples,
     )

@@ -14,15 +14,11 @@ import hashlib
 
 import numpy as np
 
-def derive_key(seed: int, tag: str = "") -> int:
-    """128-bit generator key derived from a user seed and a stream tag."""
-    digest = hashlib.sha256(f"{int(seed)}:{tag}".encode()).digest()
-    return int.from_bytes(digest[:16], "big")
-
-
 def make_rng(seed: int, tag: str = "") -> np.random.Generator:
-    """Generator on a reproducible stream that is independent per tag."""
-    return np.random.Generator(np.random.Philox(key=derive_key(seed, tag)))
+    """Generator on a reproducible stream that is independent per tag: its
+    128-bit Philox key is the first half of SHA-256 of ``"<seed>:<tag>"``."""
+    digest = hashlib.sha256(f"{int(seed)}:{tag}".encode()).digest()
+    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "big")))
 
 
 def sample_inverse_cdf(probs, rng: np.random.Generator, n_draws: int) -> np.ndarray:

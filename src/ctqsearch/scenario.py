@@ -128,10 +128,9 @@ class SearchScenario:
     """Immutable search problem: item count, targets, info sets, energy scale.
 
     Raw reliability weights summing to any positive value are rescaled to sum
-    to one; ``weights_normalized`` records that this happened.  Weights that
-    are zero, negative, or non-finite are rejected outright, as are empty
-    target sets, out-of-range indices, and target sets not covered by the
-    union of the information sets.
+    to one.  Weights that are zero, negative, or non-finite are rejected
+    outright, as are empty target sets, out-of-range indices, and target sets
+    not covered by the union of the information sets.
 
     ``labels`` is optional display metadata (item index, name) and plays no
     role in any computation.
@@ -141,7 +140,6 @@ class SearchScenario:
     targets: np.ndarray
     info_sets: tuple[InformationSet, ...]
     energy: float = 1.0
-    weights_normalized: bool = False
     labels: tuple[tuple[int, str], ...] | None = None
 
     def __post_init__(self) -> None:
@@ -167,11 +165,9 @@ class SearchScenario:
         except OverflowError:
             raise _refuse("weight", "the weights sum overflows a float") from None
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            # Positive-sum weight vectors are rescaled rather than rejected;
-            # the flag lets callers surface a warning.
+            # positive-sum weight vectors are rescaled rather than rejected
             rescaled = tuple(InformationSet(s.members, s.weight / total) for s in self.info_sets)
             object.__setattr__(self, "info_sets", rescaled)
-            object.__setattr__(self, "weights_normalized", True)
         try:
             mask = _union_mask(self.info_sets, self.n_items)
         except (MemoryError, ValueError):  # numpy: cannot allocate / dimension too large
@@ -202,15 +198,6 @@ class SearchScenario:
     @property
     def support_size(self) -> int:
         return self.support.size
-
-    @property
-    def residual_count(self) -> int:
-        """Number of covered non-target items."""
-        return self.support_size - self.n_targets
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(s.weight for s in self.info_sets)
 
 
 @dataclass(frozen=True)

@@ -54,16 +54,20 @@ class StatePrep:
 
 
 def _finalize(scenario: SearchScenario, raw: np.ndarray) -> StatePrep:
-    # raw amplitudes are sums of positive weights, so support tests are exact
-    nu = float(np.linalg.norm(raw))
+    # raw amplitudes are sums of positive weights, so support tests are exact.
+    # Norms sum their squares pairwise (np.sum); np.linalg.norm's BLAS dot is
+    # off by ~1e-13 at 10**6 items, which verify reads as a phase drift.  The
+    # squares go into the buffer that becomes beta, so no third array is held.
+    beta = np.square(raw)
+    nu = float(np.sqrt(np.sum(beta)))
     if nu == 0.0:
         raise ScenarioError("state preparation invariant violated: zero amplitude vector")
-    beta = raw / nu
+    np.divide(raw, nu, out=beta)
 
     target_items = scenario.targets
     target_slice = beta[target_items]
     r_count = int(np.count_nonzero(beta)) - int(np.count_nonzero(target_slice))
-    y = float(np.linalg.norm(target_slice))
+    y = float(np.sqrt(np.sum(np.square(target_slice))))
     if y == 0.0:
         raise ScenarioError("state preparation invariant violated: no amplitude on targets")
     if r_count == 0:

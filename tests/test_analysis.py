@@ -16,7 +16,6 @@ from ctqsearch import (
     check_scenario_bounds,
     classify_confidence,
     compare_structured_unstructured,
-    disjoint_bound,
     misplaced_confidence_curve,
     misplaced_structure,
     optimal_time,
@@ -50,7 +49,8 @@ def test_basic_bound_formula():
 
 
 def test_disjoint_bound_formula():
-    y_lo, t_hi = disjoint_bound(16, 1.0)
+    # pairwise-disjoint sets satisfy the basic bound of a single set
+    y_lo, t_hi = basic_confidence_bound(1, 16, 1.0)
     assert y_lo == pytest.approx(0.25, abs=1e-15)
     assert t_hi == pytest.approx(2 * math.pi, abs=1e-12)
 
@@ -61,7 +61,7 @@ def test_bound_argument_validation():
     with pytest.raises(ValueError):
         basic_confidence_bound(2, 0, 1.0)
     with pytest.raises(ValueError):
-        disjoint_bound(0, 1.0)
+        basic_confidence_bound(1, 0, 1.0)
 
 
 def test_guaranteed_bounds_hold_on_random_basic_suite():
@@ -84,6 +84,14 @@ def test_guaranteed_bounds_hold_on_random_disjoint_suite():
         for rep in reports:
             if rep.bound_kind is not BoundKind.UNSTRUCTURED_BASELINE:
                 assert rep.satisfied, rep
+        # the values reported are the closed forms
+        values = {(r.bound_kind, r.bound_on): r.bound_value for r in reports}
+        y_lo = 1.0 / math.sqrt(s.support_size)
+        assert values[BoundKind.DISJOINT, "overlap"] == y_lo
+        assert values[BoundKind.DISJOINT, "time"] == optimal_time(y_lo, s.energy)
+        assert values[BoundKind.BASIC_CONF, "overlap"] == 1.0 / math.sqrt(s.n_sets * s.support_size)
+        baseline = compare_structured_unstructured(s).time_uniform
+        assert values[BoundKind.UNSTRUCTURED_BASELINE, "time"] == baseline
 
 
 def test_baseline_report_is_informational():
@@ -272,7 +280,7 @@ def test_suite_disjoint_mode_properties():
         assert sets_pairwise_disjoint(s.info_sets)
         assert classify_confidence(s).confidence is Confidence.BASIC
         assert s.support_size <= 20
-        w = s.weights
+        w = [i.weight for i in s.info_sets]
         assert max(w) - min(w) <= 1e-12
 
 
@@ -286,7 +294,7 @@ def test_suite_misplaced_mode_properties():
 
 def test_suite_determinism_and_mode_separation():
     def fields(suite):  # scenarios compare by identity; compare every field instead
-        return [(scenario_to_dict(s), s.weights_normalized) for s in suite]
+        return [scenario_to_dict(s) for s in suite]
 
     a = random_scenario_suite(42, 6, ScenarioMode.BASIC)
     b = random_scenario_suite(42, 6, ScenarioMode.BASIC)

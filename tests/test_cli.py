@@ -151,6 +151,29 @@ def test_verify_at_a_million_items_passes(tmp_path):
     assert data["max_trajectory_deviation"] <= 1e-10
 
 
+def two_ranges_at_a_million_items(tmp_path):
+    # y = 1.0e-3: a relative error of 1e-13 in the norm of beta would make verify
+    # read a phase drift of about pi * 1e-13 / (2 * y), over the tolerance
+    path = tmp_path / "two_ranges.json"
+    path.write_text(json.dumps({
+        "n_items": 1_000_000,
+        "targets": list(range(5)),
+        "info_sets": [
+            {"members": list(range(600_000)), "weight": 0.3},
+            {"members": list(range(400_000, 1_000_000)), "weight": 0.7},
+        ],
+    }))
+    return path
+
+
+def test_verify_passes_with_a_small_overlap_at_a_million_items(tmp_path):
+    scenario = two_ranges_at_a_million_items(tmp_path)
+    assert run("verify", "--scenario", scenario, "--out", tmp_path / "out") == 0
+    data = read_json(tmp_path / "out" / "verify.json")
+    assert data["passed"] is True
+    assert data["max_trajectory_deviation"] <= 1e-11
+
+
 def test_verify_catches_a_perturbed_closed_form_at_a_million_items(tmp_path, monkeypatch, capsys):
     closed_form = dynamics._reduced_coefficients
 
@@ -553,6 +576,19 @@ def test_invalid_energy_override(tmp_path, library_demo_path, capsys):
     assert run("simulate", "--scenario", library_demo_path, "--out", tmp_path,
                "--energy", -1.0) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("energy", ["-1", "0", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_energy_flag_refused_by_name(tmp_path, capsys, command, energy):
+    source = SCENARIO_DIR / SHIPPED_FOR.get(command, "library_demo.json")
+    out = tmp_path / "out"
+    assert run(command, "--scenario", source, f"--energy={energy}", "--out", out) == 1
+    value = float(energy)
+    assert capsys.readouterr().err == (
+        f"error: argument --energy: energy must be positive and finite, got {value}\n"
+    )
+    assert not out.exists()
 
 
 def indent2(doc):

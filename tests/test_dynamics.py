@@ -11,7 +11,6 @@ from scipy.linalg import expm
 from conftest import build_scenario
 from ctqsearch import (
     SuccessDistribution,
-    evolve_state,
     make_rng,
     optimal_time,
     success_distribution,
@@ -92,14 +91,16 @@ def test_propagator_diagonal_on_eigenvectors():
     assert_allclose(u @ x2, np.exp(-1j * lam2 * t) * x2, atol=1e-12)
 
 
-def test_evolve_state_matches_propagator(boosted_pair):
+def test_reduced_evolution_matches_propagator(boosted_pair):
     prep = weighted_superposition(boosted_pair)
     y = prep.y
     initial = np.array([y, math.sqrt(1 - y * y)])
     for t in (0.0, 0.4, 1.1, 2.9):
         expected = evolution_matrix(y, 1.0, t) @ initial
-        state = evolve_state(prep, 1.0, t)
-        assert_allclose([state.a, state.b], expected, atol=1e-12)
+        traj = trajectory(prep, 1.0, t_max=t, n_points=2)
+        assert_allclose([traj.a[-1], traj.b[-1]], expected, atol=1e-12)
+        success = success_distribution(prep, 1.0, t).success
+        assert success == pytest.approx(abs(expected[0]) ** 2, abs=1e-12)
 
 
 def test_success_probability_closed_form():
@@ -107,10 +108,11 @@ def test_success_probability_closed_form():
     energy = 1.4
     prep = weighted_superposition(build_scenario(4, {0}, [({0, 1, 2, 3}, 1.0)]))
     y = prep.y  # 0.5
-    for t in np.linspace(0.0, 9.0, 25):
-        state = evolve_state(prep, energy, t)
+    traj = trajectory(prep, energy, t_max=9.0, n_points=25)
+    for t, success in zip(traj.times, traj.success):
         expected = 1.0 - (1.0 - y * y) * math.cos(energy * y * t) ** 2
-        assert state.success_probability == pytest.approx(expected, abs=1e-12)
+        assert success == pytest.approx(expected, abs=1e-12)
+        assert success_distribution(prep, energy, t).success == pytest.approx(expected, abs=1e-12)
 
 
 def test_success_probability_periodic(lopsided_pair):
@@ -118,8 +120,8 @@ def test_success_probability_periodic(lopsided_pair):
     energy = 1.0
     period = math.pi / (energy * prep.y)
     for t in (0.2, 1.0, 3.7):
-        p1 = evolve_state(prep, energy, t).success_probability
-        p2 = evolve_state(prep, energy, t + period).success_probability
+        p1 = success_distribution(prep, energy, t).success
+        p2 = success_distribution(prep, energy, t + period).success
         assert p1 == pytest.approx(p2, abs=1e-12)
 
 
@@ -133,10 +135,10 @@ def test_optimal_time_value(lopsided_pair):
 def test_optimal_time_is_first_maximum(boosted_pair):
     prep = weighted_superposition(boosted_pair)
     t_opt = optimal_time(prep.y, 1.0)
-    at_peak = evolve_state(prep, 1.0, t_opt).success_probability
+    at_peak = success_distribution(prep, 1.0, t_opt).success
     assert at_peak == pytest.approx(1.0, abs=1e-12)
     for frac in (0.25, 0.5, 0.9):
-        assert evolve_state(prep, 1.0, frac * t_opt).success_probability < at_peak
+        assert success_distribution(prep, 1.0, frac * t_opt).success < at_peak
     # doubling the energy halves the time
     assert optimal_time(prep.y, 2.0) == pytest.approx(t_opt / 2, abs=1e-12)
 

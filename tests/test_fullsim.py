@@ -6,10 +6,10 @@ from scipy.special import jv
 
 from conftest import build_scenario
 from ctqsearch import (
-    evolve_state,
     optimal_time,
     plane_projection_on_grid,
     reduced_basis,
+    trajectory,
     weighted_superposition,
 )
 from ctqsearch import fullsim, uniform_superposition
@@ -116,13 +116,12 @@ def test_projected_trajectory_matches_closed_form(boosted_pair):
     prep = weighted_superposition(boosted_pair)
     h = full_hamiltonian(boosted_pair, prep)
     t_opt = optimal_time(prep.y, 1.0)
-    times = np.linspace(0.0, 2 * t_opt, 64)
-    states = evolve_on_grid(h, prep.beta, times)
-    for t, row in zip(times, states):
+    closed = trajectory(prep, 1.0, t_max=2 * t_opt, n_points=64)
+    states = evolve_on_grid(h, prep.beta, closed.times)
+    for row, a_closed, b_closed in zip(states, closed.a, closed.b):
         a, b, leak = project_reduced(prep, row)
-        closed = evolve_state(prep, 1.0, t)
-        assert abs(a - closed.a) <= 1e-12
-        assert abs(b - closed.b) <= 1e-12
+        assert abs(a - a_closed) <= 1e-12
+        assert abs(b - b_closed) <= 1e-12
         assert leak <= 1e-12
 
 

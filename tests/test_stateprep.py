@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import build_scenario
-from ctqsearch import reduced_basis, uniform_superposition, weighted_superposition
+from ctqsearch import (
+    InformationSet,
+    SearchScenario,
+    reduced_basis,
+    uniform_superposition,
+    weighted_superposition,
+)
 from oracles import ScenarioMode, random_scenario_suite
 
 
@@ -49,6 +55,23 @@ def test_unit_norm_and_nonnegative(boosted_pair, lopsided_pair):
         prep = weighted_superposition(s)
         assert np.linalg.norm(prep.beta) == pytest.approx(1.0, abs=1e-12)
         assert np.all(prep.beta >= 0)
+
+
+def test_norms_are_exact_to_roundoff_at_a_million_items():
+    # two overlapping ranges with five targets, y = 1.0e-3; np.linalg.norm's
+    # dot drifted by 2e-13 here, and the full-space check reads that as a phase
+    n = 10**6
+    s = SearchScenario(
+        n_items=n,
+        targets=range(5),
+        info_sets=(InformationSet(range(600_000), 0.3), InformationSet(range(400_000, n), 0.7)),
+    )
+    for prep in (weighted_superposition(s), uniform_superposition(s)):
+        assert abs(math.fsum(prep.beta**2) - 1.0) <= 1e-15
+        target_mass = math.fsum(prep.beta[prep.target_items] ** 2)
+        assert target_mass == pytest.approx(prep.y**2, rel=1e-15)
+    raw_sq = 400_000 * 0.3**2 + 200_000 * 1.0 + 400_000 * 0.7**2
+    assert weighted_superposition(s).nu == pytest.approx(math.sqrt(raw_sq), rel=1e-15)
 
 
 def test_amplitude_zero_outside_union(boosted_pair):
