@@ -34,7 +34,6 @@ from .phase_estimation import (
     CountResult,
     PhaseEstimate,
     RegisterDistribution,
-    circle_distance,
     counting_scenario,
     disambiguate,
     disjointify,
@@ -55,7 +54,6 @@ from .scenario import (
     SearchScenario,
     classify_confidence,
     load_scenario,
-    oracle_eval,
     scenario_from_dict,
     scenario_to_dict,
     sets_pairwise_disjoint,

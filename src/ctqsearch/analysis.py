@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import _check_energy, _check_overlap, optimal_time
+from .dynamics import optimal_time
 from .scenario import (
     Confidence,
     ScenarioError,
@@ -127,29 +127,18 @@ def misplaced_confidence_curve(
     overlap), the second has ``n2`` items and no targets, they share ``n12``
     items, and the second carries weight ``alpha2``.  As alpha2 -> 1 the
     prepared state loses its target component and the search time diverges.
-    Returns a record array ``alpha2, nu, y, time``, bit-identical to the
-    scalar formula followed by :func:`optimal_time`.
+    Returns a record array ``alpha2, nu, y, time``, ``time`` being
+    :func:`optimal_time` of each ``y``.
     """
     _check_misplaced_params(l, n1, n2, n12)
     alpha2 = np.asarray(alpha2_values, dtype=float)
     outside = ~((alpha2 > 0.0) & (alpha2 < 1.0))
     if outside.any():
         raise ValueError(f"alpha2 must lie in (0, 1), got {alpha2[outside][0]}")
-    energy = _check_energy(energy)
     alpha1 = 1.0 - alpha2
     nu = np.sqrt((n1 - n12) * alpha1 * alpha1 + n12 + (n2 - n12) * alpha2 * alpha2)
     y = math.sqrt(l) * alpha1 / nu
-    outside = ~((y > 0.0) & (y <= 1.0))
-    if outside.any():
-        _check_overlap(y[outside][0])  # raises with the scalar path's message
-    with np.errstate(divide="ignore", over="ignore"):
-        time = math.pi / (2.0 * energy * y)
-    outside = ~((time > 0.0) & (time < math.inf))
-    if outside.any():
-        raise ValueError(
-            f"optimal time pi/(2*E*y) is out of range for energy {energy} and y {y[outside][0]}"
-        )
-    return np.rec.fromarrays([alpha2, nu, y, time], names="alpha2,nu,y,time")
+    return np.rec.fromarrays([alpha2, nu, y, optimal_time(y, energy)], names="alpha2,nu,y,time")
 
 
 @dataclass(frozen=True)
@@ -179,9 +168,8 @@ def misplaced_structure(scenario: SearchScenario) -> MisplacedStructure:
         raise ScenarioError(
             "misplaced analysis requires all targets in one set and none in the other"
         )
+    # no target lies in the wrong set, so none in the overlap: n1 - n12 >= l
     overlap = np.intersect1d(trusted.members, wrong.members, assume_unique=True).size
-    if trusted.size - overlap < l:
-        raise ScenarioError("targets may not sit in the overlap of the two sets")
     return MisplacedStructure(
         l=l,
         n1=trusted.size,

@@ -56,10 +56,6 @@ class CliInputError(ValueError):
     """Invalid command line or scenario input."""
 
 
-class InternalCheckError(RuntimeError):
-    """An internal consistency check failed; exit code 2."""
-
-
 class _Parser(argparse.ArgumentParser):
     # route argparse failures through the normal invalid-input path (exit 1)
     def error(self, message):
@@ -376,8 +372,9 @@ COMMANDS = {
 }
 
 
-def _run(args) -> None:
-    """Load the scenario, run the command, then write and report its outputs."""
+def _run(args) -> int:
+    """Load the scenario, run the command, then write and report its outputs;
+    the exit code is 2 when the command's internal check failed, else 0."""
     scenario = load_scenario(args.scenario)
     if args.energy is not None:
         scenario = dataclasses.replace(scenario, energy=args.energy)
@@ -395,20 +392,18 @@ def _run(args) -> None:
         _write_csv(out / name, header, columns)
     print(result.summary)
     if result.failure:
-        raise InternalCheckError(result.failure)
+        print(f"internal check failed: {result.failure}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        _run(parser.parse_args(argv))
+        return _run(parser.parse_args(argv))
     except (OSError, ValueError, OverflowError, MemoryError) as exc:  # incl. CliInputError, ScenarioError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except InternalCheckError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return 2
-    return 0
 
 
 if __name__ == "__main__":

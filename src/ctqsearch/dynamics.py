@@ -69,15 +69,25 @@ def _reduced_coefficients(y: float, energy: float, times) -> tuple[np.ndarray, n
     return a, b
 
 
-def optimal_time(y: float, energy: float) -> float:
-    """First time the state aligns with the target subspace: pi/(2*E*y)."""
-    y = _check_overlap(y)
+def optimal_time(y, energy: float):
+    """First time the state aligns with the target subspace: pi/(2*E*y), for
+    each overlap in ``y``; a float for a scalar ``y``.  The first y or time
+    out of range is refused."""
+    ys = np.asarray(y, dtype=float)
+    outside = ~((ys > 0.0) & (ys <= 1.0))
+    if outside.any():
+        _check_overlap(ys[outside][0])
     energy = _check_energy(energy)
-    rate = 2.0 * energy * y  # 0 or inf when the product leaves the float range
-    time = math.pi / rate if rate else math.inf
-    if not 0.0 < time < math.inf:
-        raise ValueError(f"optimal time pi/(2*E*y) is out of range for energy {energy} and y {y}")
-    return time
+    with np.errstate(divide="ignore", over="ignore"):
+        # the rate 2*E*y is 0 or inf when the product leaves the float range
+        time = math.pi / (2.0 * energy * ys)
+    outside = ~((time > 0.0) & (time < math.inf))
+    if outside.any():
+        raise ValueError(
+            "optimal time pi/(2*E*y) is out of range for energy "
+            f"{energy} and y {float(ys[outside][0])}"
+        )
+    return float(time) if time.ndim == 0 else time
 
 
 @dataclass(frozen=True)

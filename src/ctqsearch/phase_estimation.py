@@ -13,8 +13,9 @@ decide which side is ``y``.  The heavier cluster belongs to the phase
 ``1 - y``, so the default rule reads ``y_hat = 1 - k_mode/M``.  When the two
 clusters are too balanced to call, or the split is likelier under the mirror
 reading (for small ``y`` both clusters hold nearly half the samples), a short
-verification experiment (evolve to each candidate's optimal time and check
-hits through the membership oracle) decides.
+verification experiment decides: evolve to each candidate's optimal time and
+count the measurements that hit a target, each with the plane's success
+probability |a(t)|**2.
 
 The register distribution here is the exact closed form of the measurement
 after controlled powers of the walk and an inverse Fourier transform;
@@ -38,9 +39,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import _check_overlap, optimal_time, success_distribution
+from .dynamics import _check_overlap, _reduced_coefficients, optimal_time
 from .rng import make_rng, sample_inverse_cdf
-from .scenario import InformationSet, ScenarioError, SearchScenario, oracle_eval
+from .scenario import InformationSet, ScenarioError, SearchScenario
 from .stateprep import StatePrep, weighted_superposition
 
 # clusters are called ambiguous when the relative count gap falls below
@@ -73,22 +74,12 @@ def next_power_of_two(value: int) -> int:
     return 1 << max(1, (int(value) - 1).bit_length())
 
 
-def circle_distance(a, b):
-    """Distance on the unit circle: min over integers j of |a - b + j|."""
-    diff = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % 1.0
-    out = np.minimum(diff, 1.0 - diff)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
 @dataclass(frozen=True)
 class RegisterDistribution:
-    """Exact register statistics for overlap ``y`` on the sorted bins ``k`` of the
-    two branches' windows: the branch laws and their mixture, with weights
-    (1 - y)/2 on the phase-y branch and (1 + y)/2 on its complement."""
+    """Exact register statistics on the sorted bins ``k`` of the two branches'
+    windows: the branch laws and their mixture, with weights (1 - y)/2 on the
+    phase-y branch and (1 + y)/2 on its complement."""
 
-    y: float
     m_size: int
     k: np.ndarray
     branch_phase_y: np.ndarray
@@ -121,7 +112,7 @@ def measurement_distribution(y: float, m_size: int) -> RegisterDistribution:
     b_y = _branch_law(y, m_size, k)
     b_c = _branch_law(1.0 - y, m_size, k)
     total = (1.0 - y) / 2.0 * b_y + (1.0 + y) / 2.0 * b_c
-    return RegisterDistribution(y=y, m_size=m_size, k=k, branch_phase_y=b_y,
+    return RegisterDistribution(m_size=m_size, k=k, branch_phase_y=b_y,
                                 branch_phase_complement=b_c, total=total)
 
 
@@ -297,6 +288,7 @@ def estimate_y(samples, m_size: int) -> PhaseEstimate:
 
     pair_total = n_low + n_high
     gap = (heavy_n - light_n) / pair_total
+    turn = (c_high - c_low) % 1.0  # the pair's distance on the unit circle
     y_hat = 1.0 - heavy_k / m_size
     # the pairs {0} and {M/2} have one side, where the ratio is undefined
     llr = _mirror_log_likelihood_ratio(y_hat, heavy_n, light_n) if mirror != p else 0.0
@@ -314,7 +306,7 @@ def estimate_y(samples, m_size: int) -> PhaseEstimate:
         m_size=m_size,
         cluster_counts=(heavy_n, light_n),
         ambiguous=ambiguous,
-        candidate_gap=circle_distance(c_low, c_high),
+        candidate_gap=min(turn, 1.0 - turn),
         log_likelihood_ratio=llr,
     )
 
@@ -334,24 +326,19 @@ def _verification_harmonic(candidate: float, gap: float) -> int:
 
 
 def _verification_hits(
-    scenario: SearchScenario,
-    prep: StatePrep,
+    y: float,
+    energy: float,
     candidate: float,
     rng: np.random.Generator,
     n_draws: int,
-    harmonic: int = 1,
+    harmonic: int,
 ) -> int:
-    """Evolve to an odd-harmonic peak of the candidate and count oracle hits.
-
-    Measurement outcomes inside the target support are checked through
-    :func:`oracle_eval`; the aggregate non-target outcome never hits.
+    """Evolve the system of overlap ``y`` to an odd-harmonic peak of the
+    candidate and measure ``n_draws`` times: each draw hits a target with the
+    plane's success probability |a(t)|**2 (Farhi and Gutmann, PRA 57, 2403, 1998).
     """
-    t_candidate = harmonic * optimal_time(candidate, scenario.energy)
-    dist = success_distribution(prep, scenario.energy, t_candidate)
-    items = sorted(dist.target_probs)
-    probs = [dist.target_probs[i] for i in items] + [dist.failure]
-    draws = sample_inverse_cdf(probs, rng, n_draws)
-    return sum(oracle_eval(scenario, items[d]) for d in draws if d < len(items))
+    a, _ = _reduced_coefficients(y, energy, [harmonic * optimal_time(candidate, energy)])
+    return int(np.count_nonzero(rng.random(n_draws) < abs(complex(a[0])) ** 2))
 
 
 def disambiguate(
@@ -360,18 +347,16 @@ def disambiguate(
     prep: StatePrep,
     *,
     seed: int,
-    n_verify: int = N_VERIFY,
 ) -> PhaseEstimate:
     """Resolve an ambiguous mirror pair with verification experiments.
 
     Each positive candidate is tried: evolve the true system to an
     odd-harmonic peak of that candidate (the harmonic is chosen to separate
     the pair; it is 1 for well-split candidates) and count how many of
-    ``n_verify`` sampled measurements the membership oracle confirms.  A
-    candidate must lead by at least ``MIN_LEAD`` hits to win; otherwise the
-    branch the register split makes likelier stands (at rational phase
-    ratios both candidates can score perfectly, and the split is then the
-    best evidence available).
+    ``N_VERIFY`` measurements hit a target.  A candidate must lead by at
+    least ``MIN_LEAD`` hits to win; otherwise the branch the register split
+    makes likelier stands (at rational phase ratios both candidates can score
+    perfectly, and the split is then the best evidence available).
     """
     if not estimate.ambiguous:
         return estimate
@@ -385,7 +370,8 @@ def disambiguate(
         rng = make_rng(seed, "verify")
         gap = c_high - c_low
         hits = [
-            _verification_hits(scenario, prep, c, rng, n_verify, _verification_harmonic(c, gap))
+            _verification_hits(prep.y, scenario.energy, c, rng, N_VERIFY,
+                               _verification_harmonic(c, gap))
             for c in candidates
         ]
         if abs(hits[0] - hits[1]) >= MIN_LEAD:
@@ -421,8 +407,7 @@ def run_phase_estimation(
 
     ``prep`` is the scenario's prepared state (:func:`weighted_superposition`).
     Returns the (possibly verification-resolved) estimate together with the
-    raw register samples.  The target set is consulted only through the
-    membership oracle during verification.
+    raw register samples.
     """
     samples = sample_phase_register(prep.y, m_size, n_samples, seed)
     est = estimate_y(samples, m_size)

@@ -208,19 +208,6 @@ class ConfidenceReport:
     target_overlaps: tuple[int, ...]
 
 
-def oracle_eval(scenario: SearchScenario, item: int) -> int:
-    """Membership oracle: 1 if ``item`` is a target, else 0.
-
-    This is the only sanctioned way for estimation and counting code to
-    touch the target set.
-    """
-    item = int(item)
-    if item < 0 or item >= scenario.n_items:
-        raise IndexError(f"item index {item} out of range for {scenario.n_items} items")
-    i = int(np.searchsorted(scenario.targets, item))
-    return int(i < scenario.n_targets and scenario.targets[i] == item)
-
-
 def classify_confidence(scenario: SearchScenario) -> ConfidenceReport:
     """BASIC iff every information set contains at least one target."""
     overlaps = tuple(
@@ -288,6 +275,6 @@ def load_scenario(path: str | Path) -> SearchScenario:
     """Load a scenario JSON file, validating structure and invariants."""
     try:
         payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ScenarioError(f"malformed scenario JSON in {path}: {exc}") from exc
     return scenario_from_dict(payload)

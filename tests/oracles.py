@@ -6,12 +6,15 @@ random scenario suites:
 
 * the 2x2 Hamiltonian of the invariant plane, its propagator and eigensystem;
 * the register built from the walk itself: controlled powers of one driving
-  period of the propagator, then a Fourier transform along the register;
+  period of the propagator, then a Fourier transform along the register, on
+  the invariant plane and on the symmetry classes of a prepared state;
 * the register law at full width, on every bin 0..M-1, through the one
   evaluator the sampler and the register table read on their windows;
 * the branch-conditional window mass and the tail and pointwise bounds of
   Brassard, Hoyer, Mosca and Tapp (quant-ph/0005055), checked on that law;
 * states on the symmetry classes of a prepared state lifted back to items;
+* the distance on the unit circle;
+* the verification hit count drawn over the per-target outcomes;
 * the misplaced-confidence scenario, the norm bounds on its weights, and
   random scenario suites of three families.
 """
@@ -27,12 +30,15 @@ from scipy.linalg import expm
 from ctqsearch import (
     InformationSet,
     SearchScenario,
-    circle_distance,
+    StatePrep,
+    optimal_time,
+    success_distribution,
 )
 from ctqsearch.phase_estimation import _branch_law
 from ctqsearch.analysis import _check_misplaced_params
 from ctqsearch.dynamics import _check_energy, _check_overlap, _check_time, _residual_norm
-from ctqsearch.rng import make_rng
+from ctqsearch.rng import make_rng, sample_inverse_cdf
+from ctqsearch.stateprep import symmetry_classes
 
 # lower bound on the probability that a branch lands within 1/M of its phase
 EIGHT_OVER_PI_SQ = 8.0 / math.pi**2
@@ -83,28 +89,45 @@ def eigensystem(y: float, energy: float) -> tuple[tuple[np.ndarray, float], tupl
     return (x1, energy * (1.0 + y)), (x2, energy * (1.0 - y))
 
 
-def walk_register(y: float, m_size: int) -> np.ndarray:
-    """Register-system state after the controlled walks, rows m = 0..M-1.
-
-    The walk is Q = expm(-2j*pi*H2) at E = 1, one driving period of the
-    propagator, taken from the 2x2 Hamiltonian by a generic matrix
-    exponential.  Row m is Q**m applied to the plane state (y, sqrt(1-y**2))
-    in the (|w>, |r>) basis, over sqrt(M) for the uniform register.
-    """
-    q = expm(-2j * math.pi * reduced_hamiltonian(y, 1.0))
-    state = np.empty((m_size, 2), dtype=complex)
-    state[0] = (y, math.sqrt(1.0 - y * y))
+def _walk_rows(hamiltonian: np.ndarray, start, m_size: int) -> np.ndarray:
+    """Rows m = 0..M-1: Q**m applied to ``start``, over sqrt(M) for the uniform
+    register, with Q = expm(-2j*pi*H) one driving period at E = 1, taken by a
+    generic matrix exponential."""
+    q = expm(-2j * math.pi * hamiltonian)
+    state = np.empty((m_size, len(start)), dtype=complex)
+    state[0] = start
     for m in range(1, m_size):
         state[m] = q @ state[m - 1]
     return state / math.sqrt(m_size)
 
 
-def walk_register_marginal(y: float, m_size: int) -> np.ndarray:
-    """Register distribution of :func:`walk_register`: the inverse Fourier
-    transform out[k] = sum_m in[m] * exp(-2j*pi*k*m/M) / sqrt(M) along the
-    register, then the system traced out."""
-    register = np.fft.fft(walk_register(y, m_size), axis=0) / math.sqrt(m_size)
+def _register_marginal(rows: np.ndarray) -> np.ndarray:
+    """The inverse Fourier transform out[k] = sum_m in[m] * exp(-2j*pi*k*m/M) / sqrt(M)
+    along the register, then the system traced out."""
+    register = np.fft.fft(rows, axis=0) / math.sqrt(rows.shape[0])
     return np.sum(np.abs(register) ** 2, axis=1)
+
+
+def walk_register(y: float, m_size: int) -> np.ndarray:
+    """Register-system state after the controlled walks of the 2x2 Hamiltonian,
+    rows m = 0..M-1, from the plane state (y, sqrt(1-y**2)) in the (|w>, |r>) basis."""
+    return _walk_rows(reduced_hamiltonian(y, 1.0), (y, math.sqrt(1.0 - y * y)), m_size)
+
+
+def walk_register_marginal(y: float, m_size: int) -> np.ndarray:
+    """Register distribution of :func:`walk_register`."""
+    return _register_marginal(walk_register(y, m_size))
+
+
+def class_walk_register_marginal(prep: StatePrep, m_size: int) -> np.ndarray:
+    """Register distribution of the walk on the symmetry classes of ``prep``.
+
+    The Hamiltonian is H_c = diag(is_target) + b b^T at E = 1 on the class
+    amplitudes b of :func:`symmetry_classes`, and the walk starts from b; the
+    plane, y and the closed forms are never used.
+    """
+    b, is_target = symmetry_classes(prep)
+    return _register_marginal(_walk_rows(np.diag(is_target * 1.0) + np.outer(b, b), b, m_size))
 
 
 def branch_law(phase: float, m_size: int) -> np.ndarray:
@@ -120,6 +143,15 @@ def register_law(y: float, m_size: int) -> np.ndarray:
     """The observable mixture on bins 0..M-1, weighted as
     ``measurement_distribution`` weighs its windowed columns."""
     return (1.0 - y) / 2.0 * branch_law(y, m_size) + (1.0 + y) / 2.0 * branch_law(1.0 - y, m_size)
+
+
+def circle_distance(a, b):
+    """Distance on the unit circle: min over integers j of |a - b + j|."""
+    diff = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % 1.0
+    out = np.minimum(diff, 1.0 - diff)
+    if np.ndim(out) == 0:
+        return float(out)
+    return out
 
 
 def window_mass(phase: float, m_size: int, m: int = 1) -> float:
@@ -171,6 +203,25 @@ def lift_classes(beta: np.ndarray, target_items: np.ndarray, class_states) -> np
     lifted = np.zeros((rows.shape[0], beta.size), dtype=rows.dtype)
     lifted[:, items] = rows[:, column[inverse[items]]] / np.sqrt(counts[inverse[items]])
     return lifted
+
+
+def verification_hits_by_outcome(
+    prep: StatePrep,
+    energy: float,
+    candidate: float,
+    rng: np.random.Generator,
+    n_draws: int,
+    harmonic: int,
+) -> int:
+    """Verification hits drawn over the per-target outcomes: evolve to
+    ``harmonic`` times the candidate's optimal time, draw ``n_draws`` outcomes
+    by inverse CDF over the l target probabilities and the aggregate failure,
+    and count the draws on a target bin."""
+    dist = success_distribution(prep, energy, harmonic * optimal_time(candidate, energy))
+    items = sorted(dist.target_probs)
+    probs = [dist.target_probs[i] for i in items] + [dist.failure]
+    draws = sample_inverse_cdf(probs, rng, n_draws)
+    return int(np.count_nonzero(draws < len(items)))
 
 
 def weight_power_sum(scenario: SearchScenario) -> float:

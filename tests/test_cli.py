@@ -215,7 +215,8 @@ def test_verify_failure_exits_2(tmp_path, library_demo_path, monkeypatch, capsys
     assert run("verify", "--scenario", library_demo_path, "--out", tmp_path) == 2
     data = read_json(tmp_path / "verify.json")  # report is still written
     assert data["passed"] is False
-    assert "internal check failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("internal check failed: reduced model disagrees") and err.count("\n") == 1
 
 
 def test_estimate_outputs_and_histogram(tmp_path, library_demo_path):
@@ -422,6 +423,18 @@ def test_malformed_scenario_exits_1(tmp_path, capsys):
     bad.write_text("{not json")
     assert run("simulate", "--scenario", bad, "--out", tmp_path) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_deeply_nested_scenario_exits_1_without_traceback(tmp_path, capsys, command):
+    # json.loads raises RecursionError past the interpreter's recursion limit
+    path = tmp_path / "nested.json"
+    path.write_text('{"n_items": 4, "targets": ' + "[" * 200_000 + "]" * 200_000 + "}")
+    assert run(command, "--scenario", path, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed scenario JSON in {path}") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def scenario_with(**fields):

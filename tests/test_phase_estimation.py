@@ -16,8 +16,6 @@ from conftest import build_scenario
 from ctqsearch import (
     InformationSet,
     cli,
-    ScenarioError,
-    circle_distance,
     counting_scenario,
     disambiguate,
     disjointify,
@@ -38,6 +36,8 @@ import oracles
 from oracles import (
     EIGHT_OVER_PI_SQ,
     branch_law,
+    circle_distance,
+    class_walk_register_marginal,
     eigensystem,
     evolution_matrix,
     register_law,
@@ -92,6 +92,20 @@ def test_register_state_from_prep_matches_scalar(boosted_pair):
         math.sqrt((1 - y) / 2) * np.exp(2j * np.pi * m * y),
     ]) / math.sqrt(m_size)
     assert_allclose(state @ np.column_stack([x1, x2]), closed, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", list(oracles.ScenarioMode))
+def test_class_walk_register_matches_the_register_law(mode):
+    # the walk on the class Hamiltonian diag(is_target) + b b^T, not on the plane
+    worst = 0.0
+    for i, scenario in enumerate(oracles.random_scenario_suite(23, 12, mode)):
+        prep = weighted_superposition(scenario)
+        m_size = (8, 32, 128)[i % 3]
+        dist = measurement_distribution(prep.y, m_size)
+        assert dist.rest is None  # at M <= 128 the windows hold every bin
+        marginal = class_walk_register_marginal(prep, m_size)
+        worst = max(worst, float(np.max(np.abs(marginal[dist.k] - dist.total))))
+    assert worst <= 1e-12
 
 
 def test_register_size_must_be_power_of_two():
@@ -548,13 +562,16 @@ def test_estimate_single_cluster_is_ambiguous():
         (5, 61, 34),
     ],
 )
-def test_estimate_never_trusts_a_split_likelier_under_the_mirror(k_heavy, heavy_n, light_n):
+def test_estimate_never_trusts_a_split_likelier_under_the_mirror(
+    k_heavy, heavy_n, light_n, monkeypatch
+):
     est = estimate_y([k_heavy] * heavy_n + [64 - k_heavy] * light_n, 64)
     assert est.log_likelihood_ratio < 0.0
     assert est.ambiguous
     # a verification tie (no draws) keeps the likelihood-preferred branch
+    monkeypatch.setattr(phase_estimation, "N_VERIFY", 0)
     s = build_scenario(8, {0}, [({0, 1}, 1.0)])
-    resolved = disambiguate(est, s, weighted_superposition(s), seed=0, n_verify=0)
+    resolved = disambiguate(est, s, weighted_superposition(s), seed=0)
     assert resolved.y_hat == k_heavy / 64
 
 
@@ -657,6 +674,30 @@ def test_disambiguation_separates_near_mirror_candidates(l, sample_k, expected):
     resolved = disambiguate(est, s, prep, seed=2)
     assert resolved.y_hat == pytest.approx(expected, abs=1e-15)
     assert estimate_count(resolved.y_hat, 26) == l
+
+
+def test_verification_hits_match_the_per_target_route():
+    # the hit count compares each uniform with |a(t)|**2; the reference draws
+    # over the l target outcomes and the failure bin.  The two can part only
+    # where a uniform falls within roundoff of the success probability
+    rng = make_rng(15, "verification-cases")
+    suite = (oracles.random_scenario_suite(15, 200, n_items_range=(2, 64))
+             + oracles.random_scenario_suite(15, 200, oracles.ScenarioMode.MISPLACED))
+    hits = []
+    for scenario in suite:
+        prep = weighted_superposition(scenario)
+        for candidate in (prep.y, *rng.uniform(1e-3, 1.0, 4)):
+            harmonic = 2 * int(rng.integers(0, 8)) + 1
+            seed = int(rng.integers(0, 2**31))
+            args = (scenario.energy, float(candidate))
+            drawn = phase_estimation._verification_hits(
+                prep.y, *args, make_rng(seed, "verify"), phase_estimation.N_VERIFY, harmonic)
+            reference = oracles.verification_hits_by_outcome(
+                prep, *args, make_rng(seed, "verify"), phase_estimation.N_VERIFY, harmonic)
+            assert drawn == reference, (scenario, candidate, harmonic, seed)
+            hits.append(drawn)
+    assert len(hits) == 2000
+    assert min(hits) < 10 and max(hits) == phase_estimation.N_VERIFY  # both ends are reached
 
 
 def test_estimate_recovers_overlap_within_resolution():

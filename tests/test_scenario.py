@@ -10,30 +10,12 @@ from ctqsearch import (
     Confidence,
     InformationSet,
     ScenarioError,
-    SearchScenario,
     classify_confidence,
     load_scenario,
-    oracle_eval,
     scenario_from_dict,
     scenario_to_dict,
     sets_pairwise_disjoint,
 )
-
-
-def test_oracle_single_target():
-    s = build_scenario(8, {3}, [({3, 4}, 1.0)])
-    assert oracle_eval(s, 3) == 1
-    assert [oracle_eval(s, i) for i in range(8)] == [0, 0, 0, 1, 0, 0, 0, 0]
-
-
-def test_oracle_total_hits_equals_target_count(boosted_pair):
-    assert sum(oracle_eval(boosted_pair, i) for i in range(8)) == 2
-
-
-@pytest.mark.parametrize("item", [-1, 8, 100])
-def test_oracle_index_out_of_range(boosted_pair, item):
-    with pytest.raises(IndexError):
-        oracle_eval(boosted_pair, item)
 
 
 def test_empty_target_set_rejected():
