@@ -55,7 +55,6 @@ from .scenario import (
     classify_confidence,
     load_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     sets_pairwise_disjoint,
 )
 from .stateprep import StatePrep, uniform_superposition, weighted_superposition

@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import struct
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -35,16 +36,21 @@ from .analysis import (
 from .dynamics import _check_energy, _check_time, optimal_time, success_distribution, trajectory
 from .fullsim import plane_projection_on_grid
 from .phase_estimation import (
+    REGISTER_STREAM,
+    VERIFY_STREAM,
+    PhaseEstimate,
     _counting_m_size,
     _require_power_of_two,
     measurement_distribution,
     run_counting,
     run_phase_estimation,
 )
-from .scenario import SearchScenario, load_scenario, scenario_to_dict
+from .scenario import SearchScenario, load_scenario
 from .stateprep import weighted_superposition
 
-SCHEMA_VERSION = "2.0"
+SCHEMA_VERSION = "2.1"
+# leads the bytes a scenario digest is taken over
+DIGEST_TAG = b"ctqsearch-scenario-2.1\0"
 VERIFY_TOL = 1e-10
 SIZE_FLAG_BUDGET = 2**30  # bytes a size flag may ask for, refused when parsed
 # size flag: (lower bound, tracemalloc peak bytes per unit at 10**5 units)
@@ -166,21 +172,42 @@ def _write_csv(path: Path, header, columns) -> None:
     print(f"wrote {path}")
 
 
-def _scenario_summary(scenario: SearchScenario) -> dict:
-    """Name a scenario by the SHA-256 of its canonical JSON, beside its sizes.
-
-    The canonical form is the validated scenario (sorted, duplicate-free
-    members, normalised weights, the energy as run) as compact sorted JSON.
-    """
-    canonical = json.dumps(scenario_to_dict(scenario), sort_keys=True, separators=(",", ":"))
+def _scenario_sizes(scenario: SearchScenario) -> dict:
     return {
-        "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
         "n_items": scenario.n_items,
         "n_targets": scenario.n_targets,
         "n_sets": scenario.n_sets,
         "support_size": scenario.support_size,
         "energy": scenario.energy,
     }
+
+
+def _scenario_summary(scenario: SearchScenario) -> dict:
+    """Name a scenario by the SHA-256 of its canonical binary form, beside its sizes.
+
+    The form is the validated scenario (sorted, duplicate-free members,
+    normalised weights, the energy as run) as little-endian ``<i8`` and
+    ``<f8`` parts, in README's order; each part of variable length is
+    prefixed by its count, so no two scenarios give the same bytes.
+    """
+    digest = hashlib.sha256(DIGEST_TAG + struct.pack("<qd", scenario.n_items, scenario.energy))
+
+    def indices(items: np.ndarray) -> None:
+        digest.update(struct.pack("<q", items.size))
+        digest.update(np.ascontiguousarray(items, dtype="<i8"))
+
+    indices(scenario.targets)
+    digest.update(struct.pack("<q", scenario.n_sets))
+    for s in scenario.info_sets:
+        indices(s.members)
+        digest.update(struct.pack("<d", s.weight))
+    labels = scenario.labels or ()
+    digest.update(struct.pack("<q", len(labels)))
+    for index, name in labels:
+        # surrogatepass: a lone surrogate from a JSON escape still has bytes
+        text = name.encode("utf-8", "surrogatepass")
+        digest.update(struct.pack("<qq", index, len(text)) + text)
+    return {"sha256": digest.hexdigest(), **_scenario_sizes(scenario)}
 
 
 def _bound_dict(report: BoundReport) -> dict:
@@ -230,16 +257,18 @@ def cmd_simulate(args, scenario: SearchScenario) -> Output:
 
 def cmd_verify(args, scenario: SearchScenario) -> Output:
     prep = weighted_superposition(scenario)
-    t_opt = optimal_time(prep.y, scenario.energy)
-    traj = trajectory(prep, scenario.energy, t_max=2.0 * t_opt, n_points=args.grid_points)
-    a, b, leak = plane_projection_on_grid(scenario, prep, traj.times)
+    t_max = 2.0 * optimal_time(prep.y, scenario.energy)
+    traj = trajectory(prep, scenario.energy, t_max=t_max, n_points=args.grid_points)
+    a, b, leak, n_classes = plane_projection_on_grid(scenario, prep, traj.times)
     max_leak = float(np.max(leak))
     max_dev = float(max(np.max(np.abs(a - traj.a)), np.max(np.abs(b - traj.b))))
     passed = bool(max_leak <= VERIFY_TOL and max_dev <= VERIFY_TOL)
     return Output(
         payload={
             "grid_points": int(args.grid_points),
-            "t_max": 2.0 * t_opt,
+            "t_max": t_max,
+            "energy_time": scenario.energy * t_max,
+            "n_classes": n_classes,
             "max_subspace_leak": max_leak,
             "max_trajectory_deviation": max_dev,
             "tolerance": VERIFY_TOL,
@@ -263,6 +292,30 @@ def _register_table(y: float, m_size: int) -> tuple:
     return "register_distribution.csv", ["k", "p_total", "p_phase_y", "p_phase_complement"], columns
 
 
+def _estimate_fields(est: PhaseEstimate) -> dict:
+    """The estimate as ``estimate.json`` and ``count.json``'s ``estimate`` write
+    it: the register reading, the ambiguity of its split before verification,
+    each verification candidate's harmonic and hits, and the random streams
+    drawn from."""
+    draws = est.verification
+    return {
+        "m_size": est.m_size,
+        "k_mode": est.k_mode,
+        "y_candidates": list(est.y_candidates),
+        "y_hat": est.y_hat,
+        "resolution": est.resolution,
+        "cluster_counts": list(est.cluster_counts),
+        "candidate_gap": est.candidate_gap,
+        "log_likelihood_ratio": est.log_likelihood_ratio,
+        "ambiguous": est.initially_ambiguous,
+        "branch_flipped": est.branch_flipped,
+        "verification": None if draws is None else [
+            {"candidate": c, "harmonic": h, "hits": n} for c, h, n in draws
+        ],
+        "rng_streams": [REGISTER_STREAM] + ([] if draws is None else [VERIFY_STREAM]),
+    }
+
+
 def cmd_estimate(args, scenario: SearchScenario) -> Output:
     prep = weighted_superposition(scenario)
     est, samples = run_phase_estimation(
@@ -271,18 +324,11 @@ def cmd_estimate(args, scenario: SearchScenario) -> Output:
     ks, counts = np.unique(samples, return_counts=True)
     return Output(
         payload={
-            "m_size": int(args.m_size),
             "n_samples": int(args.samples),
             "seed": int(args.seed),
             "k_histogram": dict(zip(map(str, ks.tolist()), counts.tolist())),
-            "k_mode": est.k_mode,
-            "y_candidates": list(est.y_candidates),
-            "y_hat": est.y_hat,
-            "resolution": est.resolution,
-            "cluster_counts": list(est.cluster_counts),
-            "candidate_gap": est.candidate_gap,
-            "log_likelihood_ratio": est.log_likelihood_ratio,
             "true_y": prep.y,
+            **_estimate_fields(est),
         },
         summary=f"y_hat={est.y_hat:.6f} candidates={est.y_candidates} true_y={prep.y:.6f}",
         tables=(_register_table(prep.y, args.m_size),),
@@ -297,12 +343,13 @@ def cmd_count(args, scenario: SearchScenario) -> Output:
     result = run_counting(scenario, m_size=args.m_size, n_samples=args.samples, seed=args.seed)
     return Output(
         payload={
-            "disjoint_scenario": _scenario_summary(result.scenario),
+            "disjoint_scenario": _scenario_sizes(result.scenario),
             "support_size": result.support_size,
             "m_size": result.estimate.m_size,
             "n_samples": int(args.samples),
             "seed": int(args.seed),
             "y_hat": result.estimate.y_hat,
+            "estimate": _estimate_fields(result.estimate),
             "count_estimate": result.count_estimate,
             "true_count": scenario.n_targets,
         },

@@ -194,12 +194,13 @@ def evolve_blocks(beta: np.ndarray, targets, energy: float, times) -> Iterator[n
 
 def plane_projection_on_grid(
     scenario: SearchScenario, prep: StatePrep, times
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Evolve the prepared state over ``times`` and project it onto the plane.
 
     Returns arrays (a, b, leak) aligned with ``times``: a = <w|psi(t)>,
     b = <r|psi(t)>, and ``leak`` the norm of the component of psi(t) outside
-    the invariant plane, all three exact on the symmetry classes.  The states
+    the invariant plane, all three exact on the symmetry classes, then d, the
+    number of classes the evolution ran on.  The states
     come from :func:`evolve_blocks`, one block of rows at a time, so the whole
     grid of states is never held.
     """
@@ -215,4 +216,4 @@ def plane_projection_on_grid(
         states -= ab[rows] @ plane.T
         leak[rows] = np.linalg.norm(states, axis=1)
         start = rows.stop
-    return ab[:, 0], ab[:, 1], leak
+    return ab[:, 0], ab[:, 1], leak, beta.size

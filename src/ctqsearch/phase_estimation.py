@@ -57,6 +57,9 @@ MIN_LEAD = 2
 REGISTER_WINDOW = 64
 # above 2**53, y_hat = 1 - k/M is no longer exact in float64
 MAX_M_SIZE = 2**53
+# tags of the random streams that register sampling and verification draw from
+REGISTER_STREAM = "phase-register-window"
+VERIFY_STREAM = "verify"
 
 
 def _require_power_of_two(m_size: int) -> int:
@@ -198,7 +201,7 @@ def sample_phase_register(y: float, m_size: int, n_samples: int, seed: int) -> n
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     y = _check_overlap(y)
     m_size = _require_power_of_two(m_size)
-    rng = make_rng(seed, "phase-register-window")
+    rng = make_rng(seed, REGISTER_STREAM)
     on_y = rng.random(int(n_samples)) < (1.0 - y) / 2.0
     samples = np.empty(int(n_samples), dtype=np.int64)
     for phase, chosen in ((y, on_y), (1.0 - y, ~on_y)):
@@ -225,10 +228,14 @@ class PhaseEstimate:
     :func:`disambiguate` overturned the split.  ``cluster_counts`` holds the
     sample counts at ``k_mode`` and at its mirror, in that order.
     ``ambiguous`` flags splits too balanced to call from counts alone;
-    callers should then run :func:`disambiguate`.
+    callers should then run :func:`disambiguate`, which clears it.
+    ``initially_ambiguous`` keeps the flag as :func:`estimate_y` set it.
     ``log_likelihood_ratio`` compares the observed split under the reading
     ``y = y_hat`` against the mirror reading; it is 0 when the pair has a
     single side.  ``resolution`` is one register bin, 1/``m_size``.
+    ``verification`` holds (candidate, harmonic, hits) for each candidate
+    :func:`disambiguate` drew for, and is None when it drew nothing;
+    ``branch_flipped`` is True when it overturned the count split.
     """
 
     k_mode: int
@@ -239,6 +246,9 @@ class PhaseEstimate:
     ambiguous: bool
     candidate_gap: float
     log_likelihood_ratio: float
+    initially_ambiguous: bool
+    verification: tuple[tuple[float, int, int], ...] | None = None
+    branch_flipped: bool = False
 
     @property
     def resolution(self) -> float:
@@ -308,6 +318,7 @@ def estimate_y(samples, m_size: int) -> PhaseEstimate:
         ambiguous=ambiguous,
         candidate_gap=min(turn, 1.0 - turn),
         log_likelihood_ratio=llr,
+        initially_ambiguous=ambiguous,
     )
 
 
@@ -364,16 +375,15 @@ def disambiguate(
     if c_low == c_high:
         return replace(estimate, ambiguous=False)
     candidates = [c for c in (c_low, c_high) if c > 0.0]
+    verification = None
     if len(candidates) == 1:
         chosen = candidates[0]
     else:
-        rng = make_rng(seed, "verify")
-        gap = c_high - c_low
-        hits = [
-            _verification_hits(prep.y, scenario.energy, c, rng, N_VERIFY,
-                               _verification_harmonic(c, gap))
-            for c in candidates
-        ]
+        rng = make_rng(seed, VERIFY_STREAM)
+        harmonics = [_verification_harmonic(c, c_high - c_low) for c in candidates]
+        hits = [_verification_hits(prep.y, scenario.energy, c, rng, N_VERIFY, h)
+                for c, h in zip(candidates, harmonics)]
+        verification = tuple(zip(candidates, harmonics, hits))
         if abs(hits[0] - hits[1]) >= MIN_LEAD:
             chosen = candidates[int(np.argmax(hits))]
         elif estimate.log_likelihood_ratio >= 0.0:
@@ -381,7 +391,7 @@ def disambiguate(
         else:
             chosen = c_low if estimate.y_hat == c_high else c_high
     if chosen == estimate.y_hat:
-        return replace(estimate, ambiguous=False)
+        return replace(estimate, ambiguous=False, verification=verification)
     # the flip reads the other side as phase 1 - y
     m_size = estimate.m_size
     at_mode, at_mirror = estimate.cluster_counts
@@ -392,6 +402,8 @@ def disambiguate(
         cluster_counts=(at_mirror, at_mode),
         log_likelihood_ratio=-estimate.log_likelihood_ratio,
         ambiguous=False,
+        verification=verification,
+        branch_flipped=True,
     )
 
 

@@ -74,7 +74,7 @@ def test_criterion_01_reduced_full_equivalence():
         for i, row in enumerate(states):
             a, b, _ = project_reduced(prep, row)
             max_dev = max(max_dev, abs(a - traj.a[i]), abs(b - traj.b[i]))
-        _, _, leak = plane_projection_on_grid(s, prep, times)
+        _, _, leak, _ = plane_projection_on_grid(s, prep, times)
         max_resid = max(max_resid, float(np.max(leak)))
     elapsed = time.perf_counter() - start
     _criterion(
@@ -323,7 +323,7 @@ def test_criterion_10_cli_byte_determinism(tmp_path):
         artifacts.append({name: (run_dir / name).read_bytes() for name in files})
     identical = artifacts[0] == artifacts[1]
     json_ok = len(artifacts[0]) == 6 and all(
-        json.loads(blob)["schema_version"] == "2.0" for blob in artifacts[0].values()
+        json.loads(blob)["schema_version"] == "2.1" for blob in artifacts[0].values()
     )
     _criterion(
         10,

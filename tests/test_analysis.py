@@ -19,10 +19,10 @@ from ctqsearch import (
     misplaced_confidence_curve,
     misplaced_structure,
     optimal_time,
-    scenario_to_dict,
     sets_pairwise_disjoint,
     weighted_superposition,
 )
+from ctqsearch.scenario import scenario_to_dict
 from oracles import (
     ScenarioMode,
     misplaced_scenario,

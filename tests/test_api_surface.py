@@ -3,9 +3,10 @@
 Every public top-level function or class in ``src/ctqsearch`` must be used
 by another module of the package, by its own module outside its own
 definition, or be documented in README.  Re-exports in ``__init__`` do not
-count as use.  Test oracles belong in ``tests/oracles.py``.  The one
-exception is the dense full-space oracles, which the benchmark's layer tracer
-instruments by name and which therefore stay in ``ctqsearch.fullsim``.
+count as use.  Test oracles belong in ``tests/oracles.py``.  The exceptions
+are the names the benchmark's layer tracer instruments: the dense full-space
+oracles, which therefore stay in ``ctqsearch.fullsim``, and
+``scenario_to_dict``, which stays in ``ctqsearch.scenario``.
 """
 
 import ast
@@ -16,7 +17,7 @@ import ctqsearch
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ctqsearch"
-TRACER_BOUND = {"full_hamiltonian", "evolve_on_grid", "project_reduced"}
+TRACER_BOUND = {"full_hamiltonian", "evolve_on_grid", "project_reduced", "scenario_to_dict"}
 
 
 def used_names(nodes) -> set[str]:

@@ -1,7 +1,6 @@
 import contextlib
 import csv
 import dataclasses
-import hashlib
 import io
 import json
 import math
@@ -20,15 +19,22 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import SCENARIO_DIR
 from ctqsearch import (
+    InformationSet,
+    SearchScenario,
     cli,
     counting_scenario,
     dynamics,
+    estimate_y,
     fullsim,
     load_scenario,
+    make_rng,
+    phase_estimation,
     run_phase_estimation,
-    scenario_to_dict,
+    sample_phase_register,
+    stateprep,
     weighted_superposition,
 )
+from ctqsearch.stateprep import symmetry_classes
 
 
 def run(*args):
@@ -42,7 +48,7 @@ def read_json(path):
 def test_simulate_writes_all_outputs(tmp_path, library_demo_path, capsys):
     assert run("simulate", "--scenario", library_demo_path, "--out", tmp_path) == 0
     data = read_json(tmp_path / "simulate.json")
-    assert data["schema_version"] == "2.0"
+    assert data["schema_version"] == "2.1"
     assert data["command"] == "simulate"
     assert data["success_distribution"]["failure"] <= 1e-12
     assert set(data["success_distribution"]["targets"]) == {"2", "5", "10", "12"}
@@ -142,11 +148,21 @@ def million_items(tmp_path):
     return path
 
 
-def test_verify_at_a_million_items_passes(tmp_path):
-    # the check runs on the symmetry classes, so its basis does not grow with N
+def test_verify_at_a_million_items_passes(tmp_path, monkeypatch):
+    # the check runs on the symmetry classes, so its basis does not grow with N;
+    # n_classes reports them without finding them a second time
+    calls = []
+
+    def counted(prep):
+        calls.append(prep)
+        return symmetry_classes(prep)
+
+    monkeypatch.setattr(stateprep, "symmetry_classes", counted)
+    monkeypatch.setattr(fullsim, "symmetry_classes", counted)
     assert run("verify", "--scenario", million_items(tmp_path), "--out", tmp_path / "out") == 0
     data = read_json(tmp_path / "out" / "verify.json")
     assert data["passed"] is True
+    assert data["n_classes"] == 2 and len(calls) == 1
     assert data["max_subspace_leak"] <= 1e-10
     assert data["max_trajectory_deviation"] <= 1e-10
 
@@ -203,6 +219,16 @@ def test_verify_over_basis_limit_exits_1_before_the_basis(tmp_path, monkeypatch,
     assert not (tmp_path / "out" / "verify.json").exists()
 
 
+def test_verify_reports_its_classes_and_energy_time(tmp_path, library_demo_path):
+    assert run("verify", "--scenario", library_demo_path, "--out", tmp_path,
+               "--energy", 2.5) == 0
+    data = read_json(tmp_path / "verify.json")
+    prep = weighted_superposition(load_scenario(library_demo_path))
+    assert data["n_classes"] == symmetry_classes(prep)[0].size == 7
+    assert data["t_max"] == 2.0 * dynamics.optimal_time(prep.y, 2.5)
+    assert data["energy_time"] == 2.5 * data["t_max"]
+
+
 def test_verify_report_ignores_format_gating(tmp_path, counting_demo_path):
     # the verification verdict is the point of the command; always written
     assert run("verify", "--scenario", counting_demo_path, "--out", tmp_path,
@@ -219,17 +245,57 @@ def test_verify_failure_exits_2(tmp_path, library_demo_path, monkeypatch, capsys
     assert err.startswith("internal check failed: reduced model disagrees") and err.count("\n") == 1
 
 
+# what estimate.json and count.json's "estimate" say about the register reading
+ESTIMATE_FIELDS = {"m_size", "k_mode", "y_candidates", "y_hat", "resolution", "cluster_counts",
+                   "candidate_gap", "log_likelihood_ratio", "ambiguous", "branch_flipped",
+                   "verification", "rng_streams"}
+
+
 def test_estimate_outputs_and_histogram(tmp_path, library_demo_path):
     assert run("estimate", "--scenario", library_demo_path, "--out", tmp_path,
                "--seed", 3) == 0
     data = read_json(tmp_path / "estimate.json")
+    assert set(data) == ESTIMATE_FIELDS | {"schema_version", "command", "scenario", "n_samples",
+                                           "seed", "k_histogram", "true_y"}
     assert data["m_size"] == 64 and data["n_samples"] == 200 and data["seed"] == 3
+    # a clear split: no verification, one random stream
+    assert data["ambiguous"] is False and data["branch_flipped"] is False
+    assert data["verification"] is None and data["rng_streams"] == ["phase-register-window"]
     assert sum(data["k_histogram"].values()) == 200
     assert all(int(k) in range(64) for k in data["k_histogram"])
     assert abs(data["y_hat"] - data["true_y"]) <= data["resolution"]
     lines = (tmp_path / "register_distribution.csv").read_text().splitlines()
     assert lines[0] == "k,p_total,p_phase_y,p_phase_complement"
     assert len(lines) == 1 + 64
+
+
+def test_estimate_json_explains_a_verified_branch(tmp_path):
+    # y = 1/sqrt(8000) ~ 0.0112: the mirror clusters hold (1 -+ y)/2 of the
+    # samples, so splits are ambiguous and verification draws for both sides
+    path = tmp_path / "small_y.json"
+    path.write_text(json.dumps({"n_items": 8000, "targets": [0],
+                                "info_sets": [{"members": list(range(8000)), "weight": 1.0}]}))
+    y = weighted_superposition(load_scenario(path)).y
+    seen = set()
+    for seed in range(8):
+        out = tmp_path / str(seed)
+        assert run("estimate", "--scenario", path, "--out", out, "--seed", seed) == 0
+        data = read_json(out / "estimate.json")
+        before = estimate_y(sample_phase_register(y, 64, 200, seed), 64)
+        assert data["ambiguous"] is before.ambiguous
+        assert data["branch_flipped"] is (data["y_hat"] != before.y_hat)
+        if data["verification"] is None:
+            assert data["rng_streams"] == ["phase-register-window"]
+            continue
+        assert data["rng_streams"] == ["phase-register-window", "verify"]
+        rng = make_rng(seed, "verify")
+        assert [d["candidate"] for d in data["verification"]] == data["y_candidates"]
+        for draw in data["verification"]:
+            assert draw["harmonic"] % 2 == 1
+            assert draw["hits"] == phase_estimation._verification_hits(
+                y, 1.0, draw["candidate"], rng, phase_estimation.N_VERIFY, draw["harmonic"])
+        seen.add(data["branch_flipped"])
+    assert seen == {False, True}
 
 
 @pytest.mark.parametrize("m_size", [8, 64, 4096, 65536])
@@ -305,8 +371,15 @@ def test_count_recovers_target_count(tmp_path, counting_demo_path):
     assert data["support_size"] == 6
     assert data["m_size"] == 64
     disjoint = counting_scenario(load_scenario(counting_demo_path))
-    assert data["disjoint_scenario"]["n_sets"] == disjoint.n_sets
-    assert data["disjoint_scenario"]["support_size"] == disjoint.support_size == 6
+    assert data["disjoint_scenario"] == {
+        "n_items": 8, "n_targets": 3, "n_sets": disjoint.n_sets,
+        "support_size": disjoint.support_size, "energy": 1.0,
+    }
+    assert disjoint.support_size == 6
+    # the register reading, as estimate.json writes it
+    assert set(data["estimate"]) == ESTIMATE_FIELDS
+    assert data["estimate"]["y_hat"] == data["y_hat"]
+    assert data["estimate"]["m_size"] == data["m_size"]
 
 
 def test_count_auto_register_size(tmp_path, library_demo_path):
@@ -762,10 +835,45 @@ def test_scenario_digest_moves_with_each_field(tmp_path):
         written_digest(tmp_path, edited(target=12)),
         written_digest(tmp_path, edited(weight=0.4)),
         written_digest(tmp_path, edited(label="fly-fishing-atlas-2")),
+        written_digest(tmp_path, edited(label="\ud800")),  # a lone surrogate escape
         written_digest(tmp_path, edited(energy=1.5)),
         written_digest(tmp_path, library_doc(), "--energy", 0.75),
     ]
     assert len(set(digests)) == len(digests)
+
+
+def test_scenario_digest_tells_set_boundaries_apart(tmp_path):
+    # the same members and weights, cut into sets at another place
+    def split(*sets):
+        return {"n_items": 4, "targets": [0],
+                "info_sets": [{"members": m, "weight": 1.0} for m in sets]}
+
+    assert (written_digest(tmp_path, split([0, 1, 2], [3]))
+            != written_digest(tmp_path, split([0, 1], [2, 3])))
+
+
+def test_scenario_summary_at_a_million_items_needs_no_json(monkeypatch):
+    n = 10**6
+    scenario = SearchScenario(
+        n_items=n,
+        targets=np.arange(0, n, 100),
+        info_sets=(InformationSet(np.arange(600_000), 0.3),
+                   InformationSet(np.arange(400_000, n), 0.7)),
+        labels=((5, "five"),),
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the digest serialised the scenario")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    monkeypatch.setattr("ctqsearch.scenario.scenario_to_dict", refuse)
+    summary = cli._scenario_summary(scenario)
+    monkeypatch.undo()
+    namespace = {"path": None}
+    exec(readme_digest_recipe().replace("digest = scenario_digest(load_scenario(path))", ""),
+         namespace)
+    assert summary == {"sha256": namespace["scenario_digest"](scenario), "n_items": n,
+                       "n_targets": 10**4, "n_sets": 2, "support_size": n, "energy": 1.0}
 
 
 def readme_digest_recipe():
@@ -794,10 +902,9 @@ def test_readme_digest_recipe_gives_the_written_digest(tmp_path, scenario):
     # after --energy, the summary names the scenario as run
     assert run("compare", "--scenario", path, "--out", tmp_path / "e", "--energy", 2.5) == 0
     summary = read_json(tmp_path / "e" / "compare.json")["scenario"]
-    as_run = scenario_to_dict(dataclasses.replace(loaded, energy=2.5))
-    canonical = json.dumps(as_run, sort_keys=True, separators=(",", ":"))
+    as_run = dataclasses.replace(loaded, energy=2.5)
     assert summary["energy"] == 2.5
-    assert summary["sha256"] == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    assert summary["sha256"] == namespace["scenario_digest"](as_run) != namespace["digest"]
 
 
 def test_count_json_stays_small_at_a_million_items(tmp_path):
@@ -817,7 +924,10 @@ def test_count_json_stays_small_at_a_million_items(tmp_path):
     written = tmp_path / "out" / "count.json"
     assert written.stat().st_size < 16 * 1024
     disjoint = counting_scenario(load_scenario(path))
-    summary = read_json(written)["disjoint_scenario"]
+    data = read_json(written)
+    assert data["schema_version"] == "2.1" and set(data["estimate"]) == ESTIMATE_FIELDS
+    summary = data["disjoint_scenario"]
+    assert "sha256" not in summary
     assert summary["n_sets"] == disjoint.n_sets == 8
     assert summary["support_size"] == disjoint.support_size
     assert summary["n_items"] == n and summary["n_targets"] == 64

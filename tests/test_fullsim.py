@@ -186,7 +186,7 @@ def test_chebyshev_propagator_matches_dense_oracle(monkeypatch, block_bytes):
         cheb = np.vstack(list(evolve_blocks(prep.beta, prep.target_items, s.energy, times)))
         assert np.max(np.abs(cheb - dense)) <= 1e-12
 
-        a, b, leak = plane_projection_on_grid(s, prep, times)
+        a, b, leak, _ = plane_projection_on_grid(s, prep, times)
         for i, row in enumerate(dense):
             a_ref, b_ref, leak_ref = project_reduced(prep, row)
             assert abs(a[i] - a_ref) <= 1e-12
@@ -276,7 +276,7 @@ def test_distinct_amplitudes_make_every_item_a_class():
     dense = evolve_on_grid(full_hamiltonian(s, prep), prep.beta, times)
     classes = np.vstack(list(evolve_blocks(amplitudes, is_target, s.energy, times)))
     assert np.max(np.abs(lift_classes(prep.beta, prep.target_items, classes) - dense)) <= 1e-12
-    a, b, leak = plane_projection_on_grid(s, prep, times)
+    a, b, leak, _ = plane_projection_on_grid(s, prep, times)
     for i, row in enumerate(dense):
         a_ref, b_ref, _ = project_reduced(prep, row)
         assert abs(a[i] - a_ref) <= 1e-12 and abs(b[i] - b_ref) <= 1e-12
@@ -285,5 +285,5 @@ def test_distinct_amplitudes_make_every_item_a_class():
 
 def test_plane_projection_of_empty_grid():
     s = build_scenario(4, {1}, [({1, 2}, 1.0)])
-    a, b, leak = plane_projection_on_grid(s, weighted_superposition(s), [])
+    a, b, leak, _ = plane_projection_on_grid(s, weighted_superposition(s), [])
     assert a.shape == b.shape == leak.shape == (0,)

@@ -20,9 +20,9 @@ from ctqsearch import (
     disjointify,
     misplaced_structure,
     scenario_from_dict,
-    scenario_to_dict,
     sets_pairwise_disjoint,
 )
+from ctqsearch.scenario import scenario_to_dict
 from oracles import ScenarioMode, random_scenario_suite
 
 

@@ -620,14 +620,19 @@ def test_disambiguation_resolves_full_overlap_scenario():
 
 def test_disambiguation_by_verification(lopsided_pair):
     # candidates 15/64 vs 49/64 with a dead-even sample split; the true
-    # overlap is ~0.2357, so evolving to the wrong candidate's peak time
-    # misses often and verification settles it
+    # overlap is ~0.2357.  The third harmonic of 49/64's peak time lands near
+    # a peak of the true system too (success ~0.99), so the draws tie and the
+    # likelihood-preferred reading stands
     prep = weighted_superposition(lopsided_pair)
     est = estimate_y([15, 49], 64)
     assert est.ambiguous
     resolved = disambiguate(est, lopsided_pair, prep, seed=21)
     assert resolved.y_hat == pytest.approx(15 / 64, abs=1e-15)
     assert not resolved.ambiguous
+    # the provenance keeps what decided it
+    assert resolved.initially_ambiguous and not resolved.branch_flipped
+    assert [(c, h) for c, h, _ in resolved.verification] == [(15 / 64, 1), (49 / 64, 3)]
+    assert all(0 <= n <= phase_estimation.N_VERIFY for _, _, n in resolved.verification)
 
 
 def test_flipped_estimate_keeps_k_mode_on_y_hat():
@@ -640,6 +645,7 @@ def test_flipped_estimate_keeps_k_mode_on_y_hat():
     assert (est.k_mode, est.y_hat, est.cluster_counts) == (62, 66 / 128, (1, 0))
     resolved = disambiguate(est, s, weighted_superposition(s), seed=2)
     assert resolved.y_hat == 62 / 128
+    assert resolved.branch_flipped and not est.branch_flipped
     assert resolved.k_mode == 66
     assert resolved.y_hat == 1.0 - resolved.k_mode / 128
     assert resolved.cluster_counts == (0, 1)

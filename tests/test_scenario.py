@@ -13,9 +13,9 @@ from ctqsearch import (
     classify_confidence,
     load_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     sets_pairwise_disjoint,
 )
+from ctqsearch.scenario import scenario_to_dict
 
 
 def test_empty_target_set_rejected():
