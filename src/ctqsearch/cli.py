@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Six subcommands cover the simulator surface: ``simulate`` (trajectory and
-measurement statistics), ``verify`` (reduced model vs. matrix-free
-full-space evolution), ``estimate`` (overlap from register sampling),
+measurement statistics), ``verify`` (reduced model vs. full-space evolution
+on the symmetry classes), ``estimate`` (overlap from register sampling),
 ``count`` (target counting), ``sweep`` (misplaced-confidence curve), and
 ``compare`` (structured vs. uniform preparation).  Each ``cmd_*`` returns
 what it computed as an :class:`Output`; one driver writes ``<command>.json``
@@ -52,6 +52,9 @@ SCHEMA_VERSION = "2.1"
 # leads the bytes a scenario digest is taken over
 DIGEST_TAG = b"ctqsearch-scenario-2.1\0"
 VERIFY_TOL = 1e-10
+# a backward-stable propagator is off by about eps * E * t_max; a deviation
+# within this many times that floor (1.75 the worst seen) is roundoff
+ROUNDOFF_FACTOR = 4.0
 SIZE_FLAG_BUDGET = 2**30  # bytes a size flag may ask for, refused when parsed
 # size flag: (lower bound, tracemalloc peak bytes per unit at 10**5 units)
 SIZE_FLAGS = {"--points": (2, 90), "--grid-points": (2, 123), "--alpha2-points": (2, 74),
@@ -263,11 +266,19 @@ def cmd_verify(args, scenario: SearchScenario) -> Output:
     max_leak = float(np.max(leak))
     max_dev = float(max(np.max(np.abs(a - traj.a)), np.max(np.abs(b - traj.b))))
     passed = bool(max_leak <= VERIFY_TOL and max_dev <= VERIFY_TOL)
+    energy_time = scenario.energy * t_max
+    floor = ROUNDOFF_FACTOR * np.finfo(float).eps * energy_time
+    if not passed and max_leak <= VERIFY_TOL and max_dev <= floor:
+        raise ValueError(
+            f"verify cannot resolve {VERIFY_TOL:g} here: at y={prep.y:.3e} and "
+            f"E*t_max={energy_time:.3e}, float64 roundoff reaches {floor:.1e} "
+            f"(deviation {max_dev:.1e})"
+        )
     return Output(
         payload={
             "grid_points": int(args.grid_points),
             "t_max": t_max,
-            "energy_time": scenario.energy * t_max,
+            "energy_time": energy_time,
             "n_classes": n_classes,
             "max_subspace_leak": max_leak,
             "max_trajectory_deviation": max_dev,

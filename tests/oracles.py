@@ -12,6 +12,10 @@ random scenario suites:
   evaluator the sampler and the register table read on their windows;
 * the branch-conditional window mass and the tail and pointwise bounds of
   Brassard, Hoyer, Mosca and Tapp (quant-ph/0005055), checked on that law;
+* the matrix-free Chebyshev propagator of Tal-Ezer and Kosloff (J. Chem.
+  Phys. 81, 3967, 1984), built from products ``H @ v`` alone, on items or on
+  symmetry classes: the package's eigendecomposition route checked by a
+  route that diagonalises nothing;
 * states on the symmetry classes of a prepared state lifted back to items;
 * the distance on the unit circle;
 * the verification hit count drawn over the per-target outcomes;
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from typing import Iterator
 
 import numpy as np
 from scipy.linalg import expm
@@ -37,11 +42,14 @@ from ctqsearch import (
 from ctqsearch.phase_estimation import _branch_law
 from ctqsearch.analysis import _check_misplaced_params
 from ctqsearch.dynamics import _check_energy, _check_overlap, _check_time, _residual_norm
+from ctqsearch.fullsim import BLOCK_BYTES
 from ctqsearch.rng import make_rng, sample_inverse_cdf
 from ctqsearch.stateprep import symmetry_classes
 
 # lower bound on the probability that a branch lands within 1/M of its phase
 EIGHT_OVER_PI_SQ = 8.0 / math.pi**2
+# largest Chebyshev basis T_k(X) beta, k = 0..K, that the propagator may hold
+CHEBYSHEV_BASIS_LIMIT = 256 * 2**20  # bytes
 
 
 def reduced_hamiltonian(y: float, energy: float) -> np.ndarray:
@@ -184,6 +192,93 @@ def tail_and_pointwise_hold(y: float, m_size: int, m_values=(2, 3, 5, 10)) -> bo
             if window_mass(phase, m_size, m) < 1.0 - 1.0 / (2.0 * (m - 1)) - 1e-12:
                 return False
     return True
+
+
+def chebyshev_order(a_max: float) -> int:
+    """Expansion order K that represents exp(-i*a*x) on [-1, 1] for |a| <= a_max.
+
+    The Bessel weights J_k(a) fall off faster than exponentially once k
+    exceeds a by a few multiples of a**(1/3), the width of their turning
+    region; the margin puts the dropped tail far below roundoff.
+    """
+    a_max = abs(float(a_max))
+    return math.ceil(a_max + 10.0 * a_max ** (1.0 / 3.0)) + 30
+
+
+def chebyshev_coefficients(a, order: int) -> np.ndarray:
+    """Coefficients g_k(a) of exp(-i*a*x) = sum_k g_k(a) * T_k(x), k <= order.
+
+    They are g_0 = J_0(a) and g_k = 2 * (-i)**k * J_k(a), the cosine series of
+    exp(-i*a*cos(theta)).  It is sampled at theta = pi*j/M for j = 0..M,
+    M = order + 1, and mirrored to one period of 2M points, whose FFT gives
+    the series.  Index m also collects the aliased term 2M - m >= order + 2,
+    whose weight :func:`chebyshev_order` makes negligible.  One row per entry
+    of ``a``.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    m = int(order) + 1
+    samples = np.exp(-1j * np.multiply.outer(a, np.cos(np.pi * np.arange(m + 1) / m)))
+    period = np.concatenate([samples, samples[:, m - 1 : 0 : -1]], axis=1)
+    coeffs = np.fft.fft(period, axis=1)[:, :m] / (2 * m)
+    coeffs[:, 1:] *= 2.0
+    return coeffs
+
+
+def _chebyshev_basis(beta: np.ndarray, targets, order: int) -> np.ndarray:
+    """Rows T_k(X) beta for k = 0..order, with X = H/E - I.
+
+    H/E = P_target + |beta><beta| has its spectrum in [0, 2], so X's lies in
+    [-1, 1].  X is applied as beta * (beta @ v) - v plus v on the targets.
+    """
+
+    def shifted(v: np.ndarray) -> np.ndarray:
+        out = beta * (beta @ v) - v
+        out[targets] += v[targets]
+        return out
+
+    basis = np.empty((order + 1, beta.size))
+    basis[0] = beta
+    if order >= 1:
+        basis[1] = shifted(beta)
+    for k in range(2, order + 1):
+        np.subtract(2.0 * shifted(basis[k - 1]), basis[k - 2], out=basis[k])
+    return basis
+
+
+def evolve_blocks(beta: np.ndarray, targets, energy: float, times) -> Iterator[np.ndarray]:
+    """Yield exp(-i*H*t) beta for consecutive blocks of ``times``; rows are states.
+
+    H = E * (P_targets + |beta><beta|) on any unit vector ``beta``: over items
+    or symmetry classes.  With a = E*t, exp(-i*H*t) = exp(-i*a) * exp(-i*a*X),
+    and the second factor is the Chebyshev series sum_k g_k(a) T_k(X) on the
+    basis of :func:`_chebyshev_basis`, built once for the largest |a|; each
+    block of time rows then costs one product with it.
+
+    Raises ``ValueError`` before allocating the basis when it would exceed
+    ``CHEBYSHEV_BASIS_LIMIT``.
+    """
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim != 1 or not np.all(np.isfinite(ts)):
+        raise ValueError("times must be a one-dimensional array of finite values")
+    d = beta.size
+    order = chebyshev_order(energy * float(np.max(np.abs(ts), initial=0.0)))
+    need = (order + 1) * d * 8
+    if need > CHEBYSHEV_BASIS_LIMIT:
+        raise ValueError(
+            f"full-space check needs a {need / 2**20:.0f} MiB Chebyshev basis "
+            f"((K+1)*d*8 bytes for d={d}, K={order}), over the "
+            f"{CHEBYSHEV_BASIS_LIMIT // 2**20} MiB limit"
+        )
+    basis = _chebyshev_basis(beta, targets, order)
+    rows = max(1, BLOCK_BYTES // (16 * (d + 2 * (order + 1))))
+    for start in range(0, ts.size, rows):
+        block = ts[start : start + rows]
+        coeffs = chebyshev_coefficients(energy * block, order)
+        coeffs *= np.exp(-1j * energy * block)[:, None]
+        states = np.empty((block.size, d), dtype=complex)
+        states.real = coeffs.real @ basis
+        states.imag = coeffs.imag @ basis
+        yield states
 
 
 def lift_classes(beta: np.ndarray, target_items: np.ndarray, class_states) -> np.ndarray:

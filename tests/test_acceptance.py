@@ -69,7 +69,8 @@ def test_criterion_01_reduced_full_equivalence():
         prep = weighted_superposition(s)
         t_opt = optimal_time(prep.y, s.energy)
         times = np.linspace(0.0, 2.0 * t_opt, 64)
-        states = evolve_on_grid(full_hamiltonian(s, prep), prep.beta, times)
+        h = full_hamiltonian(prep.beta, prep.target_items, s.energy)
+        states = evolve_on_grid(h, prep.beta, times)
         traj = trajectory(prep, s.energy, t_max=2.0 * t_opt, n_points=64)
         for i, row in enumerate(states):
             a, b, _ = project_reduced(prep, row)
@@ -239,7 +240,7 @@ def test_criterion_08_misplaced_confidence_divergence():
         formula_ok = formula_ok and abs(pt.y - a1 / nu_manual) <= 1e-14
         formula_ok = formula_ok and abs(prep.y - pt.y) <= 1e-14
 
-        h = full_hamiltonian(s, prep)
+        h = full_hamiltonian(prep.beta, prep.target_items, s.energy)
         _, r_axis = reduced_basis(prep.beta, prep.target_items)
 
         def residual(t):

@@ -119,7 +119,7 @@ def test_verify_passes_on_demo(tmp_path, library_demo_path):
 
 
 def test_verify_runs_above_the_dense_cap(tmp_path):
-    # N = 8192 is twice the dense oracle's cap; the matrix-free check has none
+    # N = 8192 is twice the dimension cap, which the check meets on d = 4 classes
     n = 8192
     scenario = tmp_path / "big.json"
     scenario.write_text(json.dumps({
@@ -205,18 +205,120 @@ def test_verify_catches_a_perturbed_closed_form_at_a_million_items(tmp_path, mon
     assert "internal check failed" in capsys.readouterr().err
 
 
-def test_verify_over_basis_limit_exits_1_before_the_basis(tmp_path, monkeypatch, capsys):
-    def no_basis(*args):
-        raise AssertionError("basis allocated despite the size limit")
+def test_verify_over_the_class_cap_exits_1_before_x_or_eigh(tmp_path, monkeypatch, capsys):
+    def refused(*args, **kwargs):
+        raise AssertionError("X allocated or diagonalised despite the cap")
 
-    monkeypatch.setattr(fullsim, "_chebyshev_basis", no_basis)
-    monkeypatch.setattr(fullsim, "CHEBYSHEV_BASIS_LIMIT", 512)
+    monkeypatch.setattr(fullsim, "DEFAULT_DIM_CAP", 1)
+    monkeypatch.setattr(np, "outer", refused)
+    monkeypatch.setattr(np.linalg, "eigh", refused)
     assert run("verify", "--scenario", million_items(tmp_path), "--out", tmp_path / "out") == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: full-space check needs") and err.count("\n") == 1
-    assert "d=2" in err and "K=" in err
+    assert err.startswith("error: full-space check on d=2 dimensions") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "verify.json").exists()
+
+
+@pytest.mark.parametrize("block_bytes", [fullsim.BLOCK_BYTES, 1])
+def test_verify_diagonalises_once(tmp_path, library_demo_path, monkeypatch, block_bytes):
+    # block_bytes=1 walks the grid one row at a time; the eigenvectors are shared
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(fullsim, "BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert run("verify", "--scenario", library_demo_path, "--out", tmp_path,
+               "--grid-points", 300) == 0
+    assert calls == [(7, 7)]
+
+
+def reweighted_pair(tmp_path, alpha2):
+    # the shipped misplaced pair with the misplaced weight raised to alpha2
+    doc = json.loads((SCENARIO_DIR / "misplaced_pair.json").read_text())
+    doc["info_sets"][0]["weight"], doc["info_sets"][1]["weight"] = 1.0 - alpha2, alpha2
+    path = tmp_path / f"pair_{alpha2}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_verify_passes_at_a_tiny_overlap(tmp_path):
+    # alpha2 = 0.99999: y = 1e-5 and E*t_max = 3.1e5, so the 2x2 closed form and
+    # the class evolution must agree to 1e-10 over 3.1e5 radians of phase
+    assert run("verify", "--scenario", reweighted_pair(tmp_path, 0.99999), "--out", tmp_path) == 0
+    data = read_json(tmp_path / "verify.json")
+    assert data["passed"] is True
+    assert data["energy_time"] == pytest.approx(3.14e5, rel=1e-3)
+    assert data["max_trajectory_deviation"] <= 1e-10
+
+
+def test_verify_catches_a_perturbed_closed_form_at_a_tiny_overlap(tmp_path, monkeypatch, capsys):
+    # 1e-8 is far above the roundoff floor 4*eps*E*t_max = 2.8e-10 here
+    closed_form = dynamics._reduced_coefficients
+
+    def perturbed(y, energy, times):
+        a, b = closed_form(y, energy, times)
+        return a + 1e-8, b
+
+    monkeypatch.setattr(dynamics, "_reduced_coefficients", perturbed)
+    assert run("verify", "--scenario", reweighted_pair(tmp_path, 0.99999), "--out", tmp_path) == 2
+    assert read_json(tmp_path / "verify.json")["passed"] is False
+    assert "internal check failed" in capsys.readouterr().err
+
+
+def one_target_in_a_thousand(tmp_path, y):
+    # target 0; set {0..9} of weight w and set {10..999} of weight 1, with w
+    # chosen so that y = w / sqrt(10 w^2 + 990): three symmetry classes
+    w = y * math.sqrt(990.0 / (1.0 - 10.0 * y * y))
+    path = tmp_path / f"thousand_{y:.6e}.json"
+    path.write_text(json.dumps({
+        "n_items": 1000,
+        "targets": [0],
+        "info_sets": [
+            {"members": list(range(10)), "weight": w},
+            {"members": list(range(10, 1000)), "weight": 1.0},
+        ],
+    }))
+    return path
+
+
+def test_verify_never_fails_a_correct_scenario_at_small_overlap(tmp_path, capsys):
+    # past E*t_max ~ 1.1e5 float64 roundoff alone can exceed 1e-10; verify then
+    # refuses (exit 1, nothing written) instead of reporting a failure (exit 2)
+    codes = []
+    for y in np.geomspace(3e-7, 3e-5, 25):
+        out = tmp_path / f"out_{y:.6e}"
+        code = run("verify", "--scenario", one_target_in_a_thousand(tmp_path, y), "--out", out)
+        err = capsys.readouterr().err
+        assert code in (0, 1), (y, err)
+        if code == 1:
+            assert err.startswith("error: verify cannot resolve 1e-10 here: at y=")
+            assert "E*t_max=" in err and err.count("\n") == 1
+            assert not out.exists()
+        else:
+            assert read_json(out / "verify.json")["passed"] is True
+        codes.append(code)
+    assert 0 in codes
+
+
+def test_verify_refusal_keeps_a_perturbation_it_can_resolve(tmp_path, monkeypatch, capsys):
+    # at y = 3e-7 the floor is 4*eps*E*t_max = 9.3e-9: a 2e-9 drift in the
+    # closed form is refused as unresolvable, a 1e-7 drift is a failure
+    scenario = one_target_in_a_thousand(tmp_path, 3e-7)
+    closed_form = dynamics._reduced_coefficients
+    for drift, expected in ((2e-9, 1), (1e-7, 2)):
+        def perturbed(y, energy, times):
+            a, b = closed_form(y, energy, times)
+            return a + drift, b
+
+        monkeypatch.setattr(dynamics, "_reduced_coefficients", perturbed)
+        out = tmp_path / f"out_{drift}"
+        assert run("verify", "--scenario", scenario, "--out", out) == expected
+        assert out.exists() == (expected == 2)
+    assert "cannot resolve" in capsys.readouterr().err
 
 
 def test_verify_reports_its_classes_and_energy_time(tmp_path, library_demo_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -13,16 +15,17 @@ from ctqsearch import (
     weighted_superposition,
 )
 from ctqsearch import fullsim, uniform_superposition
-from ctqsearch.fullsim import (
+from ctqsearch.fullsim import evolve_on_grid, full_hamiltonian, project_reduced
+from ctqsearch.stateprep import symmetry_classes
+from oracles import (
+    ScenarioMode,
     chebyshev_coefficients,
     chebyshev_order,
     evolve_blocks,
-    evolve_on_grid,
-    full_hamiltonian,
-    project_reduced,
+    lift_classes,
+    random_scenario_suite,
+    reduced_hamiltonian,
 )
-from ctqsearch.stateprep import symmetry_classes
-from oracles import ScenarioMode, lift_classes, random_scenario_suite, reduced_hamiltonian
 
 
 def max_leak(scenario, prep, times):
@@ -32,13 +35,14 @@ def max_leak(scenario, prep, times):
 def test_hamiltonian_two_item_literal():
     # single covering set over both items: beta = (1, 1)/sqrt(2)
     s = build_scenario(2, {0}, [({0, 1}, 1.0)])
-    h = full_hamiltonian(s, weighted_superposition(s))
+    prep = weighted_superposition(s)
+    h = full_hamiltonian(prep.beta, prep.target_items, s.energy)
     assert_allclose(h, [[1.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
 
 def test_hamiltonian_is_projector_sum(boosted_pair):
     prep = weighted_superposition(boosted_pair)
-    h = full_hamiltonian(boosted_pair, prep)
+    h = full_hamiltonian(prep.beta, prep.target_items, boosted_pair.energy)
     target_proj = np.zeros((8, 8))
     for t in boosted_pair.targets:
         target_proj[t, t] = 1.0
@@ -49,14 +53,14 @@ def test_hamiltonian_is_projector_sum(boosted_pair):
 def test_spectrum_stays_in_energy_window():
     for s in random_scenario_suite(seed=2, count=10, n_items_range=(8, 48)):
         prep = weighted_superposition(s)
-        vals = np.linalg.eigvalsh(full_hamiltonian(s, prep))
+        vals = np.linalg.eigvalsh(full_hamiltonian(prep.beta, prep.target_items, s.energy))
         assert vals.min() >= -1e-10
         assert vals.max() <= 2 * s.energy + 1e-10
 
 
 def test_restriction_to_plane_is_reduced_hamiltonian(boosted_pair):
     prep = weighted_superposition(boosted_pair)
-    h = full_hamiltonian(boosted_pair, prep)
+    h = full_hamiltonian(prep.beta, prep.target_items, boosted_pair.energy)
     w, r = reduced_basis(prep.beta, prep.target_items)
     basis = np.column_stack([w, r])
     assert_allclose(basis.T @ h @ basis, reduced_hamiltonian(prep.y, 1.0), atol=1e-12)
@@ -69,7 +73,7 @@ def test_restriction_to_plane_is_reduced_hamiltonian(boosted_pair):
 
 def test_plane_eigenvalues(boosted_pair):
     prep = weighted_superposition(boosted_pair)
-    h = full_hamiltonian(boosted_pair, prep)
+    h = full_hamiltonian(prep.beta, prep.target_items, boosted_pair.energy)
     w, r = reduced_basis(prep.beta, prep.target_items)
     basis = np.column_stack([w, r])
     vals = np.linalg.eigvalsh(basis.T @ h @ basis)
@@ -79,7 +83,7 @@ def test_plane_eigenvalues(boosted_pair):
 
 def test_full_evolve_matches_generic_exponential(lopsided_pair):
     prep = weighted_superposition(lopsided_pair)
-    h = full_hamiltonian(lopsided_pair, prep)
+    h = full_hamiltonian(prep.beta, prep.target_items, lopsided_pair.energy)
     for t in (0.0, 0.7, 3.1):
         direct = expm(-1j * t * h) @ prep.beta.astype(complex)
         assert_allclose(evolve_on_grid(h, prep.beta, [t])[0], direct, atol=1e-12)
@@ -87,7 +91,7 @@ def test_full_evolve_matches_generic_exponential(lopsided_pair):
 
 def test_norm_and_energy_conserved(boosted_pair):
     prep = weighted_superposition(boosted_pair)
-    h = full_hamiltonian(boosted_pair, prep)
+    h = full_hamiltonian(prep.beta, prep.target_items, boosted_pair.energy)
     times = np.linspace(0.0, 12.0, 40)
     states = evolve_on_grid(h, prep.beta, times)
     e0 = prep.beta @ h @ prep.beta
@@ -98,7 +102,7 @@ def test_norm_and_energy_conserved(boosted_pair):
 
 def test_uncovered_items_never_acquire_amplitude(boosted_pair):
     prep = weighted_superposition(boosted_pair)
-    h = full_hamiltonian(boosted_pair, prep)
+    h = full_hamiltonian(prep.beta, prep.target_items, boosted_pair.energy)
     states = evolve_on_grid(h, prep.beta, np.linspace(0.0, 8.0, 20))
     outside = sorted(set(range(8)) - set(boosted_pair.support))
     assert np.max(np.abs(states[:, outside])) == 0.0
@@ -114,7 +118,7 @@ def test_evolution_never_leaves_plane(boosted_pair, lopsided_pair):
 
 def test_projected_trajectory_matches_closed_form(boosted_pair):
     prep = weighted_superposition(boosted_pair)
-    h = full_hamiltonian(boosted_pair, prep)
+    h = full_hamiltonian(prep.beta, prep.target_items, boosted_pair.energy)
     t_opt = optimal_time(prep.y, 1.0)
     closed = trajectory(prep, 1.0, t_max=2 * t_opt, n_points=64)
     states = evolve_on_grid(h, prep.beta, closed.times)
@@ -136,7 +140,7 @@ def test_full_overlap_scenario_has_no_residual_axis():
 
 def test_evolve_on_grid_agrees_with_single_calls(lopsided_pair):
     prep = weighted_superposition(lopsided_pair)
-    h = full_hamiltonian(lopsided_pair, prep)
+    h = full_hamiltonian(prep.beta, prep.target_items, lopsided_pair.energy)
     times = [0.3, 1.4, 5.0]
     grid = evolve_on_grid(h, prep.beta, times)
     for t, row in zip(times, grid):
@@ -145,11 +149,9 @@ def test_evolve_on_grid_agrees_with_single_calls(lopsided_pair):
 
 def test_dimension_cap_enforced():
     s = build_scenario(5000, {0}, [({0, 1}, 1.0)])
+    prep = weighted_superposition(s)
     with pytest.raises(ValueError):
-        full_hamiltonian(s, weighted_superposition(s))
-    # explicit cap override allows it
-    h = full_hamiltonian(s, weighted_superposition(s), dim_cap=5000)
-    assert h.shape == (5000, 5000)
+        full_hamiltonian(prep.beta, prep.target_items, s.energy)
 
 
 def test_non_hermitian_rejected():
@@ -182,7 +184,8 @@ def test_chebyshev_propagator_matches_dense_oracle(monkeypatch, block_bytes):
         assert s.n_items <= 64
         prep = weighted_superposition(s)
         times = np.linspace(0.0, 2.0 * optimal_time(prep.y, s.energy), 33)
-        dense = evolve_on_grid(full_hamiltonian(s, prep), prep.beta, times)
+        h = full_hamiltonian(prep.beta, prep.target_items, s.energy)
+        dense = evolve_on_grid(h, prep.beta, times)
         cheb = np.vstack(list(evolve_blocks(prep.beta, prep.target_items, s.energy, times)))
         assert np.max(np.abs(cheb - dense)) <= 1e-12
 
@@ -215,18 +218,55 @@ def test_chebyshev_conserves_norm_and_leaves_uncovered_items_zero(boosted_pair):
     assert outside and np.max(np.abs(states[:, outside])) == 0.0
 
 
-def test_chebyshev_basis_limit_refused_before_allocation(monkeypatch):
-    # the limit applies to (K+1)*d*8 bytes, d the number of symmetry classes
-    def no_basis(*args):
-        raise AssertionError("basis allocated despite the size limit")
+def test_class_cap_refused_before_x_is_built(monkeypatch):
+    # the cap applies to d, the number of symmetry classes, not to N
+    def refused(*args, **kwargs):
+        raise AssertionError("X allocated or diagonalised despite the cap")
 
-    monkeypatch.setattr(fullsim, "_chebyshev_basis", no_basis)
-    monkeypatch.setattr(fullsim, "CHEBYSHEV_BASIS_LIMIT", 512)
     s = build_scenario(1_000_000, {0}, [({0, 1}, 1.0)])
     prep = weighted_superposition(s)
     times = np.linspace(0.0, 2.0 * optimal_time(prep.y, s.energy), 8)
-    with pytest.raises(ValueError, match=r"\(K\+1\)\*d\*8 bytes for d=2, K=\d+\)"):
+    monkeypatch.setattr(fullsim, "DEFAULT_DIM_CAP", 1)
+    monkeypatch.setattr(np, "outer", refused)
+    monkeypatch.setattr(np.linalg, "eigh", refused)
+    with pytest.raises(ValueError, match=r"d=2 dimensions is over the cap of 1"):
         plane_projection_on_grid(s, prep, times)
+
+
+def test_grid_walk_memory_is_bounded_by_the_block():
+    # 12 classes and 2**17 time rows: the states alone would take 24 MiB
+    sets = [(set(range(k, 12)), 0.05 + 0.03 * k) for k in range(12)]
+    s = build_scenario(16, {2, 7, 11}, sets)
+    prep = weighted_superposition(s)
+    times = np.linspace(0.0, 2.0 * optimal_time(prep.y, s.energy), 2**17)
+    tracemalloc.start()
+    try:
+        a, b, leak, d = plane_projection_on_grid(s, prep, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = a.nbytes + b.nbytes + leak.nbytes
+    # one block's phases, states and their temporaries; unblocked, 74 MiB
+    assert d == 12 and peak - outputs <= 4 * fullsim.BLOCK_BYTES
+    assert np.max(leak) <= 1e-12
+
+
+@pytest.mark.parametrize("y", [1e-2, 1e-3, 1e-4])
+def test_class_evolution_matches_the_chebyshev_oracle_at_small_overlap(y):
+    # the eigendecomposition route against a route that diagonalises nothing,
+    # both on the classes of the one-target-in-a-thousand family
+    w = y * np.sqrt(990.0 / (1.0 - 10.0 * y * y))
+    s = build_scenario(1000, {0}, [(set(range(10)), w), (set(range(10, 1000)), 1.0)])
+    prep = weighted_superposition(s)
+    amplitudes, is_target = symmetry_classes(prep)
+    times = np.linspace(0.0, 2.0 * optimal_time(prep.y, s.energy), 65)
+    states = np.vstack(list(evolve_blocks(amplitudes, is_target, s.energy, times)))
+    plane = np.column_stack(reduced_basis(amplitudes, is_target))
+    ab = states @ plane
+    a, b, leak, d = plane_projection_on_grid(s, prep, times)
+    assert d == 3
+    assert np.max(np.abs(a - ab[:, 0])) <= 1e-10 and np.max(np.abs(b - ab[:, 1])) <= 1e-10
+    assert np.max(leak) <= 1e-12
 
 
 def test_symmetry_classes_of_the_boosted_pair(boosted_pair):
@@ -256,7 +296,8 @@ def test_class_states_lift_to_the_dense_oracle(monkeypatch, block_bytes):
         assert amplitudes.size <= s.support_size and np.all(amplitudes > 0.0)
         assert np.linalg.norm(amplitudes[is_target]) == pytest.approx(prep.y, abs=1e-14)
         times = np.linspace(0.0, 2.0 * optimal_time(prep.y, s.energy), 33)
-        dense = evolve_on_grid(full_hamiltonian(s, prep), prep.beta, times)
+        h = full_hamiltonian(prep.beta, prep.target_items, s.energy)
+        dense = evolve_on_grid(h, prep.beta, times)
         classes = np.vstack(list(evolve_blocks(amplitudes, is_target, s.energy, times)))
         lifted = lift_classes(prep.beta, prep.target_items, classes)
         assert np.max(np.abs(lifted - dense)) <= 1e-12
@@ -273,7 +314,8 @@ def test_distinct_amplitudes_make_every_item_a_class():
     assert amplitudes.size == s.support_size == 12
     assert is_target.sum() == 3
     times = np.linspace(0.0, 2.0 * optimal_time(prep.y, s.energy), 41)
-    dense = evolve_on_grid(full_hamiltonian(s, prep), prep.beta, times)
+    h = full_hamiltonian(prep.beta, prep.target_items, s.energy)
+    dense = evolve_on_grid(h, prep.beta, times)
     classes = np.vstack(list(evolve_blocks(amplitudes, is_target, s.energy, times)))
     assert np.max(np.abs(lift_classes(prep.beta, prep.target_items, classes) - dense)) <= 1e-12
     a, b, leak, _ = plane_projection_on_grid(s, prep, times)
