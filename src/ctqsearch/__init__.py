@@ -37,7 +37,6 @@ from .phase_estimation import (
     RegisterDistribution,
     counting_scenario,
     disambiguate,
-    disjointify,
     estimate_count,
     estimate_y,
     measurement_distribution,

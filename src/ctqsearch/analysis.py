@@ -113,6 +113,13 @@ def _check_misplaced_params(l: int, n1: int, n2: int, n12: int) -> None:
         )
 
 
+def _check_alpha2(alpha2: float) -> float:
+    alpha2 = float(alpha2)
+    if not 0.0 < alpha2 < 1.0:  # false for nan too
+        raise ValueError(f"alpha2 must lie in (0, 1), got {alpha2}")
+    return alpha2
+
+
 def misplaced_confidence_curve(
     l: int,
     n1: int,
@@ -134,7 +141,7 @@ def misplaced_confidence_curve(
     alpha2 = np.asarray(alpha2_values, dtype=float)
     outside = ~((alpha2 > 0.0) & (alpha2 < 1.0))
     if outside.any():
-        raise ValueError(f"alpha2 must lie in (0, 1), got {alpha2[outside][0]}")
+        _check_alpha2(alpha2[outside][0])
     alpha1 = 1.0 - alpha2
     nu = np.sqrt((n1 - n12) * alpha1 * alpha1 + n12 + (n2 - n12) * alpha2 * alpha2)
     y = math.sqrt(l) * alpha1 / nu
@@ -168,13 +175,13 @@ def misplaced_structure(scenario: SearchScenario) -> MisplacedStructure:
         raise ScenarioError(
             "misplaced analysis requires all targets in one set and none in the other"
         )
-    # no target lies in the wrong set, so none in the overlap: n1 - n12 >= l
-    overlap = np.intersect1d(trusted.members, wrong.members, assume_unique=True).size
+    # the support is the two sets' union; no target lies in the wrong set,
+    # so none in the overlap: n1 - n12 >= l
     return MisplacedStructure(
         l=l,
         n1=trusted.size,
         n2=wrong.size,
-        n12=overlap,
+        n12=trusted.size + wrong.size - scenario.support_size,
         alpha2=wrong.weight,
     )
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from .analysis import (
     BoundReport,
+    _check_alpha2,
     check_scenario_bounds,
     compare_structured_unstructured,
     misplaced_confidence_curve,
@@ -59,6 +60,7 @@ SIZE_FLAG_BUDGET = 2**30  # bytes a size flag may ask for, refused when parsed
 # size flag: (lower bound, tracemalloc peak bytes per unit at 10**5 units)
 SIZE_FLAGS = {"--points": (2, 90), "--grid-points": (2, 123), "--alpha2-points": (2, 74),
               "--samples": (1, 40)}
+ALPHA2_RANGE = (0.05, 0.999)  # the defaults of sweep's --alpha2-min and --alpha2-max
 
 
 class CliInputError(ValueError):
@@ -141,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="misplaced-confidence cost curve")
     _add_common(p)
-    p.add_argument("--alpha2-min", type=float, default=0.05)
-    p.add_argument("--alpha2-max", type=float, default=0.999)
+    p.add_argument("--alpha2-min", type=_checked(_check_alpha2), default=ALPHA2_RANGE[0])
+    p.add_argument("--alpha2-max", type=_checked(_check_alpha2), default=ALPHA2_RANGE[1])
     p.add_argument("--alpha2-points", type=_size(*SIZE_FLAGS["--alpha2-points"]), default=64)
 
     p = subs.add_parser("compare", help="structured vs. uniform preparation")
@@ -373,8 +375,6 @@ def cmd_count(args, scenario: SearchScenario) -> Output:
 
 def cmd_sweep(args, scenario: SearchScenario) -> Output:
     structure = misplaced_structure(scenario)
-    if not 0.0 < args.alpha2_min < args.alpha2_max < 1.0:
-        raise CliInputError("need 0 < --alpha2-min < --alpha2-max < 1")
     grid = np.linspace(args.alpha2_min, args.alpha2_max, args.alpha2_points)
     curve = misplaced_confidence_curve(
         structure.l, structure.n1, structure.n2, structure.n12, grid, scenario.energy
@@ -458,7 +458,13 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        return _run(parser.parse_args(argv))
+        args = parser.parse_args(argv)
+        if args.command == "sweep" and not args.alpha2_min < args.alpha2_max:
+            # a pair out of order has moved --alpha2-max, or else --alpha2-min, off its default
+            flag = "--alpha2-max" if args.alpha2_max != ALPHA2_RANGE[1] else "--alpha2-min"
+            parser.error(f"argument {flag}: need --alpha2-min < --alpha2-max, "
+                         f"got {args.alpha2_min} and {args.alpha2_max}")
+        return _run(args)
     except (OSError, ValueError, OverflowError, MemoryError) as exc:  # incl. CliInputError, ScenarioError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -41,7 +41,7 @@ import numpy as np
 
 from .dynamics import _check_overlap, _reduced_coefficients, optimal_time
 from .rng import make_rng, sample_inverse_cdf
-from .scenario import InformationSet, ScenarioError, SearchScenario
+from .scenario import InformationSet, SearchScenario
 from .stateprep import StatePrep, weighted_superposition
 
 # clusters are called ambiguous when the relative count gap falls below
@@ -322,18 +322,23 @@ def estimate_y(samples, m_size: int) -> PhaseEstimate:
     )
 
 
-def _verification_harmonic(candidate: float, gap: float) -> int:
-    """Smallest odd multiple of the candidate's peak time that separates the
-    mirror pair.
+def _verification_harmonic(candidate: float, rival: float, energy: float) -> int:
+    """The odd multiple of the candidate's peak time to verify at: 1, or the
+    smallest one that separates the mirror pair, whichever gives the rival
+    reading the lower predicted success |a(t)|**2.
 
     Success probability peaks at every odd multiple of pi/(2*E*c), so any odd
     harmonic is still "the candidate's optimal time"; harmonic k amplifies a
-    relative frequency error k-fold.  Choosing k >= c/gap pushes the other
-    candidate's prediction roughly a quarter period away, which is what makes
-    nearly-mirror-symmetric pairs (y close to 1/2) distinguishable at all.
+    relative frequency error k-fold.  Choosing k >= c/gap pushes the rival's
+    prediction roughly a quarter period away, which is what makes
+    nearly-mirror-symmetric pairs (y close to 1/2) distinguishable at all; for
+    a well-split pair that push can land the rival on a peak of its own.
     """
-    harmonic = max(1, math.ceil(candidate / gap))
-    return harmonic + 1 if harmonic % 2 == 0 else harmonic
+    separating = max(1, math.ceil(candidate / abs(rival - candidate)))
+    harmonics = (1, separating + 1 if separating % 2 == 0 else separating)
+    t_peak = optimal_time(candidate, energy)
+    a, _ = _reduced_coefficients(rival, energy, [h * t_peak for h in harmonics])
+    return harmonics[int(np.argmin(np.abs(a)))]
 
 
 def _verification_hits(
@@ -362,8 +367,8 @@ def disambiguate(
     """Resolve an ambiguous mirror pair with verification experiments.
 
     Each positive candidate is tried: evolve the true system to an
-    odd-harmonic peak of that candidate (the harmonic is chosen to separate
-    the pair; it is 1 for well-split candidates) and count how many of
+    odd-harmonic peak of that candidate (:func:`_verification_harmonic`, the
+    one of two that better separates the pair) and count how many of
     ``N_VERIFY`` measurements hit a target.  A candidate must lead by at
     least ``MIN_LEAD`` hits to win; otherwise the branch the register split
     makes likelier stands (at rational phase ratios both candidates can score
@@ -380,7 +385,8 @@ def disambiguate(
         chosen = candidates[0]
     else:
         rng = make_rng(seed, VERIFY_STREAM)
-        harmonics = [_verification_harmonic(c, c_high - c_low) for c in candidates]
+        harmonics = [_verification_harmonic(c, r, scenario.energy)
+                     for c, r in zip(candidates, candidates[::-1])]
         hits = [_verification_hits(prep.y, scenario.energy, c, rng, N_VERIFY, h)
                 for c, h in zip(candidates, harmonics)]
         verification = tuple(zip(candidates, harmonics, hits))
@@ -428,39 +434,14 @@ def run_phase_estimation(
     return est, samples
 
 
-def disjointify(info_sets) -> tuple[InformationSet, ...]:
-    """Make information sets pairwise disjoint (first set keeps shared items).
-
-    Sets emptied by the rewrite are dropped and the survivors get equal
-    weights, the convention used by the counting pipeline.
-    """
-    info_sets = tuple(info_sets)
-    seen = np.zeros(1 + max((s.members[-1] for s in info_sets), default=-1), dtype=bool)
-    kept_members = []
-    for s in info_sets:
-        fresh = s.members[~seen[s.members]]
-        if fresh.size:
-            kept_members.append(fresh)
-            seen[fresh] = True
-    if not kept_members:
-        raise ScenarioError("disjointify produced no nonempty sets")
-    weight = 1.0 / len(kept_members)
-    return tuple(InformationSet(m, weight) for m in kept_members)
-
-
 def counting_scenario(scenario: SearchScenario) -> SearchScenario:
-    """Rewrite a scenario for counting: disjoint sets, uniform weights.
+    """The scenario with one information set, its support, at weight 1.0.
 
     With equal amplitude on every covered item the overlap obeys
     y**2 = (target count) / (support size), which is what makes the register
     estimate invertible into a count.
     """
-    return SearchScenario(
-        n_items=scenario.n_items,
-        targets=scenario.targets,
-        info_sets=disjointify(scenario.info_sets),
-        energy=scenario.energy,
-    )
+    return replace(scenario, info_sets=(InformationSet(scenario.support, 1.0),))
 
 
 def estimate_count(y_hat: float, support_size: int) -> int:
@@ -503,8 +484,8 @@ def run_counting(
 ) -> CountResult:
     """Estimate the number of targets inside the covered support.
 
-    The scenario is first rewritten with disjoint, uniformly weighted sets;
-    the register size is :func:`_counting_m_size`.
+    The register runs on the uniform state over the support
+    (:func:`counting_scenario`); its size is :func:`_counting_m_size`.
     """
     counting = counting_scenario(scenario)
     support = counting.support_size

@@ -552,11 +552,26 @@ def test_sweep_rejects_non_misplaced_scenario(tmp_path, library_demo_path, capsy
     assert "error:" in capsys.readouterr().err
 
 
-def test_sweep_grid_validation(tmp_path, misplaced_demo_path):
-    assert run("sweep", "--scenario", misplaced_demo_path, "--out", tmp_path,
+def test_sweep_grid_validation(tmp_path, misplaced_demo_path, library_demo_path, capsys):
+    out = tmp_path / "out"
+    assert run("sweep", "--scenario", misplaced_demo_path, "--out", out,
                "--alpha2-min", 0.9, "--alpha2-max", 0.5) == 1
-    assert run("sweep", "--scenario", misplaced_demo_path, "--out", tmp_path,
+    assert capsys.readouterr().err == (
+        "error: argument --alpha2-max: need --alpha2-min < --alpha2-max, got 0.9 and 0.5\n"
+    )
+    assert run("sweep", "--scenario", misplaced_demo_path, "--out", out,
+               "--alpha2-min", 0.9995) == 1
+    assert capsys.readouterr().err.startswith("error: argument --alpha2-min: need ")
+    # the bounds are refused when parsed, before a scenario of the wrong shape is read
+    for flag in ("--alpha2-min", "--alpha2-max"):
+        for value in ("nan", "inf", 0, 1, -0.5):
+            assert run("sweep", "--scenario", library_demo_path, "--out", out, flag, value) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: argument {flag}: alpha2 must lie in (0, 1)"), err
+            assert err.count("\n") == 1
+    assert run("sweep", "--scenario", misplaced_demo_path, "--out", out,
                "--alpha2-points", 1) == 1
+    assert not out.exists()
 
 
 def test_compare_outputs(tmp_path, library_demo_path):
@@ -1030,7 +1045,7 @@ def test_count_json_stays_small_at_a_million_items(tmp_path):
     assert data["schema_version"] == "2.1" and set(data["estimate"]) == ESTIMATE_FIELDS
     summary = data["disjoint_scenario"]
     assert "sha256" not in summary
-    assert summary["n_sets"] == disjoint.n_sets == 8
+    assert summary["n_sets"] == disjoint.n_sets == 1
     assert summary["support_size"] == disjoint.support_size
     assert summary["n_items"] == n and summary["n_targets"] == 64
 
@@ -1091,7 +1106,7 @@ SIZED_FLAGS = {
     "verify": ("--grid-points",),
     "estimate": ("--samples", "--m-size"),
     "count": ("--samples", "--m-size"),
-    "sweep": ("--alpha2-points",),
+    "sweep": ("--alpha2-points", "--alpha2-min", "--alpha2-max"),
     "compare": (),
 }
 flag_texts = (

@@ -17,7 +17,7 @@ from ctqsearch import (
     ScenarioError,
     SearchScenario,
     classify_confidence,
-    disjointify,
+    counting_scenario,
     misplaced_structure,
     scenario_from_dict,
     sets_pairwise_disjoint,
@@ -68,17 +68,6 @@ def oracle_pairwise_disjoint(info_sets):
     return True
 
 
-def oracle_disjointify(info_sets):
-    seen = set()
-    kept = []
-    for s in info_sets:
-        fresh = members(s) - seen
-        if fresh:
-            kept.append(sorted(fresh))
-            seen |= fresh
-    return [(m, 1.0 / len(kept)) for m in kept]
-
-
 def oracle_misplaced_structure(scenario):
     if scenario.n_sets != 2:
         return None
@@ -125,8 +114,8 @@ def test_array_helpers_agree_with_frozenset_oracles(index):
     assert s.support_size == len(oracle_support(s))
     assert classify_confidence(s).target_overlaps == oracle_overlaps(s)
     assert sets_pairwise_disjoint(s.info_sets) == oracle_pairwise_disjoint(s.info_sets)
-    out = disjointify(s.info_sets)
-    assert [(m.members.tolist(), m.weight) for m in out] == oracle_disjointify(s.info_sets)
+    (counting,) = counting_scenario(s).info_sets
+    assert (frozenset(counting.members.tolist()), counting.weight) == (oracle_support(s), 1.0)
 
     expected = oracle_misplaced_structure(s)
     if expected is None:
