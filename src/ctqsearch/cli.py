@@ -320,7 +320,7 @@ def _estimate_fields(est: PhaseEstimate) -> dict:
         "cluster_counts": list(est.cluster_counts),
         "candidate_gap": est.candidate_gap,
         "log_likelihood_ratio": est.log_likelihood_ratio,
-        "ambiguous": est.initially_ambiguous,
+        "ambiguous": est.ambiguous,
         "branch_flipped": est.branch_flipped,
         "verification": None if draws is None else [
             {"candidate": c, "harmonic": h, "hits": n} for c, h, n in draws

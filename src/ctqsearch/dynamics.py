@@ -40,10 +40,12 @@ def _check_energy(energy: float) -> float:
     return energy
 
 
-def _check_time(t: float) -> float:
+def _check_time(t: float, energy: float = 1.0) -> float:
     t = float(t)
     if t < 0.0 or not math.isfinite(t):
         raise ValueError(f"time must be nonnegative and finite, got {t}")
+    if not math.isfinite(energy * t):  # the phases e^(-iEt) need E*t in the float range
+        raise ValueError(f"E*t_max overflows at energy {energy} and t_max {t}")
     return t
 
 
@@ -110,7 +112,8 @@ def success_distribution(prep: StatePrep, energy: float, t: float) -> SuccessDis
     the remaining mass 1 - |a(t)|**2 is spread over non-target items and is
     reported in aggregate as ``failure``.
     """
-    a, _ = _reduced_coefficients(_check_overlap(prep.y), _check_energy(energy), [_check_time(t)])
+    energy = _check_energy(energy)
+    a, _ = _reduced_coefficients(_check_overlap(prep.y), energy, [_check_time(t, energy)])
     p_success = abs(complex(a[0])) ** 2
     probs = {
         int(item): float(p_success * coeff * coeff)
@@ -148,7 +151,8 @@ def trajectory(
     energy = _check_energy(energy)
     if t_max is None:
         t_max = 2.0 * optimal_time(prep.y, energy)
-    t_max = _check_time(t_max)
-    times = np.linspace(0.0, t_max, n_points)
+    t_max = _check_time(t_max, energy)
+    with np.errstate(over="ignore"):  # (n - 1) * step may round past the float range;
+        times = np.linspace(0.0, t_max, n_points)  # linspace then sets the end to t_max
     a, b = _reduced_coefficients(prep.y, energy, times)
     return Trajectory(times=times, a=a, b=b, success=np.abs(a) ** 2)

@@ -222,33 +222,46 @@ def sample_phase_register(y: float, m_size: int, n_samples: int, seed: int) -> n
 class PhaseEstimate:
     """Outcome of cluster analysis on register samples.
 
-    ``y_candidates`` is the mirror pair (k*/M, 1 - k*/M) of the modal cluster,
-    sorted ascending; ``k_mode`` is the register value read as phase 1 - y,
-    so ``y_hat = 1 - k_mode/M`` always holds.  It is the heavier side unless
-    :func:`disambiguate` overturned the split.  ``cluster_counts`` holds the
-    sample counts at ``k_mode`` and at its mirror, in that order.
-    ``ambiguous`` flags splits too balanced to call from counts alone;
-    callers should then run :func:`disambiguate`, which clears it.
-    ``initially_ambiguous`` keeps the flag as :func:`estimate_y` set it.
+    It stores what the register and verification produced.  ``k_mode`` is
+    the register value read as phase 1 - y, the heavier side of the modal
+    mirror pair unless :func:`disambiguate` overturned the split, and
+    ``cluster_counts`` holds the sample counts at ``k_mode`` and at its
+    mirror, in that order.  ``ambiguous`` flags, as :func:`estimate_y` set
+    it, a split too balanced to call from counts alone; callers should then
+    run :func:`disambiguate`, which leaves the flag as it is.
     ``log_likelihood_ratio`` compares the observed split under the reading
     ``y = y_hat`` against the mirror reading; it is 0 when the pair has a
-    single side.  ``resolution`` is one register bin, 1/``m_size``.
-    ``verification`` holds (candidate, harmonic, hits) for each candidate
-    :func:`disambiguate` drew for, and is None when it drew nothing;
-    ``branch_flipped`` is True when it overturned the count split.
+    single side.  ``verification`` holds (candidate, harmonic, hits) for each
+    candidate :func:`disambiguate` drew for, and is None when it drew
+    nothing; ``branch_flipped`` is True when it overturned the count split.
+
+    The rest derives from ``k_mode`` and ``m_size``: ``y_hat = 1 - k_mode/M``,
+    ``y_candidates`` the mirror pair (p/M, 1 - p/M) with
+    p = min(k_mode, M - k_mode), ``candidate_gap`` their distance on the
+    unit circle, and ``resolution`` one register bin, 1/M.
     """
 
     k_mode: int
-    y_candidates: tuple[float, float]
-    y_hat: float
     m_size: int
     cluster_counts: tuple[int, int]
     ambiguous: bool
-    candidate_gap: float
     log_likelihood_ratio: float
-    initially_ambiguous: bool
     verification: tuple[tuple[float, int, int], ...] | None = None
     branch_flipped: bool = False
+
+    @property
+    def y_hat(self) -> float:
+        return 1.0 - self.k_mode / self.m_size
+
+    @property
+    def y_candidates(self) -> tuple[float, float]:
+        low = min(self.k_mode, self.m_size - self.k_mode) / self.m_size
+        return low, 1.0 - low
+
+    @property
+    def candidate_gap(self) -> float:
+        low, high = self.y_candidates
+        return min(high - low, 2.0 * low)  # the two ways round the unit circle
 
     @property
     def resolution(self) -> float:
@@ -288,38 +301,25 @@ def estimate_y(samples, m_size: int) -> PhaseEstimate:
 
     n_low = int(np.sum(ks == p))
     n_high = int(np.sum(ks == mirror)) if mirror != p else 0
-    c_low, c_high = p / m_size, 1.0 - p / m_size
-
     if n_low > n_high:
         heavy_k, heavy_n, light_n = p, n_low, n_high
     else:
-        # a dead-even split also picks the high side: the default reads y_hat = c_low
+        # a dead-even split also picks the high side, whose reading is y = p/M
         heavy_k, heavy_n, light_n = mirror, n_high, n_low
 
     pair_total = n_low + n_high
     gap = (heavy_n - light_n) / pair_total
-    turn = (c_high - c_low) % 1.0  # the pair's distance on the unit circle
-    y_hat = 1.0 - heavy_k / m_size
     # the pairs {0} and {M/2} have one side, where the ratio is undefined
-    llr = _mirror_log_likelihood_ratio(y_hat, heavy_n, light_n) if mirror != p else 0.0
+    llr = (_mirror_log_likelihood_ratio(1.0 - heavy_k / m_size, heavy_n, light_n)
+           if mirror != p else 0.0)
     # at p = M/2 both candidates are 1/2: nothing to disambiguate
-    ambiguous = c_low != c_high and (
+    ambiguous = 2 * p != m_size and (
         light_n == 0
         or gap < AMBIGUITY_SIGMA / math.sqrt(pair_total)
         or llr < AMBIGUITY_SIGMA**2 / 2.0
     )
-
-    return PhaseEstimate(
-        k_mode=heavy_k,
-        y_candidates=(c_low, c_high),
-        y_hat=y_hat,
-        m_size=m_size,
-        cluster_counts=(heavy_n, light_n),
-        ambiguous=ambiguous,
-        candidate_gap=min(turn, 1.0 - turn),
-        log_likelihood_ratio=llr,
-        initially_ambiguous=ambiguous,
-    )
+    return PhaseEstimate(k_mode=heavy_k, m_size=m_size, cluster_counts=(heavy_n, light_n),
+                         ambiguous=ambiguous, log_likelihood_ratio=llr)
 
 
 def _verification_harmonic(candidate: float, rival: float, energy: float) -> int:
@@ -366,50 +366,39 @@ def disambiguate(
 ) -> PhaseEstimate:
     """Resolve an ambiguous mirror pair with verification experiments.
 
-    Each positive candidate is tried: evolve the true system to an
-    odd-harmonic peak of that candidate (:func:`_verification_harmonic`, the
-    one of two that better separates the pair) and count how many of
-    ``N_VERIFY`` measurements hit a target.  A candidate must lead by at
-    least ``MIN_LEAD`` hits to win; otherwise the branch the register split
-    makes likelier stands (at rational phase ratios both candidates can score
-    perfectly, and the split is then the best evidence available).
+    Both candidates are tried: evolve the true system to an odd-harmonic
+    peak of each (:func:`_verification_harmonic`, the one of two that better
+    separates the pair) and count how many of ``N_VERIFY`` measurements hit
+    a target.  A candidate must lead by at least ``MIN_LEAD`` hits to win;
+    otherwise the branch the register split makes likelier stands (at
+    rational phase ratios both candidates can score perfectly, and the split
+    is then the best evidence available).  A clear split, or the pair {0},
+    which can only read y_hat = 1 since y > 0, is returned unchanged; a flip
+    reads the other side of the pair as phase 1 - y.
     """
-    if not estimate.ambiguous:
+    if not estimate.ambiguous or estimate.k_mode == 0:
         return estimate
-    c_low, c_high = estimate.y_candidates
-    if c_low == c_high:
-        return replace(estimate, ambiguous=False)
-    candidates = [c for c in (c_low, c_high) if c > 0.0]
-    verification = None
-    if len(candidates) == 1:
-        chosen = candidates[0]
+    candidates = estimate.y_candidates
+    rng = make_rng(seed, VERIFY_STREAM)
+    harmonics = [_verification_harmonic(c, r, scenario.energy)
+                 for c, r in zip(candidates, candidates[::-1])]
+    hits = [_verification_hits(prep.y, scenario.energy, c, rng, N_VERIFY, h)
+            for c, h in zip(candidates, harmonics)]
+    verification = tuple(zip(candidates, harmonics, hits))
+    if abs(hits[0] - hits[1]) >= MIN_LEAD:
+        flip = candidates[int(np.argmax(hits))] != estimate.y_hat
     else:
-        rng = make_rng(seed, VERIFY_STREAM)
-        harmonics = [_verification_harmonic(c, r, scenario.energy)
-                     for c, r in zip(candidates, candidates[::-1])]
-        hits = [_verification_hits(prep.y, scenario.energy, c, rng, N_VERIFY, h)
-                for c, h in zip(candidates, harmonics)]
-        verification = tuple(zip(candidates, harmonics, hits))
-        if abs(hits[0] - hits[1]) >= MIN_LEAD:
-            chosen = candidates[int(np.argmax(hits))]
-        elif estimate.log_likelihood_ratio >= 0.0:
-            chosen = estimate.y_hat  # tie: keep the likelihood-preferred branch
-        else:
-            chosen = c_low if estimate.y_hat == c_high else c_high
-    if chosen == estimate.y_hat:
-        return replace(estimate, ambiguous=False, verification=verification)
-    # the flip reads the other side as phase 1 - y
-    m_size = estimate.m_size
+        flip = estimate.log_likelihood_ratio < 0.0  # tie: the likelihood-preferred branch
+    if not flip:
+        return replace(estimate, verification=verification)
     at_mode, at_mirror = estimate.cluster_counts
     return replace(
         estimate,
-        k_mode=round((1.0 - chosen) * m_size) % m_size,
-        y_hat=chosen,
+        k_mode=estimate.m_size - estimate.k_mode,  # k_mode is not 0 here
         cluster_counts=(at_mirror, at_mode),
         log_likelihood_ratio=-estimate.log_likelihood_ratio,
-        ambiguous=False,
         verification=verification,
-        branch_flipped=True,
+        branch_flipped=not estimate.branch_flipped,
     )
 
 
@@ -428,10 +417,7 @@ def run_phase_estimation(
     raw register samples.
     """
     samples = sample_phase_register(prep.y, m_size, n_samples, seed)
-    est = estimate_y(samples, m_size)
-    if est.ambiguous:
-        est = disambiguate(est, scenario, prep, seed=seed)
-    return est, samples
+    return disambiguate(estimate_y(samples, m_size), scenario, prep, seed=seed), samples
 
 
 def counting_scenario(scenario: SearchScenario) -> SearchScenario:
@@ -467,12 +453,19 @@ def _counting_m_size(m_size: int | None, support_size: int) -> int:
 
 @dataclass(frozen=True)
 class CountResult:
-    """Counting pipeline output: the integer estimate plus its provenance."""
+    """Counting pipeline output: the register estimate on the counting scenario,
+    from which the support size and the integer count estimate derive."""
 
-    count_estimate: int
-    support_size: int
     estimate: PhaseEstimate
     scenario: SearchScenario
+
+    @property
+    def support_size(self) -> int:
+        return self.scenario.support_size
+
+    @property
+    def count_estimate(self) -> int:
+        return estimate_count(self.estimate.y_hat, self.support_size)
 
 
 def run_counting(
@@ -488,14 +481,8 @@ def run_counting(
     (:func:`counting_scenario`); its size is :func:`_counting_m_size`.
     """
     counting = counting_scenario(scenario)
-    support = counting.support_size
-    m_size = _counting_m_size(m_size, support)
+    m_size = _counting_m_size(m_size, counting.support_size)
     est, _ = run_phase_estimation(
         counting, weighted_superposition(counting), m_size=m_size, n_samples=n_samples, seed=seed
     )
-    return CountResult(
-        count_estimate=estimate_count(est.y_hat, support),
-        support_size=support,
-        estimate=est,
-        scenario=counting,
-    )
+    return CountResult(estimate=est, scenario=counting)

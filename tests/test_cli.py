@@ -522,6 +522,23 @@ def test_time_horizon_flag_is_checked_when_parsed(tmp_path, capsys, value):
         assert read_json(out / "simulate.json")["trajectory"]["t_max"] == float(value)
 
 
+@pytest.mark.parametrize("energy_from", ["flag", "scenario"])
+def test_horizon_that_overflows_at_the_energy_is_refused(tmp_path, capsys, energy_from):
+    # --t-max 1e308 parses, but at E = 10 the phase E*t_max leaves the float
+    # range; the energy may come from the scenario file, so this is refused later
+    source = SCENARIO_DIR / "library_demo.json"
+    energy = ["--energy", 10]
+    if energy_from == "scenario":
+        source = tmp_path / "energetic.json"
+        source.write_text(json.dumps({**read_json(SCENARIO_DIR / "library_demo.json"),
+                                      "energy": 10.0}))
+        energy = []
+    out = tmp_path / "out"
+    assert run("simulate", "--scenario", source, "--out", out, *energy, "--t-max", 1e308) == 1
+    assert capsys.readouterr().err == "error: E*t_max overflows at energy 10.0 and t_max 1e+308\n"
+    assert not out.exists()
+
+
 def test_count_rejects_small_register(tmp_path, counting_demo_path, capsys):
     assert run("count", "--scenario", counting_demo_path, "--out", tmp_path,
                "--m-size", 8) == 1
@@ -1129,12 +1146,18 @@ def test_fuzzed_size_flags_exit_cleanly(data, command):
     err = io.StringIO()
     # a small budget keeps every accepted value cheap to run
     with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp, \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         patch.setattr(cli, "SIZE_FLAG_BUDGET", 4096)
         code = cli.main([*argv, "--out", tmp])
     err = err.getvalue()
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    # no run raises a numpy warning, and one that succeeds says nothing on stderr
+    assert not [str(w.message) for w in caught]
+    if code == 0:
+        assert err == ""
     if code == 1:
         # one line naming a flag it was given, as argparse names it
         assert err.count("\n") == 1

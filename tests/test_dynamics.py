@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -246,3 +248,20 @@ def test_optimal_time_refuses_a_time_out_of_range(energy):
     # 2*E*y is subnormal (pi over it overflows), underflows to 0 or overflows
     with pytest.raises(ValueError, match=re.escape(f"out of range for energy {energy!r} and y 0.5")):
         optimal_time(0.5, energy)
+
+
+def test_horizon_whose_phase_overflows_is_refused(lopsided_pair):
+    # E*t = 1e309 leaves the float range, where e^(-iEt) and cos(E*y*t) are nan
+    prep = weighted_superposition(lopsided_pair)
+    message = re.escape("E*t_max overflows at energy 10.0 and t_max 1e+308")
+    with pytest.raises(ValueError, match=message):
+        trajectory(prep, 10.0, t_max=1e308)
+    with pytest.raises(ValueError, match=message):
+        success_distribution(prep, 10.0, 1e308)
+    # at E = 1 every finite horizon runs, up to the largest float, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = trajectory(prep, 1.0, t_max=sys.float_info.max, n_points=8)
+        dist = success_distribution(prep, 1.0, sys.float_info.max)
+    assert traj.times[-1] == sys.float_info.max and np.all(np.isfinite(traj.success))
+    assert 0.0 <= dist.failure <= 1.0

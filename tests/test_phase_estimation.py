@@ -547,6 +547,7 @@ def test_estimate_single_cluster_is_ambiguous():
     assert est.ambiguous
     assert est.y_candidates == (5 / 16, 11 / 16)
     assert est.y_hat == pytest.approx(11 / 16, abs=1e-15)
+    assert est.candidate_gap == 6 / 16  # the short way round, 11/16 - 5/16
 
 
 @pytest.mark.parametrize(
@@ -594,6 +595,7 @@ def test_estimate_zero_register_value():
     est = estimate_y([0] * 7, 8)
     assert est.y_candidates == (0.0, 1.0)
     assert est.y_hat == 1.0  # heavy-side default: 1 - 0/8
+    assert est.candidate_gap == 0.0  # 0 and 1 are one point of the circle
     assert est.ambiguous
 
 
@@ -613,7 +615,7 @@ def test_disambiguation_resolves_full_overlap_scenario():
     est, samples = run_phase_estimation(s, prep, m_size=16, n_samples=50, seed=9)
     assert np.all(samples == 0)
     assert est.y_hat == 1.0
-    assert not est.ambiguous
+    assert est.verification is None
 
 
 def test_disambiguation_by_verification(lopsided_pair):
@@ -626,9 +628,8 @@ def test_disambiguation_by_verification(lopsided_pair):
     assert est.ambiguous
     resolved = disambiguate(est, lopsided_pair, prep, seed=21)
     assert resolved.y_hat == pytest.approx(15 / 64, abs=1e-15)
-    assert not resolved.ambiguous
     # the provenance keeps what decided it
-    assert resolved.initially_ambiguous and not resolved.branch_flipped
+    assert resolved.ambiguous and not resolved.branch_flipped
     assert [(c, h) for c, h, _ in resolved.verification] == [(15 / 64, 1), (49 / 64, 1)]
     (_, _, hits_true), (_, _, hits_rival) = resolved.verification
     assert hits_true - hits_rival >= phase_estimation.MIN_LEAD
@@ -651,6 +652,20 @@ def test_flipped_estimate_keeps_k_mode_on_y_hat():
     assert resolved.cluster_counts == (0, 1)
     assert resolved.log_likelihood_ratio == -est.log_likelihood_ratio
     assert resolved.y_candidates == est.y_candidates
+
+
+def test_flip_at_the_largest_register_reads_the_other_candidate(lopsided_pair):
+    # at M = 2**53 a bin is one ulp of 1/2: a lone sample at the bin of y reads
+    # the mirror 1 - y, and the flip must land on the other candidate exactly
+    m_size = phase_estimation.MAX_M_SIZE
+    prep = weighted_superposition(lopsided_pair)
+    est = estimate_y([round(prep.y * m_size)], m_size)
+    assert est.ambiguous and est.y_hat == est.y_candidates[1]
+    resolved = disambiguate(est, lopsided_pair, prep, seed=1)
+    assert resolved.branch_flipped and resolved.ambiguous
+    assert resolved.y_hat == est.y_candidates[0] == 1.0 - resolved.k_mode / m_size
+    assert resolved.y_candidates == est.y_candidates
+    assert resolved.cluster_counts == est.cluster_counts[::-1] == (0, 1)
 
 
 def test_unflipped_estimate_keeps_its_mode(lopsided_pair):
