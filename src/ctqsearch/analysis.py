@@ -26,7 +26,6 @@ from .scenario import (
 )
 from .stateprep import uniform_superposition, weighted_superposition
 
-TIME_BOUND_TOL = 1e-9
 OVERLAP_BOUND_TOL = 1e-12
 
 
@@ -38,20 +37,20 @@ class BoundKind(Enum):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One checked bound; ``bound_on`` says which side it constrains.
+    """One checked bound: the claim ``y >= y_bound``.
 
-    For ``bound_on == "overlap"`` the claim is ``y >= bound_value``; for
-    ``bound_on == "time"`` it is ``time <= bound_value``.  ``margin`` is the
-    slack in the claimed direction (negative when violated).  Baseline
+    ``time_bound`` is :func:`optimal_time` of ``y_bound``, the time cap the
+    claim implies, since the optimal time falls as ``y`` grows.  ``margin`` is
+    ``y - y_bound``, in units of overlap (negative when violated).  Baseline
     reports are informational: structured preparation may legitimately lose
     to the uniform one.
     """
 
     y: float
     time: float
-    bound_value: float
+    y_bound: float
+    time_bound: float
     bound_kind: BoundKind
-    bound_on: str
     satisfied: bool
     margin: float
 
@@ -66,15 +65,10 @@ def basic_confidence_bound(n_sets: int, support_size: int, energy: float) -> tup
     return y_lower, optimal_time(y_lower, energy)
 
 
-def _report(y: float, t: float, kind: BoundKind, bound_on: str, bound_value: float) -> BoundReport:
-    if bound_on == "overlap":
-        margin = y - bound_value
-        satisfied = margin >= -OVERLAP_BOUND_TOL
-    else:
-        margin = bound_value - t
-        satisfied = margin >= -TIME_BOUND_TOL
-    return BoundReport(y=y, time=t, bound_value=bound_value, bound_kind=kind,
-                       bound_on=bound_on, satisfied=satisfied, margin=margin)
+def _report(y: float, t: float, kind: BoundKind, y_bound: float, time_bound: float) -> BoundReport:
+    margin = y - y_bound
+    return BoundReport(y=y, time=t, y_bound=y_bound, time_bound=time_bound, bound_kind=kind,
+                       satisfied=margin >= -OVERLAP_BOUND_TOL, margin=margin)
 
 
 def check_scenario_bounds(scenario: SearchScenario) -> list[BoundReport]:
@@ -92,10 +86,10 @@ def check_scenario_bounds(scenario: SearchScenario) -> list[BoundReport]:
         if sets_pairwise_disjoint(scenario.info_sets):
             kinds.append((BoundKind.DISJOINT, 1))
         for kind, n_sets in kinds:
-            y_lo, t_hi = basic_confidence_bound(n_sets, scenario.support_size, scenario.energy)
-            reports.append(_report(y, t, kind, "overlap", y_lo))
-            reports.append(_report(y, t, kind, "time", t_hi))
-    reports.append(_report(y, t, BoundKind.UNSTRUCTURED_BASELINE, "time", comparison.time_uniform))
+            bound = basic_confidence_bound(n_sets, scenario.support_size, scenario.energy)
+            reports.append(_report(y, t, kind, *bound))
+    reports.append(_report(y, t, BoundKind.UNSTRUCTURED_BASELINE,
+                           comparison.y_uniform, comparison.time_uniform))
     return reports
 
 
@@ -194,8 +188,7 @@ class ComparisonReport:
     y_uniform: float
     time_structured: float
     time_uniform: float
-    time_ratio: float  # structured / uniform; < 1 means structure helps
-    speedup: float  # uniform / structured
+    speedup: float  # uniform / structured; > 1 means structure helps
     confidence: Confidence
     support_exponent: float | None  # log(support) / log(n_items); None when n_items == 1
 
@@ -216,7 +209,6 @@ def compare_structured_unstructured(scenario: SearchScenario) -> ComparisonRepor
         y_uniform=y_u,
         time_structured=t_s,
         time_uniform=t_u,
-        time_ratio=t_s / t_u,
         speedup=t_u / t_s,
         confidence=classify_confidence(scenario).confidence,
         support_exponent=exponent,

@@ -49,7 +49,7 @@ from .phase_estimation import (
 from .scenario import SearchScenario, load_scenario
 from .stateprep import weighted_superposition
 
-SCHEMA_VERSION = "2.1"
+SCHEMA_VERSION = "3.0"
 # leads the bytes a scenario digest is taken over
 DIGEST_TAG = b"ctqsearch-scenario-2.1\0"
 VERIFY_TOL = 1e-10
@@ -177,16 +177,6 @@ def _write_csv(path: Path, header, columns) -> None:
     print(f"wrote {path}")
 
 
-def _scenario_sizes(scenario: SearchScenario) -> dict:
-    return {
-        "n_items": scenario.n_items,
-        "n_targets": scenario.n_targets,
-        "n_sets": scenario.n_sets,
-        "support_size": scenario.support_size,
-        "energy": scenario.energy,
-    }
-
-
 def _scenario_summary(scenario: SearchScenario) -> dict:
     """Name a scenario by the SHA-256 of its canonical binary form, beside its sizes.
 
@@ -212,7 +202,9 @@ def _scenario_summary(scenario: SearchScenario) -> dict:
         # surrogatepass: a lone surrogate from a JSON escape still has bytes
         text = name.encode("utf-8", "surrogatepass")
         digest.update(struct.pack("<qq", index, len(text)) + text)
-    return {"sha256": digest.hexdigest(), **_scenario_sizes(scenario)}
+    return {"sha256": digest.hexdigest(), "n_items": scenario.n_items,
+            "n_targets": scenario.n_targets, "n_sets": scenario.n_sets,
+            "support_size": scenario.support_size, "energy": scenario.energy}
 
 
 def _bound_dict(report: BoundReport) -> dict:
@@ -356,12 +348,8 @@ def cmd_count(args, scenario: SearchScenario) -> Output:
     result = run_counting(scenario, m_size=args.m_size, n_samples=args.samples, seed=args.seed)
     return Output(
         payload={
-            "disjoint_scenario": _scenario_sizes(result.scenario),
-            "support_size": result.support_size,
-            "m_size": result.estimate.m_size,
             "n_samples": int(args.samples),
             "seed": int(args.seed),
-            "y_hat": result.estimate.y_hat,
             "estimate": _estimate_fields(result.estimate),
             "count_estimate": result.count_estimate,
             "true_count": scenario.n_targets,

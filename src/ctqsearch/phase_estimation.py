@@ -453,15 +453,11 @@ def _counting_m_size(m_size: int | None, support_size: int) -> int:
 
 @dataclass(frozen=True)
 class CountResult:
-    """Counting pipeline output: the register estimate on the counting scenario,
-    from which the support size and the integer count estimate derive."""
+    """Counting pipeline output: the register estimate on the counting scenario
+    and its support size, from which the integer count estimate derives."""
 
     estimate: PhaseEstimate
-    scenario: SearchScenario
-
-    @property
-    def support_size(self) -> int:
-        return self.scenario.support_size
+    support_size: int
 
     @property
     def count_estimate(self) -> int:
@@ -485,4 +481,4 @@ def run_counting(
     est, _ = run_phase_estimation(
         counting, weighted_superposition(counting), m_size=m_size, n_samples=n_samples, seed=seed
     )
-    return CountResult(estimate=est, scenario=counting)
+    return CountResult(estimate=est, support_size=counting.support_size)
