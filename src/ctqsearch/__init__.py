@@ -32,7 +32,6 @@ from .fullsim import (
     reduced_basis,
 )
 from .phase_estimation import (
-    CountResult,
     PhaseEstimate,
     RegisterDistribution,
     counting_scenario,

@@ -256,7 +256,7 @@ def cmd_verify(args, scenario: SearchScenario) -> Output:
     prep = weighted_superposition(scenario)
     t_max = 2.0 * optimal_time(prep.y, scenario.energy)
     traj = trajectory(prep, scenario.energy, t_max=t_max, n_points=args.grid_points)
-    a, b, leak, n_classes = plane_projection_on_grid(scenario, prep, traj.times)
+    a, b, leak, n_classes = plane_projection_on_grid(prep, scenario.energy, traj.times)
     max_leak = float(np.max(leak))
     max_dev = float(max(np.max(np.abs(a - traj.a)), np.max(np.abs(b - traj.b))))
     passed = bool(max_leak <= VERIFY_TOL and max_dev <= VERIFY_TOL)
@@ -324,7 +324,7 @@ def _estimate_fields(est: PhaseEstimate) -> dict:
 def cmd_estimate(args, scenario: SearchScenario) -> Output:
     prep = weighted_superposition(scenario)
     est, samples = run_phase_estimation(
-        scenario, prep, m_size=args.m_size, n_samples=args.samples, seed=args.seed
+        prep, scenario.energy, m_size=args.m_size, n_samples=args.samples, seed=args.seed
     )
     ks, counts = np.unique(samples, return_counts=True)
     return Output(
@@ -345,18 +345,18 @@ def cmd_count(args, scenario: SearchScenario) -> Output:
         _counting_m_size(args.m_size, scenario.support_size)
     except ValueError as exc:
         raise CliInputError(f"argument --m-size: {exc}") from None
-    result = run_counting(scenario, m_size=args.m_size, n_samples=args.samples, seed=args.seed)
+    count, est = run_counting(scenario, m_size=args.m_size, n_samples=args.samples, seed=args.seed)
     return Output(
         payload={
             "n_samples": int(args.samples),
             "seed": int(args.seed),
-            "estimate": _estimate_fields(result.estimate),
-            "count_estimate": result.count_estimate,
+            "estimate": _estimate_fields(est),
+            "count_estimate": count,
             "true_count": scenario.n_targets,
         },
         summary=(
-            f"count_estimate={result.count_estimate} true_count={scenario.n_targets} "
-            f"support={result.support_size}"
+            f"count_estimate={count} true_count={scenario.n_targets} "
+            f"support={scenario.support_size}"
         ),
     )
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .scenario import SearchScenario
 from .stateprep import StatePrep, symmetry_classes
 
 DEFAULT_DIM_CAP = 4096
@@ -98,9 +97,9 @@ def project_reduced(prep: StatePrep, state: np.ndarray) -> tuple[complex, comple
 
 
 def plane_projection_on_grid(
-    scenario: SearchScenario, prep: StatePrep, times
+    prep: StatePrep, energy: float, times
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Evolve the prepared state over ``times`` and project it onto the plane.
+    """Evolve the prepared state at energy E over ``times`` and project it onto the plane.
 
     Returns arrays (a, b, leak) aligned with ``times``: a = <w|psi(t)>,
     b = <r|psi(t)>, and ``leak`` the norm of the component of psi(t) outside
@@ -126,8 +125,8 @@ def plane_projection_on_grid(
     rows = max(1, BLOCK_BYTES // (32 * d))
     for start in range(0, ts.size, rows):
         block = ts[start : start + rows]
-        coeffs = np.exp(-1j * scenario.energy * np.multiply.outer(block, vals)) * amplitudes
-        coeffs *= np.exp(-1j * scenario.energy * block)[:, None]
+        coeffs = np.exp(-1j * energy * np.multiply.outer(block, vals)) * amplitudes
+        coeffs *= np.exp(-1j * energy * block)[:, None]
         states = np.empty((block.size, d), dtype=complex)
         states.real = coeffs.real @ vecs.T
         states.imag = coeffs.imag @ vecs.T

@@ -357,32 +357,34 @@ def _verification_hits(
     return int(np.count_nonzero(rng.random(n_draws) < abs(complex(a[0])) ** 2))
 
 
-def disambiguate(
-    estimate: PhaseEstimate,
-    scenario: SearchScenario,
-    prep: StatePrep,
-    *,
-    seed: int,
-) -> PhaseEstimate:
+def disambiguate(estimate: PhaseEstimate, prep: StatePrep, energy: float, *,
+                 seed: int) -> PhaseEstimate:
     """Resolve an ambiguous mirror pair with verification experiments.
 
-    Both candidates are tried: evolve the true system to an odd-harmonic
+    Both candidates are tried: evolve the prepared state to an odd-harmonic
     peak of each (:func:`_verification_harmonic`, the one of two that better
     separates the pair) and count how many of ``N_VERIFY`` measurements hit
     a target.  A candidate must lead by at least ``MIN_LEAD`` hits to win;
     otherwise the branch the register split makes likelier stands (at
     rational phase ratios both candidates can score perfectly, and the split
-    is then the best evidence available).  A clear split, or the pair {0},
-    which can only read y_hat = 1 since y > 0, is returned unchanged; a flip
-    reads the other side of the pair as phase 1 - y.
+    is then the best evidence available).  A clear split is returned
+    unchanged; a flip reads the other side of the pair as phase 1 - y.
+    The pair {0} (y near 1, or any y < 1/(2M)) stands when half the draws for y_hat = 1 hit,
+    each with p >= 0.935 at y >= 1 - 1/(2M) and <= 0.20 below 1/(2M); else it is refused.
     """
-    if not estimate.ambiguous or estimate.k_mode == 0:
+    if not estimate.ambiguous:
         return estimate
-    candidates = estimate.y_candidates
     rng = make_rng(seed, VERIFY_STREAM)
-    harmonics = [_verification_harmonic(c, r, scenario.energy)
+    if estimate.k_mode == 0:
+        hits = _verification_hits(prep.y, energy, 1.0, rng, N_VERIFY, 1)
+        if 2 * hits < N_VERIFY:
+            raise ValueError(f"y_hat = 1 hit {hits} of {N_VERIFY} verification draws: y is below "
+                             f"1/(2M) = {0.5 / estimate.m_size:g}; raise the register size")
+        return replace(estimate, verification=((1.0, 1, hits),))
+    candidates = estimate.y_candidates
+    harmonics = [_verification_harmonic(c, r, energy)
                  for c, r in zip(candidates, candidates[::-1])]
-    hits = [_verification_hits(prep.y, scenario.energy, c, rng, N_VERIFY, h)
+    hits = [_verification_hits(prep.y, energy, c, rng, N_VERIFY, h)
             for c, h in zip(candidates, harmonics)]
     verification = tuple(zip(candidates, harmonics, hits))
     if abs(hits[0] - hits[1]) >= MIN_LEAD:
@@ -403,21 +405,21 @@ def disambiguate(
 
 
 def run_phase_estimation(
-    scenario: SearchScenario,
     prep: StatePrep,
+    energy: float,
     *,
     m_size: int = 64,
     n_samples: int = 200,
     seed: int = 0,
 ) -> tuple[PhaseEstimate, np.ndarray]:
-    """Sample the register for a prepared scenario and estimate its overlap.
+    """Sample the register for a prepared state and estimate its overlap.
 
-    ``prep`` is the scenario's prepared state (:func:`weighted_superposition`).
-    Returns the (possibly verification-resolved) estimate together with the
-    raw register samples.
+    ``prep`` is a scenario's prepared state (:func:`weighted_superposition`)
+    and ``energy`` its E.  Returns the (possibly verification-resolved)
+    estimate together with the raw register samples.
     """
     samples = sample_phase_register(prep.y, m_size, n_samples, seed)
-    return disambiguate(estimate_y(samples, m_size), scenario, prep, seed=seed), samples
+    return disambiguate(estimate_y(samples, m_size), prep, energy, seed=seed), samples
 
 
 def counting_scenario(scenario: SearchScenario) -> SearchScenario:
@@ -451,34 +453,21 @@ def _counting_m_size(m_size: int | None, support_size: int) -> int:
     return m_size
 
 
-@dataclass(frozen=True)
-class CountResult:
-    """Counting pipeline output: the register estimate on the counting scenario
-    and its support size, from which the integer count estimate derives."""
-
-    estimate: PhaseEstimate
-    support_size: int
-
-    @property
-    def count_estimate(self) -> int:
-        return estimate_count(self.estimate.y_hat, self.support_size)
-
-
 def run_counting(
     scenario: SearchScenario,
     *,
     m_size: int | None = None,
     n_samples: int = 200,
     seed: int = 0,
-) -> CountResult:
+) -> tuple[int, PhaseEstimate]:
     """Estimate the number of targets inside the covered support.
 
     The register runs on the uniform state over the support
     (:func:`counting_scenario`); its size is :func:`_counting_m_size`.
+    Returns the count and the register estimate it inverts.
     """
     counting = counting_scenario(scenario)
     m_size = _counting_m_size(m_size, counting.support_size)
-    est, _ = run_phase_estimation(
-        counting, weighted_superposition(counting), m_size=m_size, n_samples=n_samples, seed=seed
-    )
-    return CountResult(estimate=est, support_size=counting.support_size)
+    est, _ = run_phase_estimation(weighted_superposition(counting), counting.energy,
+                                  m_size=m_size, n_samples=n_samples, seed=seed)
+    return estimate_count(est.y_hat, counting.support_size), est

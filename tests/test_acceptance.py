@@ -75,7 +75,7 @@ def test_criterion_01_reduced_full_equivalence():
         for i, row in enumerate(states):
             a, b, _ = project_reduced(prep, row)
             max_dev = max(max_dev, abs(a - traj.a[i]), abs(b - traj.b[i]))
-        _, _, leak, _ = plane_projection_on_grid(s, prep, times)
+        _, _, leak, _ = plane_projection_on_grid(prep, s.energy, times)
         max_resid = max(max_resid, float(np.max(leak)))
     elapsed = time.perf_counter() - start
     _criterion(
@@ -206,14 +206,14 @@ def test_criterion_07_counting_round_trip():
         for j, k in enumerate(samples):
             est = estimate_y([int(k)], m_size)
             if est.ambiguous:
-                est = disambiguate(est, cscn, prep, seed=100_000 + 137 * i + j)
+                est = disambiguate(est, prep, cscn.energy, seed=100_000 + 137 * i + j)
             hits += estimate_count(est.y_hat, support) == true_l
         min_rate = min(min_rate, hits / 200)
 
         modal_samples = sample_phase_register(prep.y, m_size, 50, seed=5000 + i)
         est = estimate_y(modal_samples, m_size)
         if est.ambiguous:
-            est = disambiguate(est, cscn, prep, seed=333 + i)
+            est = disambiguate(est, prep, cscn.energy, seed=333 + i)
         modal_hits += estimate_count(est.y_hat, support) == true_l
     modal_rate = modal_hits / len(suite)
     _criterion(

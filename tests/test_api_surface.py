@@ -10,6 +10,10 @@ therefore stay in ``ctqsearch.fullsim``, and ``scenario_to_dict``, which
 stays in ``ctqsearch.scenario``.  The tracer also instruments
 ``full_hamiltonian``, but ``plane_projection_on_grid`` builds its matrix
 with it, so it needs no exception.
+
+The evolution layers take a prepared state and an energy, ``(prep, energy)``:
+no function of ``fullsim`` takes a scenario, and in ``phase_estimation`` only
+the counting entry points do, since counting builds its own state.
 """
 
 import ast
@@ -84,3 +88,29 @@ def test_guard_sees_an_unused_function(tmp_path):
     assert unused_public_names(tmp_path) == TRACER_BOUND | {"only_tests_call_this"}
     # a README mention counts as use
     assert "only_tests_call_this" not in unused_public_names(tmp_path, "only_tests_call_this")
+
+
+def scenario_takers(tree: ast.Module) -> set[str]:
+    """Functions, at any depth, with a parameter that is a SearchScenario by
+    annotation or by name."""
+    takers = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+            if any("scenario" in arg.arg or (arg.annotation is not None and "SearchScenario"
+                                             in ast.unparse(arg.annotation)) for arg in params):
+                takers.add(node.name)
+    return takers
+
+
+def test_evolution_layers_take_a_prepared_state_and_an_energy():
+    trees = modules(PACKAGE)
+    assert scenario_takers(trees["fullsim"]) == set()
+    assert scenario_takers(trees["phase_estimation"]) == {"counting_scenario", "run_counting"}
+
+
+def test_scenario_guard_sees_a_scenario_parameter():
+    tree = ast.parse("def f(prep, energy):\n    pass\n"
+                     "def g(s: SearchScenario):\n    pass\n"
+                     "def h(prep, *, scenario=None):\n    pass\n")
+    assert scenario_takers(tree) == {"g", "h"}

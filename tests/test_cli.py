@@ -400,6 +400,40 @@ def test_estimate_json_explains_a_verified_branch(tmp_path):
     assert seen == {False, True}
 
 
+def uniform_scenario(path, n_items, targets, members):
+    path.write_text(json.dumps({"n_items": n_items, "targets": targets,
+                                "info_sets": [{"members": members, "weight": 1.0}]}))
+    return path
+
+
+def test_estimate_refuses_an_overlap_below_half_a_bin(tmp_path, capsys):
+    # one target among 40,000 items, y = 0.005 < 1/(2M) = 1/128: refused
+    # with one line and nothing written; at M = 128 it reads one bin
+    path = uniform_scenario(tmp_path / "tiny_y.json", 40_000, [0], list(range(40_000)))
+    out = tmp_path / "out"
+    assert run("estimate", "--scenario", path, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1/(2M) = 0.0078125" in err and "raise the register size" in err
+    assert not out.exists()
+    assert run("estimate", "--scenario", path, "--out", out, "--m-size", 128) == 0
+    assert read_json(out / "estimate.json")["y_hat"] == 0.0078125
+
+
+def test_estimate_verifies_a_full_overlap(tmp_path):
+    path = uniform_scenario(tmp_path / "full.json", 8, [0, 1], [0, 1])
+    assert run("estimate", "--scenario", path, "--out", tmp_path / "out") == 0
+    data = read_json(tmp_path / "out" / "estimate.json")
+    assert data["true_y"] == data["y_hat"] == 1.0 and data["k_mode"] == 0
+    assert data["verification"] == [{"candidate": 1.0, "harmonic": 1, "hits": 48}]
+    assert data["rng_streams"] == ["phase-register-window", "verify"]
+    # every covered item is a target, so counting runs at y = 1 too
+    assert run("count", "--scenario", path, "--out", tmp_path / "count") == 0
+    data = read_json(tmp_path / "count" / "count.json")
+    assert data["count_estimate"] == data["true_count"] == 2
+    assert data["estimate"]["verification"] == [{"candidate": 1.0, "harmonic": 1, "hits": 48}]
+
+
 @pytest.mark.parametrize("m_size", [8, 64, 4096, 65536])
 def test_estimate_histogram_matches_full_bincount(tmp_path, library_demo_path, m_size):
     # k_histogram is built from np.unique; the full-length bincount it
@@ -410,7 +444,7 @@ def test_estimate_histogram_matches_full_bincount(tmp_path, library_demo_path, m
         out = tmp_path / f"s{seed}"
         assert run("estimate", "--scenario", library_demo_path, "--out", out, "--seed", seed,
                    "--m-size", m_size, "--samples", 500, "--format", "json") == 0
-        _, samples = run_phase_estimation(scenario, prep, m_size=m_size, n_samples=500,
+        _, samples = run_phase_estimation(prep, scenario.energy, m_size=m_size, n_samples=500,
                                           seed=seed)
         counts = np.bincount(samples, minlength=m_size)
         old = {str(k): int(c) for k, c in enumerate(counts) if c}

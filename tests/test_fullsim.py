@@ -29,7 +29,7 @@ from oracles import (
 
 
 def max_leak(scenario, prep, times):
-    return float(np.max(plane_projection_on_grid(scenario, prep, times)[2]))
+    return float(np.max(plane_projection_on_grid(prep, scenario.energy, times)[2]))
 
 
 def test_hamiltonian_two_item_literal():
@@ -189,7 +189,7 @@ def test_chebyshev_propagator_matches_dense_oracle(monkeypatch, block_bytes):
         cheb = np.vstack(list(evolve_blocks(prep.beta, prep.target_items, s.energy, times)))
         assert np.max(np.abs(cheb - dense)) <= 1e-12
 
-        a, b, leak, _ = plane_projection_on_grid(s, prep, times)
+        a, b, leak, _ = plane_projection_on_grid(prep, s.energy, times)
         for i, row in enumerate(dense):
             a_ref, b_ref, leak_ref = project_reduced(prep, row)
             assert abs(a[i] - a_ref) <= 1e-12
@@ -230,7 +230,7 @@ def test_class_cap_refused_before_x_is_built(monkeypatch):
     monkeypatch.setattr(np, "outer", refused)
     monkeypatch.setattr(np.linalg, "eigh", refused)
     with pytest.raises(ValueError, match=r"d=2 dimensions is over the cap of 1"):
-        plane_projection_on_grid(s, prep, times)
+        plane_projection_on_grid(prep, s.energy, times)
 
 
 def test_grid_walk_memory_is_bounded_by_the_block():
@@ -241,7 +241,7 @@ def test_grid_walk_memory_is_bounded_by_the_block():
     times = np.linspace(0.0, 2.0 * optimal_time(prep.y, s.energy), 2**17)
     tracemalloc.start()
     try:
-        a, b, leak, d = plane_projection_on_grid(s, prep, times)
+        a, b, leak, d = plane_projection_on_grid(prep, s.energy, times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -263,7 +263,7 @@ def test_class_evolution_matches_the_chebyshev_oracle_at_small_overlap(y):
     states = np.vstack(list(evolve_blocks(amplitudes, is_target, s.energy, times)))
     plane = np.column_stack(reduced_basis(amplitudes, is_target))
     ab = states @ plane
-    a, b, leak, d = plane_projection_on_grid(s, prep, times)
+    a, b, leak, d = plane_projection_on_grid(prep, s.energy, times)
     assert d == 3
     assert np.max(np.abs(a - ab[:, 0])) <= 1e-10 and np.max(np.abs(b - ab[:, 1])) <= 1e-10
     assert np.max(leak) <= 1e-12
@@ -318,7 +318,7 @@ def test_distinct_amplitudes_make_every_item_a_class():
     dense = evolve_on_grid(h, prep.beta, times)
     classes = np.vstack(list(evolve_blocks(amplitudes, is_target, s.energy, times)))
     assert np.max(np.abs(lift_classes(prep.beta, prep.target_items, classes) - dense)) <= 1e-12
-    a, b, leak, _ = plane_projection_on_grid(s, prep, times)
+    a, b, leak, _ = plane_projection_on_grid(prep, s.energy, times)
     for i, row in enumerate(dense):
         a_ref, b_ref, _ = project_reduced(prep, row)
         assert abs(a[i] - a_ref) <= 1e-12 and abs(b[i] - b_ref) <= 1e-12
@@ -327,5 +327,5 @@ def test_distinct_amplitudes_make_every_item_a_class():
 
 def test_plane_projection_of_empty_grid():
     s = build_scenario(4, {1}, [({1, 2}, 1.0)])
-    a, b, leak, _ = plane_projection_on_grid(s, weighted_superposition(s), [])
+    a, b, leak, _ = plane_projection_on_grid(weighted_superposition(s), s.energy, [])
     assert a.shape == b.shape == leak.shape == (0,)

@@ -23,6 +23,7 @@ from ctqsearch import (
     make_rng,
     measurement_distribution,
     next_power_of_two,
+    optimal_time,
     phase_estimation,
     run_counting,
     run_phase_estimation,
@@ -30,6 +31,7 @@ from ctqsearch import (
     trajectory,
     weighted_superposition,
 )
+from ctqsearch.dynamics import _reduced_coefficients
 import oracles
 from oracles import (
     EIGHT_OVER_PI_SQ,
@@ -462,9 +464,9 @@ def test_near_mirror_estimates_and_counts_are_exact():
         prep = weighted_superposition(scenario)
         assert 0.45 <= prep.y <= 0.55
         for seed in range(5):
-            est, _ = run_phase_estimation(scenario, prep, seed=seed)
+            est, _ = run_phase_estimation(prep, scenario.energy, seed=seed)
             assert abs(est.y_hat - prep.y) <= est.resolution, (l, scenario.support_size, seed)
-            assert run_counting(scenario, seed=seed).count_estimate == l
+            assert run_counting(scenario, seed=seed)[0] == l
         cases += 1
     assert cases > 300
 
@@ -498,7 +500,7 @@ def test_phase_estimation_never_builds_the_register_table(monkeypatch, library_d
     monkeypatch.setattr(phase_estimation, "_branch_law", window_only)
     scenario = load_scenario(library_demo_path)
     prep = weighted_superposition(scenario)
-    est, samples = run_phase_estimation(scenario, prep, m_size=2**21, seed=3)
+    est, samples = run_phase_estimation(prep, scenario.energy, m_size=2**21, seed=3)
     assert samples.size == 200
     assert abs(est.y_hat - prep.y) <= est.resolution
 
@@ -570,7 +572,7 @@ def test_estimate_never_trusts_a_split_likelier_under_the_mirror(
     # a verification tie (no draws) keeps the likelihood-preferred branch
     monkeypatch.setattr(phase_estimation, "N_VERIFY", 0)
     s = build_scenario(8, {0}, [({0, 1}, 1.0)])
-    resolved = disambiguate(est, s, weighted_superposition(s), seed=0)
+    resolved = disambiguate(est, weighted_superposition(s), s.energy, seed=0)
     assert resolved.y_hat == k_heavy / 64
 
 
@@ -580,7 +582,7 @@ def test_small_overlap_estimates_land_within_resolution():
     s = build_scenario(8000, {0}, [(set(range(8000)), 1.0)])
     prep = weighted_superposition(s)
     for seed in range(200):
-        est, _ = run_phase_estimation(s, prep, m_size=64, n_samples=200, seed=seed)
+        est, _ = run_phase_estimation(prep, s.energy, m_size=64, n_samples=200, seed=seed)
         assert abs(est.y_hat - prep.y) <= est.resolution, seed
 
 
@@ -609,13 +611,53 @@ def test_estimate_validation():
 
 
 def test_disambiguation_resolves_full_overlap_scenario():
-    # sets identical to targets: y == 1, register pins k = 0
+    # sets identical to targets: y == 1, register pins k = 0, and y_hat = 1 is
+    # verified at its first peak, where every draw hits
     s = build_scenario(4, {1, 2}, [({1, 2}, 1.0)])
     prep = weighted_superposition(s)
-    est, samples = run_phase_estimation(s, prep, m_size=16, n_samples=50, seed=9)
+    est, samples = run_phase_estimation(prep, s.energy, m_size=16, n_samples=50, seed=9)
     assert np.all(samples == 0)
     assert est.y_hat == 1.0
-    assert est.verification is None
+    assert est.verification == ((1.0, 1, phase_estimation.N_VERIFY),)
+
+
+def test_overlap_below_half_a_bin_is_refused():
+    # one target among 40,000 items: y = 0.005 < 1/(2M) = 1/128, so both
+    # branches peak at k = 0 and the pair {0} reads y_hat = 1, which verification
+    # at candidate 1 hits with probability 8.7e-5
+    s = build_scenario(40_000, {0}, [(set(range(40_000)), 1.0)])
+    prep = weighted_superposition(s)
+    assert prep.y == pytest.approx(0.005, abs=1e-15)
+    for seed in range(5):
+        with pytest.raises(ValueError, match=r"below 1/\(2M\) = 0.0078125; raise the register size"):
+            run_phase_estimation(prep, s.energy, m_size=64, seed=seed)
+    # the pair {0} itself: refused at y = 0.005, verified at y = 1
+    est = estimate_y([0] * 50, 64)
+    assert est.ambiguous and est.k_mode == 0
+    full = build_scenario(4, {1, 2}, [({1, 2}, 1.0)])
+    for seed in range(5):
+        with pytest.raises(ValueError, match=r"1/\(2M\)"):
+            disambiguate(est, prep, s.energy, seed=seed)
+        resolved = disambiguate(est, weighted_superposition(full), full.energy, seed=seed)
+        assert resolved.y_hat == 1.0 and resolved.verification == ((1.0, 1, 48),)
+    # twice the register puts y above 1/(2M): one bin, no refusal
+    est, _ = run_phase_estimation(prep, s.energy, m_size=128, seed=0)
+    assert est.y_hat == 1 / 128
+
+
+@pytest.mark.parametrize("m_size", [2, 4, 64, 2**20])
+def test_candidate_one_separates_full_overlap_from_half_a_bin(m_size):
+    # the pair {0} holds y >= 1 - 1/(2M) or y < 1/(2M); at candidate 1's first
+    # peak the first hits at least 0.935 of the time and the second at most
+    # 0.20, so half of the draws tells them apart
+    def success(y):
+        a, _ = _reduced_coefficients(y, 1.0, [optimal_time(1.0, 1.0)])
+        return abs(complex(a[0])) ** 2
+
+    low = np.linspace(0.0, 0.5 / m_size, 401)[1:-1]
+    high = np.linspace(1.0 - 0.5 / m_size, 1.0, 401)
+    assert max(map(success, low)) <= 0.20
+    assert min(map(success, high)) >= 0.935
 
 
 def test_disambiguation_by_verification(lopsided_pair):
@@ -626,7 +668,7 @@ def test_disambiguation_by_verification(lopsided_pair):
     prep = weighted_superposition(lopsided_pair)
     est = estimate_y([15, 49], 64)
     assert est.ambiguous
-    resolved = disambiguate(est, lopsided_pair, prep, seed=21)
+    resolved = disambiguate(est, prep, lopsided_pair.energy, seed=21)
     assert resolved.y_hat == pytest.approx(15 / 64, abs=1e-15)
     # the provenance keeps what decided it
     assert resolved.ambiguous and not resolved.branch_flipped
@@ -644,7 +686,7 @@ def test_flipped_estimate_keeps_k_mode_on_y_hat():
     )
     est = estimate_y([62], 128)
     assert (est.k_mode, est.y_hat, est.cluster_counts) == (62, 66 / 128, (1, 0))
-    resolved = disambiguate(est, s, weighted_superposition(s), seed=2)
+    resolved = disambiguate(est, weighted_superposition(s), s.energy, seed=2)
     assert resolved.y_hat == 62 / 128
     assert resolved.branch_flipped and not est.branch_flipped
     assert resolved.k_mode == 66
@@ -661,7 +703,7 @@ def test_flip_at_the_largest_register_reads_the_other_candidate(lopsided_pair):
     prep = weighted_superposition(lopsided_pair)
     est = estimate_y([round(prep.y * m_size)], m_size)
     assert est.ambiguous and est.y_hat == est.y_candidates[1]
-    resolved = disambiguate(est, lopsided_pair, prep, seed=1)
+    resolved = disambiguate(est, prep, lopsided_pair.energy, seed=1)
     assert resolved.branch_flipped and resolved.ambiguous
     assert resolved.y_hat == est.y_candidates[0] == 1.0 - resolved.k_mode / m_size
     assert resolved.y_candidates == est.y_candidates
@@ -670,7 +712,8 @@ def test_flip_at_the_largest_register_reads_the_other_candidate(lopsided_pair):
 
 def test_unflipped_estimate_keeps_its_mode(lopsided_pair):
     est = estimate_y([15, 49], 64)  # dead-even: the default reads 15/64
-    resolved = disambiguate(est, lopsided_pair, weighted_superposition(lopsided_pair), seed=21)
+    resolved = disambiguate(est, weighted_superposition(lopsided_pair), lopsided_pair.energy,
+                            seed=21)
     assert resolved.y_hat == est.y_hat == 15 / 64
     assert (resolved.k_mode, resolved.cluster_counts) == (est.k_mode, est.cluster_counts)
 
@@ -692,7 +735,7 @@ def test_disambiguation_separates_near_mirror_candidates(l, sample_k, expected):
     est = estimate_y([sample_k], 128)
     assert est.ambiguous
     assert est.y_hat != pytest.approx(expected)  # heavy default reads the mirror
-    resolved = disambiguate(est, s, prep, seed=2)
+    resolved = disambiguate(est, prep, s.energy, seed=2)
     assert resolved.y_hat == pytest.approx(expected, abs=1e-15)
     assert estimate_count(resolved.y_hat, 26) == l
 
@@ -727,7 +770,7 @@ def test_estimate_recovers_overlap_within_resolution():
     )
     # disjoint uniform: y = sqrt(2/9) ~ 0.4714
     prep = weighted_superposition(s)
-    est, _ = run_phase_estimation(s, prep, m_size=64, n_samples=200, seed=17)
+    est, _ = run_phase_estimation(prep, s.energy, m_size=64, n_samples=200, seed=17)
     assert abs(est.y_hat - prep.y) <= est.resolution
 
 
@@ -752,17 +795,17 @@ def test_estimate_count_rounding():
 
 def test_counting_on_disjoint_demo(counting_demo_path):
     s = load_scenario(counting_demo_path)
-    result = run_counting(s, m_size=64, seed=7)
-    assert result.count_estimate == 3
-    assert result.support_size == 6
-    assert result.estimate.m_size == 64
+    count, est = run_counting(s, m_size=64, seed=7)
+    assert count == 3
+    assert s.support_size == 6
+    assert est.m_size == 64
 
 
 def test_counting_auto_register_size(library_demo_path):
     s = load_scenario(library_demo_path)
-    result = run_counting(s, seed=13)
-    assert result.estimate.m_size == 64  # max(64, 4 * 13) -> 64
-    assert result.count_estimate == s.n_targets
+    count, est = run_counting(s, seed=13)
+    assert est.m_size == 64  # max(64, 4 * 13) -> 64
+    assert count == s.n_targets
 
 
 def test_counting_rejects_small_register(counting_demo_path):
@@ -776,8 +819,8 @@ def test_counting_round_trip_overlapping_sets():
     s = build_scenario(
         10, {0, 1, 2, 3}, [({0, 1, 4, 5}, 0.6), ({1, 2, 3, 5, 6}, 0.4)]
     )
-    result = run_counting(s, seed=23)
-    assert result.count_estimate == 4
+    count, _ = run_counting(s, seed=23)
+    assert count == 4
 
 
 def test_next_power_of_two():
