@@ -1,11 +1,12 @@
-"""Efficiency analysis: overlap/time bounds, sweeps, and baselines.
+"""Efficiency analysis: overlap/time bounds, sweeps, and the baseline comparison.
 
 The optimal measurement time scales as 1/y, so every statement about search
 cost is a statement about the overlap ``y`` of the prepared state with the
 target subspace.  This module collects the provable bounds on ``y`` for
-structured preparations, the misplaced-confidence failure mode where a heavy
-weight on a target-free set drives ``y`` toward zero, a comparison against
-the unstructured baseline.
+structured preparations and the misplaced-confidence failure mode, where a
+heavy weight on a target-free set drives ``y`` toward zero.  Apart from the
+bounds, it compares the structured preparation with the unstructured
+baseline, the uniform state over all items.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ OVERLAP_BOUND_TOL = 1e-12
 class BoundKind(Enum):
     BASIC_CONF = "basic_confidence"
     DISJOINT = "disjoint"
-    UNSTRUCTURED_BASELINE = "unstructured_baseline"
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,7 @@ class BoundReport:
 
     ``time_bound`` is :func:`optimal_time` of ``y_bound``, the time cap the
     claim implies, since the optimal time falls as ``y`` grows.  ``margin`` is
-    ``y - y_bound``, in units of overlap (negative when violated).  Baseline
-    reports are informational: structured preparation may legitimately lose
-    to the uniform one.
+    ``y - y_bound``, in units of overlap (negative when violated).
     """
 
     y: float
@@ -65,31 +63,27 @@ def basic_confidence_bound(n_sets: int, support_size: int, energy: float) -> tup
     return y_lower, optimal_time(y_lower, energy)
 
 
-def _report(y: float, t: float, kind: BoundKind, y_bound: float, time_bound: float) -> BoundReport:
-    margin = y - y_bound
-    return BoundReport(y=y, time=t, y_bound=y_bound, time_bound=time_bound, bound_kind=kind,
-                       satisfied=margin >= -OVERLAP_BOUND_TOL, margin=margin)
-
-
 def check_scenario_bounds(scenario: SearchScenario) -> list[BoundReport]:
-    """Evaluate every bound applicable to a scenario.
+    """Evaluate the paper's bounds on ``y`` that apply to a scenario.
 
     Basic-confidence bounds apply when each set holds a target; the disjoint
-    refinement additionally needs pairwise-disjoint sets.  The unstructured
-    baseline comparison is always reported.
+    refinement additionally needs pairwise-disjoint sets.  Any other scenario
+    has no bound, and the list is empty.
     """
-    comparison = compare_structured_unstructured(scenario)
-    y, t = comparison.y_structured, comparison.time_structured
-    reports: list[BoundReport] = []
-    if comparison.confidence is Confidence.BASIC:
-        kinds = [(BoundKind.BASIC_CONF, scenario.n_sets)]
-        if sets_pairwise_disjoint(scenario.info_sets):
-            kinds.append((BoundKind.DISJOINT, 1))
-        for kind, n_sets in kinds:
-            bound = basic_confidence_bound(n_sets, scenario.support_size, scenario.energy)
-            reports.append(_report(y, t, kind, *bound))
-    reports.append(_report(y, t, BoundKind.UNSTRUCTURED_BASELINE,
-                           comparison.y_uniform, comparison.time_uniform))
+    if classify_confidence(scenario).confidence is not Confidence.BASIC:
+        return []
+    y = weighted_superposition(scenario).y
+    t = optimal_time(y, scenario.energy)
+    kinds = [(BoundKind.BASIC_CONF, scenario.n_sets)]
+    if sets_pairwise_disjoint(scenario.info_sets):
+        kinds.append((BoundKind.DISJOINT, 1))
+    reports = []
+    for kind, n_sets in kinds:
+        y_bound, time_bound = basic_confidence_bound(n_sets, scenario.support_size, scenario.energy)
+        margin = y - y_bound
+        reports.append(BoundReport(y=y, time=t, y_bound=y_bound, time_bound=time_bound,
+                                   bound_kind=kind, satisfied=margin >= -OVERLAP_BOUND_TOL,
+                                   margin=margin))
     return reports
 
 

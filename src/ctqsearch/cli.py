@@ -27,9 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import (
-    BoundReport,
     _check_alpha2,
-    check_scenario_bounds,
     compare_structured_unstructured,
     misplaced_confidence_curve,
     misplaced_structure,
@@ -49,7 +47,7 @@ from .phase_estimation import (
 from .scenario import SearchScenario, load_scenario
 from .stateprep import weighted_superposition
 
-SCHEMA_VERSION = "3.0"
+SCHEMA_VERSION = "4.0"
 # leads the bytes a scenario digest is taken over
 DIGEST_TAG = b"ctqsearch-scenario-2.1\0"
 VERIFY_TOL = 1e-10
@@ -205,11 +203,6 @@ def _scenario_summary(scenario: SearchScenario) -> dict:
     return {"sha256": digest.hexdigest(), "n_items": scenario.n_items,
             "n_targets": scenario.n_targets, "n_sets": scenario.n_sets,
             "support_size": scenario.support_size, "energy": scenario.energy}
-
-
-def _bound_dict(report: BoundReport) -> dict:
-    fields = dataclasses.asdict(report)
-    return {"kind": fields.pop("bound_kind").value, **fields}
 
 
 class Output(NamedTuple):
@@ -368,7 +361,6 @@ def cmd_sweep(args, scenario: SearchScenario) -> Output:
         structure.l, structure.n1, structure.n2, structure.n12, grid, scenario.energy
     )
     t_lo, t_hi = float(curve.time[0]), float(curve.time[-1])
-    reports = check_scenario_bounds(scenario)
     return Output(
         payload={
             "structure": dataclasses.asdict(structure),
@@ -381,7 +373,6 @@ def cmd_sweep(args, scenario: SearchScenario) -> Output:
             "time_at_max": t_hi,
             "divergence_ratio": t_hi / t_lo,
             "monotone_increasing": bool(np.all(np.diff(curve.time) > 0)),
-            "bound_reports": [_bound_dict(r) for r in reports],
         },
         summary=(
             f"alpha2 in [{args.alpha2_min}, {args.alpha2_max}]: "

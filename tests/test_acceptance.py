@@ -324,7 +324,7 @@ def test_criterion_10_cli_byte_determinism(tmp_path):
         artifacts.append({name: (run_dir / name).read_bytes() for name in files})
     identical = artifacts[0] == artifacts[1]
     json_ok = len(artifacts[0]) == 6 and all(
-        json.loads(blob)["schema_version"] == "3.0" for blob in artifacts[0].values()
+        json.loads(blob)["schema_version"] == "4.0" for blob in artifacts[0].values()
     )
     _criterion(
         10,

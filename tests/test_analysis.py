@@ -12,6 +12,7 @@ from ctqsearch import (
     Confidence,
     MisplacedStructure,
     ScenarioError,
+    analysis,
     basic_confidence_bound,
     check_scenario_bounds,
     classify_confidence,
@@ -71,8 +72,7 @@ def test_guaranteed_bounds_hold_on_random_basic_suite():
         # direct-route check of the overlap guarantee
         assert prep.y >= 1 / math.sqrt(s.n_sets * s.support_size) - 1e-12
         for rep in check_scenario_bounds(s):
-            if rep.bound_kind is not BoundKind.UNSTRUCTURED_BASELINE:
-                assert rep.satisfied, rep
+            assert rep.satisfied, rep
 
 
 def test_guaranteed_bounds_hold_on_random_disjoint_suite():
@@ -83,30 +83,32 @@ def test_guaranteed_bounds_hold_on_random_disjoint_suite():
         kinds = {r.bound_kind for r in reports}
         assert BoundKind.DISJOINT in kinds
         for rep in reports:
-            if rep.bound_kind is not BoundKind.UNSTRUCTURED_BASELINE:
-                assert rep.satisfied, rep
+            assert rep.satisfied, rep
         # one report per bound, its values the closed forms
-        assert len(reports) == len(kinds) == 3
+        assert len(reports) == len(kinds) == 2
         values = {r.bound_kind: (r.y_bound, r.time_bound) for r in reports}
         y_lo = 1.0 / math.sqrt(s.support_size)
         assert values[BoundKind.DISJOINT] == (y_lo, optimal_time(y_lo, s.energy))
         assert values[BoundKind.BASIC_CONF][0] == 1.0 / math.sqrt(s.n_sets * s.support_size)
-        comparison = compare_structured_unstructured(s)
-        assert values[BoundKind.UNSTRUCTURED_BASELINE] == (comparison.y_uniform,
-                                                            comparison.time_uniform)
 
 
-def test_baseline_report_is_informational():
-    # misplaced confidence: structured prep loses to uniform, and the
-    # baseline report must say so rather than be forced green
+def test_misplaced_scenario_has_no_bound():
+    # one set holds no target, so no bound of the paper applies; that the
+    # structured prep loses to uniform is compare's finding, not a bound
     s = misplaced_scenario(1, 2, 1, 0, 0.95, n_items=16)
-    reports = check_scenario_bounds(s)
-    baseline = [r for r in reports if r.bound_kind is BoundKind.UNSTRUCTURED_BASELINE]
-    assert len(baseline) == 1
-    assert not baseline[0].satisfied
-    assert baseline[0].margin < 0
-    # no basic-confidence reports: one set holds no target
-    assert all(r.bound_kind is BoundKind.UNSTRUCTURED_BASELINE for r in reports)
+    assert check_scenario_bounds(s) == []
+
+
+@pytest.mark.parametrize("mode", list(ScenarioMode))
+def test_bounds_apply_when_every_set_holds_a_target(mode, monkeypatch):
+    # the bounds read the weighted state alone; the uniform one is compare's
+    def refuse(scenario):
+        raise AssertionError("check_scenario_bounds built the uniform state")
+
+    monkeypatch.setattr(analysis, "uniform_superposition", refuse)
+    for s in random_scenario_suite(107, 25, mode, n_items_range=(8, 64)):
+        reports = check_scenario_bounds(s)
+        assert (reports == []) == (mode is ScenarioMode.MISPLACED), s
 
 
 def test_report_fields_consistent():

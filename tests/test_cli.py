@@ -21,6 +21,7 @@ from conftest import SCENARIO_DIR
 from ctqsearch import (
     InformationSet,
     SearchScenario,
+    analysis,
     cli,
     counting_scenario,
     dynamics,
@@ -48,7 +49,7 @@ def read_json(path):
 def test_simulate_writes_all_outputs(tmp_path, library_demo_path, capsys):
     assert run("simulate", "--scenario", library_demo_path, "--out", tmp_path) == 0
     data = read_json(tmp_path / "simulate.json")
-    assert data["schema_version"] == "3.0"
+    assert data["schema_version"] == "4.0"
     assert data["command"] == "simulate"
     assert data["success_distribution"]["failure"] <= 1e-12
     assert set(data["success_distribution"]["targets"]) == {"2", "5", "10", "12"}
@@ -591,14 +592,33 @@ def test_sweep_outputs(tmp_path, misplaced_demo_path):
     assert data["time_at_max"] == pytest.approx(
         data["time_at_min"] * data["divergence_ratio"], rel=1e-12
     )
-    kinds = {r["kind"] for r in data["bound_reports"]}
-    assert "unstructured_baseline" in kinds
+    assert "bound_reports" not in data
 
     lines = (tmp_path / "sweep_curve.csv").read_text().splitlines()
     assert lines[0] == "alpha2,nu,y,T"
     assert len(lines) == 1 + 64
     assert lines[1].startswith("0.05,")
     assert lines[-1].startswith("0.999,")
+
+
+def test_sweep_json_states_each_fact_once(tmp_path, misplaced_demo_path):
+    # y and T of both preparations are compare.json's facts, not sweep's
+    assert run("sweep", "--scenario", misplaced_demo_path, "--out", tmp_path) == 0
+    assert set(read_json(tmp_path / "sweep.json")) == {
+        "schema_version", "command", "scenario", "structure", "alpha2_grid",
+        "time_at_min", "time_at_max", "divergence_ratio", "monotone_increasing",
+    }
+
+
+def test_sweep_prepares_no_state(tmp_path, misplaced_demo_path, monkeypatch):
+    # the curve is closed form: sweep builds neither N-length prepared state
+    def refuse(scenario):
+        raise AssertionError("sweep built a prepared state")
+
+    for module in (analysis, cli):
+        for name in ("weighted_superposition", "uniform_superposition"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    assert run("sweep", "--scenario", misplaced_demo_path, "--out", tmp_path) == 0
 
 
 def test_sweep_rejects_non_misplaced_scenario(tmp_path, library_demo_path, capsys):
@@ -1096,7 +1116,7 @@ def test_count_json_stays_small_at_a_million_items(tmp_path):
     assert written.stat().st_size < 16 * 1024
     counting = counting_scenario(load_scenario(path))
     data = read_json(written)
-    assert data["schema_version"] == "3.0" and set(data["estimate"]) == ESTIMATE_FIELDS
+    assert data["schema_version"] == "4.0" and set(data["estimate"]) == ESTIMATE_FIELDS
     assert not {"disjoint_scenario", "support_size", "m_size", "y_hat"} & set(data)
     summary = data["scenario"]
     assert summary["support_size"] == counting.support_size
