@@ -21,7 +21,6 @@ from .analysis import (
     misplaced_structure,
 )
 from .dynamics import (
-    SuccessDistribution,
     Trajectory,
     optimal_time,
     success_distribution,

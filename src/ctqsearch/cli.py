@@ -47,9 +47,9 @@ from .phase_estimation import (
 from .scenario import SearchScenario, load_scenario
 from .stateprep import weighted_superposition
 
-SCHEMA_VERSION = "4.0"
+SCHEMA_VERSION = "5.0"
 # leads the bytes a scenario digest is taken over
-DIGEST_TAG = b"ctqsearch-scenario-2.1\0"
+DIGEST_TAG = b"ctqsearch-scenario-5.0\0"
 VERIFY_TOL = 1e-10
 # a backward-stable propagator is off by about eps * E * t_max; a deviation
 # within this many times that floor (1.75 the worst seen) is roundoff
@@ -194,12 +194,6 @@ def _scenario_summary(scenario: SearchScenario) -> dict:
     for s in scenario.info_sets:
         indices(s.members)
         digest.update(struct.pack("<d", s.weight))
-    labels = scenario.labels or ()
-    digest.update(struct.pack("<q", len(labels)))
-    for index, name in labels:
-        # surrogatepass: a lone surrogate from a JSON escape still has bytes
-        text = name.encode("utf-8", "surrogatepass")
-        digest.update(struct.pack("<qq", index, len(text)) + text)
     return {"sha256": digest.hexdigest(), "n_items": scenario.n_items,
             "n_targets": scenario.n_targets, "n_sets": scenario.n_sets,
             "support_size": scenario.support_size, "energy": scenario.energy}
@@ -218,22 +212,19 @@ def cmd_simulate(args, scenario: SearchScenario) -> Output:
     prep = weighted_superposition(scenario)
     t_opt = optimal_time(prep.y, scenario.energy)
     traj = trajectory(prep, scenario.energy, t_max=args.t_max, n_points=args.points)
-    dist = success_distribution(prep, scenario.energy, t_opt)
-    items = sorted(dist.target_probs)
-    outcomes = ((*items, "failure"), (*map(dist.target_probs.get, items), dist.failure))
+    probs = success_distribution(prep, scenario.energy, t_opt)
+    failure = float(probs[-1])
+    outcomes = ((*prep.target_items.tolist(), "failure"), probs)
     return Output(
         payload={
             "y": prep.y,
             "nu": prep.nu,
             "r_count": prep.r_count,
             "optimal_time": t_opt,
-            "success_distribution": {
-                "targets": {str(i): p for i, p in dist.target_probs.items()},
-                "failure": dist.failure,
-            },
+            "success_distribution": {"failure": failure},
             "trajectory": {"points": int(args.points), "t_max": float(traj.times[-1])},
         },
-        summary=f"y={prep.y:.6f} T={t_opt:.6f} success={dist.success:.6f}",
+        summary=f"y={prep.y:.6f} T={t_opt:.6f} success={1.0 - failure:.6f}",
         tables=(
             (
                 "trajectory.csv",

@@ -92,35 +92,19 @@ def optimal_time(y, energy: float):
     return float(time) if time.ndim == 0 else time
 
 
-@dataclass(frozen=True)
-class SuccessDistribution:
-    """Measurement statistics at a fixed time: per-target probabilities plus
-    the aggregate probability of landing outside the target set."""
-
-    target_probs: dict[int, float]
-    failure: float
-
-    @property
-    def success(self) -> float:
-        return math.fsum(self.target_probs.values())
-
-
-def success_distribution(prep: StatePrep, energy: float, t: float) -> SuccessDistribution:
-    """Exact outcome distribution after evolving for time t.
+def success_distribution(prep: StatePrep, energy: float, t: float) -> np.ndarray:
+    """Exact outcome probabilities after evolving for time t: one per target,
+    in ``prep.target_items`` order, then the failure.
 
     The probability of measuring target j is |a(t)|**2 * (beta_j / y)**2;
     the remaining mass 1 - |a(t)|**2 is spread over non-target items and is
-    reported in aggregate as ``failure``.
+    reported in aggregate as the failure, the last entry.
     """
     energy = _check_energy(energy)
     a, _ = _reduced_coefficients(_check_overlap(prep.y), energy, [_check_time(t, energy)])
     p_success = abs(complex(a[0])) ** 2
-    probs = {
-        int(item): float(p_success * coeff * coeff)
-        for item, coeff in zip(prep.target_items, prep.target_coeffs)
-    }
-    failure = max(0.0, 1.0 - math.fsum(probs.values()))
-    return SuccessDistribution(target_probs=probs, failure=failure)
+    targets = p_success * prep.target_coeffs * prep.target_coeffs
+    return np.append(targets, max(0.0, 1.0 - math.fsum(targets)))
 
 
 @dataclass(frozen=True)

@@ -77,19 +77,6 @@ def _union_mask(info_sets, size: int | None = None) -> np.ndarray:
     return mask
 
 
-def _labels(pairs, n_items: int) -> tuple[tuple[int, str], ...]:
-    labels = []
-    for key, name in pairs:
-        # an int key, or a JSON object key holding one in canonical decimal form
-        index = int(key) if isinstance(key, str) and key.isascii() and key.isdigit() else key
-        if type(index) is not int or str(index) != str(key) or not 0 <= index < n_items:
-            raise _refuse("labels", f"key {key!r} is not an item index below {n_items}")
-        if not isinstance(name, str):
-            raise _refuse("labels", f"the label of item {index} is not a string")
-        labels.append((index, name))
-    return tuple(sorted(labels))
-
-
 class Confidence(Enum):
     """Whether every information set intersects the target set."""
 
@@ -131,16 +118,12 @@ class SearchScenario:
     to one.  Weights that are zero, negative, or non-finite are rejected
     outright, as are empty target sets, out-of-range indices, and target sets
     not covered by the union of the information sets.
-
-    ``labels`` is optional display metadata (item index, name) and plays no
-    role in any computation.
     """
 
     n_items: int
     targets: np.ndarray
     info_sets: tuple[InformationSet, ...]
     energy: float = 1.0
-    labels: tuple[tuple[int, str], ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_items", _scalar(self.n_items, "n_items", int, int))
@@ -179,8 +162,6 @@ class SearchScenario:
         support = np.flatnonzero(mask)
         support.setflags(write=False)
         object.__setattr__(self, "_support", support)
-        if self.labels is not None:
-            object.__setattr__(self, "labels", _labels(self.labels, self.n_items))
 
     @property
     def n_targets(self) -> int:
@@ -226,7 +207,7 @@ def sets_pairwise_disjoint(info_sets) -> bool:
 
 def scenario_to_dict(scenario: SearchScenario) -> dict:
     """JSON-ready representation (canonical key order is the serializer's job)."""
-    payload: dict = {
+    return {
         "n_items": scenario.n_items,
         "targets": scenario.targets.tolist(),
         "info_sets": [
@@ -234,16 +215,13 @@ def scenario_to_dict(scenario: SearchScenario) -> dict:
         ],
         "energy": scenario.energy,
     }
-    if scenario.labels is not None:
-        payload["labels"] = {str(i): name for i, name in scenario.labels}
-    return payload
 
 
 def scenario_from_dict(payload: Mapping) -> SearchScenario:
     """Build and validate a scenario from a parsed JSON object."""
     if not isinstance(payload, Mapping):
         raise ScenarioError("scenario document must be a JSON object")
-    unknown = set(payload) - {"n_items", "targets", "info_sets", "energy", "labels"}
+    unknown = set(payload) - {"n_items", "targets", "info_sets", "energy"}
     if unknown:
         raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
     for key in ("n_items", "targets", "info_sets"):
@@ -257,17 +235,11 @@ def scenario_from_dict(payload: Mapping) -> SearchScenario:
         if not isinstance(entry, Mapping) or set(entry) != {"members", "weight"}:
             raise _refuse("info_sets", "each entry needs exactly the keys 'members' and 'weight'")
         sets.append(InformationSet(entry["members"], entry["weight"]))
-    labels = payload.get("labels")
-    if labels is not None:
-        if not isinstance(labels, Mapping):
-            raise ScenarioError("scenario field 'labels' must be an object")
-        labels = tuple(labels.items())
     return SearchScenario(
         n_items=payload["n_items"],
         targets=payload["targets"],
         info_sets=tuple(sets),
         energy=payload.get("energy", 1.0),
-        labels=labels,
     )
 
 

@@ -312,11 +312,9 @@ def verification_hits_by_outcome(
     ``harmonic`` times the candidate's optimal time, draw ``n_draws`` outcomes
     by inverse CDF over the l target probabilities and the aggregate failure,
     and count the draws on a target bin."""
-    dist = success_distribution(prep, energy, harmonic * optimal_time(candidate, energy))
-    items = sorted(dist.target_probs)
-    probs = [dist.target_probs[i] for i in items] + [dist.failure]
+    probs = success_distribution(prep, energy, harmonic * optimal_time(candidate, energy))
     draws = sample_inverse_cdf(probs, rng, n_draws)
-    return int(np.count_nonzero(draws < len(items)))
+    return int(np.count_nonzero(draws < probs.size - 1))
 
 
 def weight_power_sum(scenario: SearchScenario) -> float:

@@ -92,17 +92,15 @@ def test_criterion_02_success_at_optimal_time():
     worst_dev = 0.0
     for s in _mixed_suite_50():
         prep = weighted_superposition(s)
-        dist = success_distribution(prep, s.energy, optimal_time(prep.y, s.energy))
-        worst_failure = max(worst_failure, dist.failure)
-        for j, coeff in zip(prep.target_items, prep.target_coeffs):
-            worst_dev = max(worst_dev, abs(dist.target_probs[j] - coeff**2))
+        probs = success_distribution(prep, s.energy, optimal_time(prep.y, s.energy))
+        worst_failure = max(worst_failure, probs[-1])
+        for i, coeff in enumerate(prep.target_coeffs):
+            worst_dev = max(worst_dev, abs(probs[i] - coeff**2))
     # reference point: double-covered target takes 25/34 of the success mass
     pair = build_scenario(8, {0, 1}, [({0, 1, 2}, 0.6), ({1, 3}, 0.4)])
     prep = weighted_superposition(pair)
-    dist = success_distribution(prep, 1.0, optimal_time(prep.y, 1.0))
-    example_ok = abs(dist.target_probs[0] - 0.264706) <= 1e-6 and abs(
-        dist.target_probs[1] - 0.735294
-    ) <= 1e-6
+    probs = success_distribution(prep, 1.0, optimal_time(prep.y, 1.0))
+    example_ok = abs(probs[0] - 0.264706) <= 1e-6 and abs(probs[1] - 0.735294) <= 1e-6
     _criterion(
         2,
         f"measurement at T=pi/(2Ey): max failure mass {worst_failure:.2e} <= 1e-12, "
@@ -324,7 +322,7 @@ def test_criterion_10_cli_byte_determinism(tmp_path):
         artifacts.append({name: (run_dir / name).read_bytes() for name in files})
     identical = artifacts[0] == artifacts[1]
     json_ok = len(artifacts[0]) == 6 and all(
-        json.loads(blob)["schema_version"] == "4.0" for blob in artifacts[0].values()
+        json.loads(blob)["schema_version"] == "5.0" for blob in artifacts[0].values()
     )
     _criterion(
         10,

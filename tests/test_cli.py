@@ -49,10 +49,10 @@ def read_json(path):
 def test_simulate_writes_all_outputs(tmp_path, library_demo_path, capsys):
     assert run("simulate", "--scenario", library_demo_path, "--out", tmp_path) == 0
     data = read_json(tmp_path / "simulate.json")
-    assert data["schema_version"] == "4.0"
+    assert data["schema_version"] == "5.0"
     assert data["command"] == "simulate"
     assert data["success_distribution"]["failure"] <= 1e-12
-    assert set(data["success_distribution"]["targets"]) == {"2", "5", "10", "12"}
+    assert set(data["success_distribution"]) == {"failure"}
     assert data["optimal_time"] == pytest.approx(math.pi / (2 * data["y"]), rel=1e-12)
 
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
@@ -60,10 +60,45 @@ def test_simulate_writes_all_outputs(tmp_path, library_demo_path, capsys):
     assert len(lines) == 1 + 256
     dist_lines = (tmp_path / "success_distribution.csv").read_text().splitlines()
     assert dist_lines[0] == "item,probability"
-    assert dist_lines[-1].startswith("failure,")
+    assert [line.split(",")[0] for line in dist_lines[1:]] == ["2", "5", "10", "12", "failure"]
 
     out = capsys.readouterr().out
     assert "wrote" in out and "success=" in out
+
+
+def test_simulate_json_states_each_fact_once(tmp_path, library_demo_path):
+    # the per-target probabilities are success_distribution.csv's rows alone
+    assert run("simulate", "--scenario", library_demo_path, "--out", tmp_path) == 0
+    data = read_json(tmp_path / "simulate.json")
+    assert set(data) == {
+        "schema_version", "command", "scenario", "y", "nu", "r_count", "optimal_time",
+        "success_distribution", "trajectory",
+    }
+    assert set(data["success_distribution"]) == {"failure"}
+
+
+def test_simulate_json_stays_small_at_many_targets(tmp_path):
+    rng = np.random.default_rng(3)
+    n, l = 50_000, 10_000
+    targets = rng.choice(n, l, replace=False)
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({
+        "n_items": n,
+        "targets": targets.tolist(),
+        "info_sets": [{"members": np.union1d(targets[: l // 2], range(20_000)).tolist(),
+                       "weight": 0.6},
+                      {"members": np.union1d(targets[l // 2 :], range(15_000, n)).tolist(),
+                       "weight": 0.4}],
+    }))
+    assert run("simulate", "--scenario", path, "--out", tmp_path / "out") == 0
+    assert (tmp_path / "out" / "simulate.json").stat().st_size < 1024
+    prep = weighted_superposition(load_scenario(path))
+    rows = (tmp_path / "out" / "success_distribution.csv").read_text().splitlines()
+    assert len(rows) == l + 2
+    items, probs = zip(*(row.split(",") for row in rows[1:]))
+    assert list(items) == [*map(str, prep.target_items.tolist()), "failure"]
+    expected = dynamics.success_distribution(prep, 1.0, dynamics.optimal_time(prep.y, 1.0))
+    assert np.array_equal(np.array(probs, dtype=float), expected)
 
 
 def test_simulate_format_gating(tmp_path, library_demo_path):
@@ -720,8 +755,7 @@ def scenario_with(**fields):
     (scenario_with(targets=None), "targets"),
     (scenario_with(n_items=None), "n_items"),
     (scenario_with(weight=None), "weight"),
-    (scenario_with(labels=[1]), "labels"),
-    (scenario_with(labels={"x": "a"}), "labels"),
+    (scenario_with(labels={"0": "first"}), "labels"),
     (scenario_with(targets="12"), "targets"),
     (scenario_with(n_items=20.9), "n_items"),
     (scenario_with(members=[0, 1.7]), "members"),
@@ -730,14 +764,12 @@ def scenario_with(**fields):
     (scenario_with(weight=True), "weight"),
     (scenario_with(weight="0.5"), "weight"),
     (scenario_with(energy="2"), "energy"),
-    (scenario_with(labels={"1": None}), "labels"),
-    (scenario_with(labels={"9": "far"}), "labels"),
     (scenario_with(info_sets=[{"members": [0, 1], "weight": 0.5, "x": 3},
                               {"members": [2], "weight": 0.5}]), "info_sets"),
 ], ids=["weights_overflow", "nested_members", "null_members", "null_targets", "null_n_items",
-        "null_weight", "list_labels", "non_integer_label", "string_targets", "fractional_n_items",
-        "fractional_member", "string_member", "boolean_member", "boolean_weight", "string_weight",
-        "string_energy", "null_label", "label_out_of_range", "info_set_extra_key"])
+        "null_weight", "labels", "string_targets", "fractional_n_items", "fractional_member",
+        "string_member", "boolean_member", "boolean_weight", "string_weight", "string_energy",
+        "info_set_extra_key"])
 def test_malformed_scenario_field_exits_1_naming_it(tmp_path, capsys, doc, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
@@ -746,6 +778,18 @@ def test_malformed_scenario_field_exits_1_naming_it(tmp_path, capsys, doc, field
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"'{field}'" in err
     assert "Traceback" not in err
+
+
+def test_scenario_with_labels_is_refused_as_an_unknown_key(tmp_path, capsys):
+    # a scenario written for schema 4.0, with its display labels
+    doc = library_doc()
+    doc["labels"] = {"2": "hunting-guide", "5": "fly-fishing-atlas"}
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps(doc))
+    assert run("simulate", "--scenario", path, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err == "error: unknown scenario keys: ['labels']\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_huge_n_items_exits_1_without_traceback(tmp_path, capsys):
@@ -778,13 +822,11 @@ json_values = st.recursive(
 @settings(deadline=None, max_examples=60)
 @given(
     command=st.sampled_from(sorted(cli.COMMANDS)),
-    field=st.sampled_from(["n_items", "targets", "info_sets", "energy", "labels", "members", "weight"]),
+    field=st.sampled_from(["n_items", "targets", "info_sets", "energy", "members", "weight"]),
     value=json_values,
 )
 def test_fuzzed_scenario_field_exits_cleanly(command, field, value):
     doc = scenario_with(**{field: value})
-    if field != "labels":
-        doc["labels"] = {"0": "first"}
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "fuzz.json", Path(tmp) / "out"
         path.write_text(json.dumps(doc))
@@ -980,8 +1022,7 @@ def written_digest(tmp_path, text, *flags):
 def reordered(doc):
     # every object's keys reversed, every index list reversed
     sets = [{"weight": s["weight"], "members": s["members"][::-1]} for s in doc["info_sets"]]
-    labels = dict(reversed(doc["labels"].items()))
-    return {"labels": labels, "energy": doc["energy"], "info_sets": sets,
+    return {"energy": doc["energy"], "info_sets": sets,
             "targets": doc["targets"][::-1], "n_items": doc["n_items"]}
 
 
@@ -1012,8 +1053,6 @@ def edited(**edits):
         doc["targets"].remove(edits["target"])
     if "weight" in edits:
         doc["info_sets"][1]["weight"] = edits["weight"]
-    if "label" in edits:
-        doc["labels"]["5"] = edits["label"]
     if "energy" in edits:
         doc["energy"] = edits["energy"]
     return doc
@@ -1025,8 +1064,6 @@ def test_scenario_digest_moves_with_each_field(tmp_path):
         written_digest(tmp_path, edited(member=19)),
         written_digest(tmp_path, edited(target=12)),
         written_digest(tmp_path, edited(weight=0.4)),
-        written_digest(tmp_path, edited(label="fly-fishing-atlas-2")),
-        written_digest(tmp_path, edited(label="\ud800")),  # a lone surrogate escape
         written_digest(tmp_path, edited(energy=1.5)),
         written_digest(tmp_path, library_doc(), "--energy", 0.75),
     ]
@@ -1050,7 +1087,6 @@ def test_scenario_summary_at_a_million_items_needs_no_json(monkeypatch):
         targets=np.arange(0, n, 100),
         info_sets=(InformationSet(np.arange(600_000), 0.3),
                    InformationSet(np.arange(400_000, n), 0.7)),
-        labels=((5, "five"),),
     )
 
     def refuse(*args, **kwargs):
@@ -1116,7 +1152,7 @@ def test_count_json_stays_small_at_a_million_items(tmp_path):
     assert written.stat().st_size < 16 * 1024
     counting = counting_scenario(load_scenario(path))
     data = read_json(written)
-    assert data["schema_version"] == "4.0" and set(data["estimate"]) == ESTIMATE_FIELDS
+    assert data["schema_version"] == "5.0" and set(data["estimate"]) == ESTIMATE_FIELDS
     assert not {"disjoint_scenario", "support_size", "m_size", "y_hat"} & set(data)
     summary = data["scenario"]
     assert summary["support_size"] == counting.support_size

@@ -12,15 +12,21 @@ from scipy.linalg import expm
 
 from conftest import build_scenario
 from ctqsearch import (
-    SuccessDistribution,
     make_rng,
     optimal_time,
     success_distribution,
     trajectory,
     weighted_superposition,
 )
+from ctqsearch.dynamics import _reduced_coefficients
 from ctqsearch.rng import sample_inverse_cdf
-from oracles import eigensystem, evolution_matrix, reduced_hamiltonian
+from oracles import (
+    ScenarioMode,
+    eigensystem,
+    evolution_matrix,
+    random_scenario_suite,
+    reduced_hamiltonian,
+)
 
 
 def expm_propagator(y, energy, t):
@@ -101,7 +107,7 @@ def test_reduced_evolution_matches_propagator(boosted_pair):
         expected = evolution_matrix(y, 1.0, t) @ initial
         traj = trajectory(prep, 1.0, t_max=t, n_points=2)
         assert_allclose([traj.a[-1], traj.b[-1]], expected, atol=1e-12)
-        success = success_distribution(prep, 1.0, t).success
+        success = 1.0 - success_distribution(prep, 1.0, t)[-1]
         assert success == pytest.approx(abs(expected[0]) ** 2, abs=1e-12)
 
 
@@ -114,7 +120,7 @@ def test_success_probability_closed_form():
     for t, success in zip(traj.times, traj.success):
         expected = 1.0 - (1.0 - y * y) * math.cos(energy * y * t) ** 2
         assert success == pytest.approx(expected, abs=1e-12)
-        assert success_distribution(prep, energy, t).success == pytest.approx(expected, abs=1e-12)
+        assert 1.0 - success_distribution(prep, energy, t)[-1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_success_probability_periodic(lopsided_pair):
@@ -122,8 +128,8 @@ def test_success_probability_periodic(lopsided_pair):
     energy = 1.0
     period = math.pi / (energy * prep.y)
     for t in (0.2, 1.0, 3.7):
-        p1 = success_distribution(prep, energy, t).success
-        p2 = success_distribution(prep, energy, t + period).success
+        p1 = 1.0 - success_distribution(prep, energy, t)[-1]
+        p2 = 1.0 - success_distribution(prep, energy, t + period)[-1]
         assert p1 == pytest.approx(p2, abs=1e-12)
 
 
@@ -137,10 +143,10 @@ def test_optimal_time_value(lopsided_pair):
 def test_optimal_time_is_first_maximum(boosted_pair):
     prep = weighted_superposition(boosted_pair)
     t_opt = optimal_time(prep.y, 1.0)
-    at_peak = success_distribution(prep, 1.0, t_opt).success
+    at_peak = 1.0 - success_distribution(prep, 1.0, t_opt)[-1]
     assert at_peak == pytest.approx(1.0, abs=1e-12)
     for frac in (0.25, 0.5, 0.9):
-        assert success_distribution(prep, 1.0, frac * t_opt).success < at_peak
+        assert 1.0 - success_distribution(prep, 1.0, frac * t_opt)[-1] < at_peak
     # doubling the energy halves the time
     assert optimal_time(prep.y, 2.0) == pytest.approx(t_opt / 2, abs=1e-12)
 
@@ -148,30 +154,43 @@ def test_optimal_time_is_first_maximum(boosted_pair):
 def test_success_distribution_at_peak(boosted_pair):
     prep = weighted_superposition(boosted_pair)
     t_opt = optimal_time(prep.y, 1.0)
-    dist = success_distribution(prep, 1.0, t_opt)
+    probs = success_distribution(prep, 1.0, t_opt)
     # target amplitudes 0.6 and 1.0: shares 0.36/1.36 and 1.00/1.36
-    assert dist.target_probs[0] == pytest.approx(0.36 / 1.36, abs=1e-12)
-    assert dist.target_probs[1] == pytest.approx(1.00 / 1.36, abs=1e-12)
-    assert dist.failure <= 1e-12
-    assert dist.success + dist.failure == pytest.approx(1.0, abs=1e-12)
+    assert probs[0] == pytest.approx(0.36 / 1.36, abs=1e-12)
+    assert probs[1] == pytest.approx(1.00 / 1.36, abs=1e-12)
+    assert probs[-1] <= 1e-12
+    assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_success_distribution_matches_a_per_target_loop():
+    # the reference: one float(p * c * c) per target, in target order, and
+    # the failure as 1 minus their exact sum
+    suite = (random_scenario_suite(31, 20)
+             + random_scenario_suite(32, 10, ScenarioMode.DISJOINT)
+             + random_scenario_suite(33, 10, ScenarioMode.MISPLACED))
+    for s in suite:
+        prep = weighted_superposition(s)
+        for frac in (0.0, 0.37, 1.0, 1.6):
+            t = frac * optimal_time(prep.y, s.energy)
+            probs = success_distribution(prep, s.energy, t)
+            a, _ = _reduced_coefficients(prep.y, s.energy, [t])
+            p_success = abs(complex(a[0])) ** 2
+            targets = [float(p_success * coeff * coeff) for coeff in prep.target_coeffs]
+            assert np.array_equal(probs[:-1], targets)
+            assert probs[-1] == max(0.0, 1.0 - math.fsum(targets))
 
 
 def test_success_distribution_at_start(boosted_pair):
     prep = weighted_superposition(boosted_pair)
-    dist = success_distribution(prep, 1.0, 0.0)
-    for item in boosted_pair.targets:
-        assert dist.target_probs[item] == pytest.approx(prep.beta[item] ** 2, abs=1e-12)
-    assert dist.failure == pytest.approx(1.0 - prep.y**2, abs=1e-12)
-
-
-def outcome_probs(dist):
-    # sorted target items, then the aggregate non-target outcome
-    return [dist.target_probs[i] for i in sorted(dist.target_probs)] + [dist.failure]
+    probs = success_distribution(prep, 1.0, 0.0)
+    for prob, item in zip(probs, boosted_pair.targets):
+        assert prob == pytest.approx(prep.beta[item] ** 2, abs=1e-12)
+    assert probs[-1] == pytest.approx(1.0 - prep.y**2, abs=1e-12)
 
 
 def test_sampling_is_deterministic_per_seed(boosted_pair):
     prep = weighted_superposition(boosted_pair)
-    probs = outcome_probs(success_distribution(prep, 1.0, 1.0))
+    probs = success_distribution(prep, 1.0, 1.0)
     draws = [sample_inverse_cdf(probs, make_rng(42, "measurement"), 50) for _ in range(5)]
     assert all(np.array_equal(d, draws[0]) for d in draws)
     other = sample_inverse_cdf(probs, make_rng(43, "measurement"), 50)
@@ -182,15 +201,15 @@ def test_sampling_point_mass():
     rng = make_rng(0, "measurement")
     assert set(sample_inverse_cdf([1.0], rng, 20).tolist()) == {0}
     assert set(sample_inverse_cdf([0.0, 1.0, 0.0], rng, 20).tolist()) == {1}
-    all_failure = SuccessDistribution(target_probs={2: 0.0}, failure=1.0)
-    assert set(sample_inverse_cdf(outcome_probs(all_failure), rng, 20).tolist()) == {1}
+    # one target at probability 0, then the failure at 1
+    assert set(sample_inverse_cdf([0.0, 1.0], rng, 20).tolist()) == {1}
 
 
 def test_sampling_frequencies_track_probabilities(boosted_pair):
     prep = weighted_superposition(boosted_pair)
     t_opt = optimal_time(prep.y, 1.0)
-    dist = success_distribution(prep, 1.0, t_opt)
-    draws = sample_inverse_cdf(outcome_probs(dist), make_rng(0, "measurement"), 2000)
+    probs = success_distribution(prep, 1.0, t_opt)
+    draws = sample_inverse_cdf(probs, make_rng(0, "measurement"), 2000)
     freq1 = np.mean(draws == 1)  # sorted targets are (0, 1)
     # expect 1.0/1.36 = 0.735 with sigma ~ 0.01
     assert freq1 == pytest.approx(1.00 / 1.36, abs=0.04)
@@ -262,6 +281,6 @@ def test_horizon_whose_phase_overflows_is_refused(lopsided_pair):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = trajectory(prep, 1.0, t_max=sys.float_info.max, n_points=8)
-        dist = success_distribution(prep, 1.0, sys.float_info.max)
+        probs = success_distribution(prep, 1.0, sys.float_info.max)
     assert traj.times[-1] == sys.float_info.max and np.all(np.isfinite(traj.success))
-    assert 0.0 <= dist.failure <= 1.0
+    assert 0.0 <= probs[-1] <= 1.0

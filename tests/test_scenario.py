@@ -158,13 +158,6 @@ def test_load_scenario_file(tmp_path):
     assert s.targets.tolist() == [1]
 
 
-def test_load_scenario_with_labels(library_demo_path):
-    s = load_scenario(library_demo_path)
-    assert s.n_items == 20
-    assert s.labels is not None
-    assert dict(s.labels)[12] == "field-almanac"
-
-
 def test_malformed_json_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{ not json")
