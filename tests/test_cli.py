@@ -755,7 +755,8 @@ def scenario_with(**fields):
     (scenario_with(targets=None), "targets"),
     (scenario_with(n_items=None), "n_items"),
     (scenario_with(weight=None), "weight"),
-    (scenario_with(labels={"0": "first"}), "labels"),
+    (scenario_with(labels=[1]), "labels"),
+    (scenario_with(labels={"x": "a"}), "labels"),
     (scenario_with(targets="12"), "targets"),
     (scenario_with(n_items=20.9), "n_items"),
     (scenario_with(members=[0, 1.7]), "members"),
@@ -764,12 +765,14 @@ def scenario_with(**fields):
     (scenario_with(weight=True), "weight"),
     (scenario_with(weight="0.5"), "weight"),
     (scenario_with(energy="2"), "energy"),
+    (scenario_with(labels={"1": None}), "labels"),
+    (scenario_with(labels={"9": "far"}), "labels"),
     (scenario_with(info_sets=[{"members": [0, 1], "weight": 0.5, "x": 3},
                               {"members": [2], "weight": 0.5}]), "info_sets"),
 ], ids=["weights_overflow", "nested_members", "null_members", "null_targets", "null_n_items",
-        "null_weight", "labels", "string_targets", "fractional_n_items", "fractional_member",
-        "string_member", "boolean_member", "boolean_weight", "string_weight", "string_energy",
-        "info_set_extra_key"])
+        "null_weight", "list_labels", "non_integer_label", "string_targets", "fractional_n_items",
+        "fractional_member", "string_member", "boolean_member", "boolean_weight", "string_weight",
+        "string_energy", "null_label", "label_out_of_range", "info_set_extra_key"])
 def test_malformed_scenario_field_exits_1_naming_it(tmp_path, capsys, doc, field):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
