@@ -33,6 +33,7 @@ from .analysis import (
     misplaced_structure,
 )
 from .dynamics import _check_energy, _check_time, optimal_time, success_distribution, trajectory
+from .floatrepr import repr_cells
 from .fullsim import plane_projection_on_grid
 from .phase_estimation import (
     REGISTER_STREAM,
@@ -156,22 +157,41 @@ def _write_json(path: Path, payload: dict) -> None:
     print(f"wrote {path}")
 
 
-CSV_CHUNK_ROWS = 4096
+# rows formatted per kernel call: its arrays stay within the peaks SIZE_FLAGS states
+CSV_CHUNK_ROWS = 2048
+
+
+def _str_cells(values) -> np.ndarray:
+    """``str`` of each value as NUL-padded uint8 cells, one row per value."""
+    values = values.tolist() if isinstance(values, np.ndarray) else values
+    return np.array([str(v) for v in values], dtype="S").view(np.uint8).reshape(len(values), -1)
 
 
 def _write_csv(path: Path, header, columns) -> None:
     """Write a header and equal-length columns, byte-identical to ``csv.writer``.
 
-    Rows are formatted a bounded chunk at a time.  Numpy slices become Python
-    values once (``tolist``), whose ``str`` is the ``repr`` csv writes; ranges
-    and tuples of ints and strings are used as they are.  No cell needs quoting.
+    Rows are formatted a bounded chunk at a time, as NUL-padded byte cells: the
+    float64 array columns in one :func:`repr_cells` call, whose bytes are the
+    ``repr`` csv writes, and every other cell (ints, strings, Python floats)
+    through ``str``.  Separator columns are interleaved and the NULs dropped.
+    No cell needs quoting.
     """
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    floats = [i for i, c in enumerate(columns)
+              if isinstance(c, np.ndarray) and c.dtype == np.float64]
+    with path.open("wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
         for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
             parts = [column[start : start + CSV_CHUNK_ROWS] for column in columns]
-            cells = [map(str, p.tolist() if isinstance(p, np.ndarray) else p) for p in parts]
-            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            cells = {i: _str_cells(p) for i, p in enumerate(parts) if i not in floats}
+            if floats:
+                block = repr_cells(np.stack([parts[i] for i in floats], axis=1))
+                cells.update(zip(floats, block.transpose(1, 0, 2)))
+            rows = len(parts[0])
+            comma = np.full((rows, 1), ord(","), np.uint8)
+            pieces = [piece for i in range(len(parts)) for piece in (cells[i], comma)]
+            pieces[-1] = np.full((rows, 2), (ord("\r"), ord("\n")), np.uint8)
+            table = np.concatenate(pieces, axis=1)
+            fh.write(table[table != 0].tobytes())
     print(f"wrote {path}")
 
 

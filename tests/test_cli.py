@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -992,9 +993,12 @@ def test_write_csv_matches_csv_writer(data, n_rows):
     plain = data.draw(arrays(np.float64, n_rows, elements=float_cells))
     packed = data.draw(arrays(np.complex128, n_rows, elements=st.complex_numbers()))
     ints = data.draw(arrays(np.int64, n_rows))
+    # any 64-bit pattern: every exponent, subnormals, NaN payloads
+    bits = data.draw(arrays(np.uint64, n_rows, elements=st.integers(0, 2**64 - 1)))
     # strided views and int64 arrays, as the command tables pass them
-    columns = (range(n_rows), plain, packed.real, packed.imag, ints, tuple(ints.tolist()))
-    header = ["k", "x", "re(z)", "im(z)", "i64", "int"]
+    columns = (range(n_rows), plain, packed.real, packed.imag, ints, tuple(ints.tolist()),
+               bits.view(np.float64))
+    header = ["k", "x", "re(z)", "im(z)", "i64", "int", "bits"]
     assert write_csv_bytes(header, columns) == csv_writer_bytes(header, columns)
 
 
@@ -1202,6 +1206,25 @@ def test_size_flag_budget_boundary(tmp_path, monkeypatch, command, flag):
     argv = [command, "--scenario", str(source), flag, str(largest + 1)]
     with pytest.raises(cli.CliInputError, match=f"argument {flag}: "):
         cli.build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("command, flag", [("simulate", "--points"), ("verify", "--grid-points"),
+                                           ("sweep", "--alpha2-points")])
+def test_size_flag_peak_memory_is_within_its_bytes_per_unit(tmp_path, command, flag):
+    # SIZE_FLAGS states the tracemalloc peak per unit at 10**5 units; the CSV
+    # writer's chunks must stay under it, beside the command's own arrays
+    units = 10**5
+    source = SCENARIO_DIR / SHIPPED_FOR.get(command, "library_demo.json")
+    argv = (command, "--scenario", source, "--out", tmp_path, flag, units)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(*argv) == 0  # pays the one-time costs a running process has paid
+        tracemalloc.start()
+        try:
+            assert run(*argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= cli.SIZE_FLAGS[flag][1] * units
 
 
 @pytest.mark.parametrize("command, flag", SIZE_CASES)
