@@ -56,8 +56,9 @@ VERIFY_TOL = 1e-10
 # within this many times that floor (1.75 the worst seen) is roundoff
 ROUNDOFF_FACTOR = 4.0
 SIZE_FLAG_BUDGET = 2**30  # bytes a size flag may ask for, refused when parsed
-# size flag: (lower bound, tracemalloc peak bytes per unit at 10**5 units)
-SIZE_FLAGS = {"--points": (2, 90), "--grid-points": (2, 123), "--alpha2-points": (2, 74),
+# size flag: (lower bound, tracemalloc peak bytes per unit at 10**5 units in
+# the command's first run in a fresh interpreter)
+SIZE_FLAGS = {"--points": (2, 92), "--grid-points": (2, 123), "--alpha2-points": (2, 76),
               "--samples": (1, 40)}
 ALPHA2_RANGE = (0.05, 0.999)  # the defaults of sweep's --alpha2-min and --alpha2-max
 

@@ -12,6 +12,8 @@ one information set, and the stored weights sum to one.
 from __future__ import annotations
 
 import json
+import json.decoder
+import json.scanner
 import math
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
@@ -217,6 +219,12 @@ def scenario_to_dict(scenario: SearchScenario) -> dict:
     }
 
 
+def _json_array(value):
+    # load_scenario reads a flat array of nonnegative integers as an int64
+    # array; a field that holds no indices refuses it as the JSON array it was
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def scenario_from_dict(payload: Mapping) -> SearchScenario:
     """Build and validate a scenario from a parsed JSON object."""
     if not isinstance(payload, Mapping):
@@ -227,26 +235,100 @@ def scenario_from_dict(payload: Mapping) -> SearchScenario:
     for key in ("n_items", "targets", "info_sets"):
         if key not in payload:
             raise ScenarioError(f"scenario document missing required key '{key}'")
-    raw_sets = payload["info_sets"]
+    raw_sets = _json_array(payload["info_sets"])
     if not isinstance(raw_sets, (list, tuple)):
         raise ScenarioError("'info_sets' must be an array")
     sets = []
     for entry in raw_sets:
         if not isinstance(entry, Mapping) or set(entry) != {"members", "weight"}:
             raise _refuse("info_sets", "each entry needs exactly the keys 'members' and 'weight'")
-        sets.append(InformationSet(entry["members"], entry["weight"]))
+        sets.append(InformationSet(entry["members"], _json_array(entry["weight"])))
     return SearchScenario(
-        n_items=payload["n_items"],
+        n_items=_json_array(payload["n_items"]),
         targets=payload["targets"],
         info_sets=tuple(sets),
-        energy=payload.get("energy", 1.0),
+        energy=_json_array(payload.get("energy", 1.0)),
     )
+
+
+_JSON_SPACE = b" \t\n\r"
+# 10, ..., 10**17: a value has one digit more than the powers it reaches, up
+# to 18 digits, so a value of 10**18 or more is credited fewer than it has
+_POWERS_OF_TEN = 10 ** np.arange(1, 18, dtype=np.int64)
+# below this many characters between its brackets (some 64 items), an array
+# costs less as a list from the C decoder than through numpy's calls
+SHORT_ARRAY_CHARS = 512
+
+
+def _int64_array(text: bytes) -> np.ndarray | None:
+    """The nonnegative JSON integers between an array's brackets, as int64.
+
+    None unless every character is accounted for: digits, commas and JSON
+    whitespace only, no empty item, as many values as items, and as many
+    digits as the values have, each below 10**18 (no leading zero, no digit
+    left unread, no value clamped to int64).
+    """
+    if text.translate(None, b"0123456789," + _JSON_SPACE):
+        return None
+    tokens = text.translate(None, _JSON_SPACE)
+    if tokens[:1] in (b"", b",") or tokens.endswith(b",") or b",," in tokens:
+        return None
+    try:
+        values = np.fromstring(text, np.int64, sep=",")
+    except ValueError:  # unmatched data (numpy 1.x warns and stops short instead)
+        return None
+    n = tokens.count(b",") + 1
+    digits = len(tokens) - (n - 1)
+    if values.size != n or n + _POWERS_OF_TEN.searchsorted(values, "right").sum() != digits:
+        return None
+    return values
+
+
+_STDLIB_DECODER = json.JSONDecoder()
+
+
+def _parse_array(s_and_end, scan_once):
+    s, start = s_and_end
+    if s.startswith("{", json.decoder.WHITESPACE.match(s, start).end()):
+        # an array of objects: each object is scanned here, so its index arrays are int64
+        items, end = json.decoder.JSONArray(s_and_end, scan_once)
+        return [_json_array(item) for item in items], end
+    close = s.find("]", start)
+    if close - start >= SHORT_ARRAY_CHARS:  # also false when there is no "]"
+        values = _int64_array(s[start:close].encode())  # s is ASCII: one byte a character
+        if values is not None:
+            return values, close + 1
+    return _STDLIB_DECODER.raw_decode(s, start - 1)
+
+
+_DECODER = json.JSONDecoder()
+_DECODER.parse_array = _parse_array
+_DECODER.scan_once = json.scanner.py_make_scanner(_DECODER)
+
+
+def _decode(text: str):
+    """``json.loads(text)``, but a flat array of nonnegative integers is int64.
+
+    Only arrays of at least ``SHORT_ARRAY_CHARS`` characters are read this
+    way; every other value is the standard library's.  A document this
+    decoder refuses is decoded again by ``json.loads``, so a refusal keeps
+    its message.  Two kinds of text go to ``json.loads`` whole: text that
+    is not ASCII, because the pure-Python scanner would read any Unicode
+    digit in a number, and text whose arrays are short on average, where
+    the pure-Python scan of each object would cost more than it saves.
+    """
+    if text.isascii() and len(text) >= SHORT_ARRAY_CHARS * text.count("["):
+        try:
+            return _DECODER.decode(text)
+        except (ValueError, RecursionError):
+            pass
+    return json.loads(text)
 
 
 def load_scenario(path: str | Path) -> SearchScenario:
     """Load a scenario JSON file, validating structure and invariants."""
     try:
-        payload = json.loads(Path(path).read_text())
+        payload = _decode(Path(path).read_text())
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ScenarioError(f"malformed scenario JSON in {path}: {exc}") from exc
     return scenario_from_dict(payload)

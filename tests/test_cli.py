@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import SCENARIO_DIR
 from ctqsearch import (
     InformationSet,
+    ScenarioError,
     SearchScenario,
     analysis,
     cli,
@@ -33,9 +33,11 @@ from ctqsearch import (
     phase_estimation,
     run_phase_estimation,
     sample_phase_register,
+    scenario_from_dict,
     stateprep,
     weighted_superposition,
 )
+import ctqsearch.scenario as scenario_module
 from ctqsearch.stateprep import symmetry_classes
 
 
@@ -770,11 +772,19 @@ def scenario_with(**fields):
     (scenario_with(labels={"9": "far"}), "labels"),
     (scenario_with(info_sets=[{"members": [0, 1], "weight": 0.5, "x": 3},
                               {"members": [2], "weight": 0.5}]), "info_sets"),
+    (scenario_with(n_items=[3]), "n_items"),
+    (scenario_with(weight=[1]), "weight"),
+    (scenario_with(energy=[2]), "energy"),
+    (scenario_with(info_sets=[1, 2]), "info_sets"),
 ], ids=["weights_overflow", "nested_members", "null_members", "null_targets", "null_n_items",
         "null_weight", "list_labels", "non_integer_label", "string_targets", "fractional_n_items",
         "fractional_member", "string_member", "boolean_member", "boolean_weight", "string_weight",
-        "string_energy", "null_label", "label_out_of_range", "info_set_extra_key"])
-def test_malformed_scenario_field_exits_1_naming_it(tmp_path, capsys, doc, field):
+        "string_energy", "null_label", "label_out_of_range", "info_set_extra_key",
+        "integer_array_n_items", "integer_array_weight", "integer_array_energy",
+        "integer_array_info_sets"])
+def test_malformed_scenario_field_exits_1_naming_it(tmp_path, capsys, monkeypatch, doc, field):
+    # every integer array, however short, is read as int64
+    monkeypatch.setattr(scenario_module, "SHORT_ARRAY_CHARS", 0)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert run("simulate", "--scenario", path, "--out", tmp_path / "out") == 1
@@ -782,6 +792,26 @@ def test_malformed_scenario_field_exits_1_naming_it(tmp_path, capsys, doc, field
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"'{field}'" in err
     assert "Traceback" not in err
+    # the line the lists of json.loads give
+    with pytest.raises(ScenarioError) as refusal:
+        scenario_from_dict(json.loads(path.read_text()))
+    assert err == f"error: {refusal.value}\n"
+
+
+@pytest.mark.parametrize("field, value, line", [
+    ("n_items", [3], "scenario field 'n_items': expected int, got list"),
+    ("weight", [1], "scenario field 'weight': expected float, got list"),
+    ("energy", [2], "scenario field 'energy': expected float, got list"),
+    ("info_sets", [1, 2],
+     "scenario field 'info_sets': each entry needs exactly the keys 'members' and 'weight'"),
+])
+def test_integer_array_where_none_belongs_is_refused_as_a_list(tmp_path, capsys, monkeypatch,
+                                                               field, value, line):
+    monkeypatch.setattr(scenario_module, "SHORT_ARRAY_CHARS", 0)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scenario_with(**{field: value})))
+    assert run("simulate", "--scenario", path, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 def test_scenario_with_labels_is_refused_as_an_unknown_key(tmp_path, capsys):
@@ -1208,23 +1238,35 @@ def test_size_flag_budget_boundary(tmp_path, monkeypatch, command, flag):
         cli.build_parser().parse_args(argv)
 
 
+def package_env():
+    """The environment for a fresh interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+PEAK_PROBE = """
+import contextlib, io, sys, tracemalloc
+from ctqsearch import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    tracemalloc.start()
+    assert cli.main(sys.argv[1:]) == 0
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
 @pytest.mark.parametrize("command, flag", [("simulate", "--points"), ("verify", "--grid-points"),
                                            ("sweep", "--alpha2-points")])
 def test_size_flag_peak_memory_is_within_its_bytes_per_unit(tmp_path, command, flag):
-    # SIZE_FLAGS states the tracemalloc peak per unit at 10**5 units; the CSV
+    # SIZE_FLAGS states the tracemalloc peak per unit at 10**5 units of the
+    # command's first run in a fresh interpreter, as the CLI runs it; the CSV
     # writer's chunks must stay under it, beside the command's own arrays
     units = 10**5
     source = SCENARIO_DIR / SHIPPED_FOR.get(command, "library_demo.json")
-    argv = (command, "--scenario", source, "--out", tmp_path, flag, units)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert run(*argv) == 0  # pays the one-time costs a running process has paid
-        tracemalloc.start()
-        try:
-            assert run(*argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak <= cli.SIZE_FLAGS[flag][1] * units
+    argv = [command, "--scenario", str(source), "--out", str(tmp_path), flag, str(units)]
+    probe = subprocess.run([sys.executable, "-c", PEAK_PROBE, *argv],
+                           env=package_env(), capture_output=True, text=True, timeout=120)
+    assert probe.returncode == 0, probe.stderr
+    assert int(probe.stdout) <= cli.SIZE_FLAGS[flag][1] * units
 
 
 @pytest.mark.parametrize("command, flag", SIZE_CASES)
@@ -1330,8 +1372,6 @@ def test_no_command_imports_numpy_ma(tmp_path):
     runs += [["compare", "--scenario", str(unsorted)],
              ["verify", "--scenario", str(million_items(tmp_path))]]
     runs = [[*argv, "--out", str(tmp_path / f"out{i}")] for i, argv in enumerate(runs)]
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE, json.dumps(runs)],
-                           env=env, capture_output=True, text=True, timeout=120)
+                           env=package_env(), capture_output=True, text=True, timeout=120)
     assert probe.returncode == 0, probe.stderr
