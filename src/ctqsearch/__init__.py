@@ -10,7 +10,6 @@ information helps or hurts.
 """
 
 from .analysis import (
-    BoundKind,
     BoundReport,
     ComparisonReport,
     MisplacedStructure,
@@ -45,15 +44,11 @@ from .phase_estimation import (
 )
 from .rng import make_rng
 from .scenario import (
-    Confidence,
-    ConfidenceReport,
     InformationSet,
     ScenarioError,
     SearchScenario,
-    classify_confidence,
     load_scenario,
     scenario_from_dict,
-    sets_pairwise_disjoint,
 )
 from .stateprep import StatePrep, uniform_superposition, weighted_superposition
 

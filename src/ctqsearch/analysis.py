@@ -13,26 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .dynamics import optimal_time
-from .scenario import (
-    Confidence,
-    ScenarioError,
-    SearchScenario,
-    classify_confidence,
-    sets_pairwise_disjoint,
-)
+from .scenario import ScenarioError, SearchScenario
 from .stateprep import uniform_superposition, weighted_superposition
 
 OVERLAP_BOUND_TOL = 1e-12
-
-
-class BoundKind(Enum):
-    BASIC_CONF = "basic_confidence"
-    DISJOINT = "disjoint"
 
 
 @dataclass(frozen=True)
@@ -41,14 +29,13 @@ class BoundReport:
 
     ``time_bound`` is :func:`optimal_time` of ``y_bound``, the time cap the
     claim implies, since the optimal time falls as ``y`` grows.  ``margin`` is
-    ``y - y_bound``, in units of overlap (negative when violated).
+    ``y - y_bound``, in units of overlap (negative when violated), where ``y``
+    is ``weighted_superposition(scenario).y``.
     """
 
-    y: float
-    time: float
     y_bound: float
     time_bound: float
-    bound_kind: BoundKind
+    bound_kind: str  # "basic_confidence" or "disjoint"
     satisfied: bool
     margin: float
 
@@ -70,20 +57,18 @@ def check_scenario_bounds(scenario: SearchScenario) -> list[BoundReport]:
     refinement additionally needs pairwise-disjoint sets.  Any other scenario
     has no bound, and the list is empty.
     """
-    if classify_confidence(scenario).confidence is not Confidence.BASIC:
+    if not all(scenario.target_overlaps):
         return []
     y = weighted_superposition(scenario).y
-    t = optimal_time(y, scenario.energy)
-    kinds = [(BoundKind.BASIC_CONF, scenario.n_sets)]
-    if sets_pairwise_disjoint(scenario.info_sets):
-        kinds.append((BoundKind.DISJOINT, 1))
+    kinds = [("basic_confidence", scenario.n_sets)]
+    if scenario.pairwise_disjoint:
+        kinds.append(("disjoint", 1))
     reports = []
     for kind, n_sets in kinds:
         y_bound, time_bound = basic_confidence_bound(n_sets, scenario.support_size, scenario.energy)
         margin = y - y_bound
-        reports.append(BoundReport(y=y, time=t, y_bound=y_bound, time_bound=time_bound,
-                                   bound_kind=kind, satisfied=margin >= -OVERLAP_BOUND_TOL,
-                                   margin=margin))
+        reports.append(BoundReport(y_bound=y_bound, time_bound=time_bound, bound_kind=kind,
+                                   satisfied=margin >= -OVERLAP_BOUND_TOL, margin=margin))
     return reports
 
 
@@ -154,7 +139,7 @@ def misplaced_structure(scenario: SearchScenario) -> MisplacedStructure:
         raise ScenarioError("misplaced analysis requires exactly two information sets")
     l = scenario.n_targets
     a, b = scenario.info_sets
-    in_a, in_b = classify_confidence(scenario).target_overlaps
+    in_a, in_b = scenario.target_overlaps
     if (in_a, in_b) == (l, 0):
         trusted, wrong = a, b
     elif (in_a, in_b) == (0, l):
@@ -183,7 +168,7 @@ class ComparisonReport:
     time_structured: float
     time_uniform: float
     speedup: float  # uniform / structured; > 1 means structure helps
-    confidence: Confidence
+    confidence: str  # "basic" when every set holds a target, else "not_basic"
     support_exponent: float | None  # log(support) / log(n_items); None when n_items == 1
 
 
@@ -204,6 +189,6 @@ def compare_structured_unstructured(scenario: SearchScenario) -> ComparisonRepor
         time_structured=t_s,
         time_uniform=t_u,
         speedup=t_u / t_s,
-        confidence=classify_confidence(scenario).confidence,
+        confidence="basic" if all(scenario.target_overlaps) else "not_basic",
         support_exponent=exponent,
     )

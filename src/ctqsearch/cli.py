@@ -403,7 +403,7 @@ def cmd_sweep(args, scenario: SearchScenario) -> Output:
 def cmd_compare(args, scenario: SearchScenario) -> Output:
     report = compare_structured_unstructured(scenario)
     return Output(
-        payload={**dataclasses.asdict(report), "confidence": report.confidence.value},
+        payload=dataclasses.asdict(report),
         summary=(
             f"structured T={report.time_structured:.4f} uniform T={report.time_uniform:.4f} "
             f"speedup={report.speedup:.4f}"

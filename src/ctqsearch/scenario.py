@@ -11,13 +11,13 @@ one information set, and the stored weights sum to one.
 
 from __future__ import annotations
 
+import copy
 import json
 import json.decoder
 import json.scanner
 import math
 from collections.abc import Mapping, Set
 from dataclasses import dataclass
-from enum import Enum
 from numbers import Real
 from pathlib import Path
 
@@ -69,21 +69,6 @@ def _indices(value, name: str) -> np.ndarray:
 def _check_range(items: np.ndarray, n_items: int, name: str) -> None:
     if items[0] < 0 or items[-1] >= n_items:
         raise _refuse(name, f"item index out of range for {n_items} items")
-
-
-def _union_mask(info_sets, size: int | None = None) -> np.ndarray:
-    """Which items lie in any of the sets; by default sized to the largest member."""
-    mask = np.zeros(size or 1 + max((s.members[-1] for s in info_sets), default=-1), dtype=bool)
-    for s in info_sets:
-        mask[s.members] = True
-    return mask
-
-
-class Confidence(Enum):
-    """Whether every information set intersects the target set."""
-
-    BASIC = "basic"
-    NOT_BASIC = "not_basic"
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,13 +135,18 @@ class SearchScenario:
         except OverflowError:
             raise _refuse("weight", "the weights sum overflows a float") from None
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            # positive-sum weight vectors are rescaled rather than rejected
-            rescaled = tuple(InformationSet(s.members, s.weight / total) for s in self.info_sets)
+            # positive-sum weight vectors are rescaled rather than rejected;
+            # each copy keeps the members array its set already validated
+            rescaled = tuple(map(copy.copy, self.info_sets))
+            for s in rescaled:
+                object.__setattr__(s, "weight", s.weight / total)
             object.__setattr__(self, "info_sets", rescaled)
         try:
-            mask = _union_mask(self.info_sets, self.n_items)
+            mask = np.zeros(self.n_items, dtype=bool)
         except (MemoryError, ValueError):  # numpy: cannot allocate / dimension too large
             raise _refuse("n_items", f"{self.n_items} items do not fit in memory") from None
+        for s in self.info_sets:
+            mask[s.members] = True
         if not mask[self.targets].all():
             raise ScenarioError(
                 "coverage invariant violated: every target must belong to at least one information set"
@@ -182,29 +172,18 @@ class SearchScenario:
     def support_size(self) -> int:
         return self.support.size
 
+    @property
+    def target_overlaps(self) -> tuple[int, ...]:
+        """How many targets each set holds; basic confidence is ``all`` of them."""
+        return tuple(
+            np.intersect1d(s.members, self.targets, assume_unique=True).size
+            for s in self.info_sets
+        )
 
-@dataclass(frozen=True)
-class ConfidenceReport:
-    """Classification outcome plus per-set target-overlap cardinalities."""
-
-    confidence: Confidence
-    target_overlaps: tuple[int, ...]
-
-
-def classify_confidence(scenario: SearchScenario) -> ConfidenceReport:
-    """BASIC iff every information set contains at least one target."""
-    overlaps = tuple(
-        np.intersect1d(s.members, scenario.targets, assume_unique=True).size
-        for s in scenario.info_sets
-    )
-    kind = Confidence.BASIC if all(c > 0 for c in overlaps) else Confidence.NOT_BASIC
-    return ConfidenceReport(confidence=kind, target_overlaps=overlaps)
-
-
-def sets_pairwise_disjoint(info_sets) -> bool:
-    """True iff no item belongs to two sets: their sizes sum to their union's."""
-    info_sets = tuple(info_sets)
-    return sum(s.size for s in info_sets) == np.count_nonzero(_union_mask(info_sets))
+    @property
+    def pairwise_disjoint(self) -> bool:
+        """True iff no item belongs to two sets: their sizes sum to the support's."""
+        return sum(s.size for s in self.info_sets) == self.support_size
 
 
 def scenario_to_dict(scenario: SearchScenario) -> dict:

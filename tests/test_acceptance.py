@@ -14,8 +14,6 @@ from scipy.optimize import brentq
 
 from conftest import SCENARIO_DIR, build_scenario
 from ctqsearch import (
-    Confidence,
-    classify_confidence,
     cli,
     counting_scenario,
     disambiguate,
@@ -28,7 +26,6 @@ from ctqsearch import (
     plane_projection_on_grid,
     reduced_basis,
     sample_phase_register,
-    sets_pairwise_disjoint,
     success_distribution,
     trajectory,
     weighted_superposition,
@@ -283,15 +280,11 @@ def test_criterion_09_overlap_and_norm_bounds():
         ok = ok and nu_squared_lower(s) <= nu_sq + 1e-9
         ok = ok and nu_sq <= s.support_size + 1e-9
         ok = ok and weight_power_sum(s) >= 1 / s.n_sets - 1e-12
-        if sets_pairwise_disjoint(s.info_sets):
+        if s.pairwise_disjoint:
             ok = ok and nu_sq <= s.support_size * weight_power_sum(s) + 1e-9
     # sanity on the generator itself: the families are what they claim
-    ok = ok and all(
-        classify_confidence(s).confidence is Confidence.BASIC for s in basic + disjoint
-    )
-    ok = ok and all(
-        classify_confidence(s).confidence is Confidence.NOT_BASIC for s in misplaced
-    )
+    ok = ok and all(all(s.target_overlaps) for s in basic + disjoint)
+    ok = ok and not any(all(s.target_overlaps) for s in misplaced)
     _criterion(
         9,
         "500 generated scenarios: y >= 1/sqrt(n(l+R)) on basic confidence, "

@@ -6,21 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import build_scenario
+from conftest import SCENARIO_DIR, build_scenario
 from ctqsearch import (
-    BoundKind,
-    Confidence,
     MisplacedStructure,
     ScenarioError,
     analysis,
     basic_confidence_bound,
     check_scenario_bounds,
-    classify_confidence,
     compare_structured_unstructured,
+    load_scenario,
     misplaced_confidence_curve,
     misplaced_structure,
     optimal_time,
-    sets_pairwise_disjoint,
     weighted_superposition,
 )
 from ctqsearch.analysis import OVERLAP_BOUND_TOL
@@ -81,15 +78,41 @@ def test_guaranteed_bounds_hold_on_random_disjoint_suite():
         assert prep.y >= 1 / math.sqrt(s.support_size) - 1e-12
         reports = check_scenario_bounds(s)
         kinds = {r.bound_kind for r in reports}
-        assert BoundKind.DISJOINT in kinds
+        assert "disjoint" in kinds
         for rep in reports:
             assert rep.satisfied, rep
         # one report per bound, its values the closed forms
         assert len(reports) == len(kinds) == 2
         values = {r.bound_kind: (r.y_bound, r.time_bound) for r in reports}
         y_lo = 1.0 / math.sqrt(s.support_size)
-        assert values[BoundKind.DISJOINT] == (y_lo, optimal_time(y_lo, s.energy))
-        assert values[BoundKind.BASIC_CONF][0] == 1.0 / math.sqrt(s.n_sets * s.support_size)
+        assert values["disjoint"] == (y_lo, optimal_time(y_lo, s.energy))
+        assert values["basic_confidence"][0] == 1.0 / math.sqrt(s.n_sets * s.support_size)
+
+
+SHIPPED_BOUNDS = {
+    # file: (target_overlaps, pairwise_disjoint, [(bound_kind, 1 / y_bound**2, margin)])
+    "library_demo.json": ((3, 3, 1), False, [("basic_confidence", 39, 0.59223)]),
+    "disjoint_counting.json": (
+        (1, 1, 1),
+        True,
+        [("basic_confidence", 18, 0.47140), ("disjoint", 6, 0.29886)],
+    ),
+    "misplaced_pair.json": ((1, 0), True, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_BOUNDS))
+def test_shipped_scenario_bounds(name):
+    overlaps, disjoint, expected = SHIPPED_BOUNDS[name]
+    s = load_scenario(SCENARIO_DIR / name)
+    assert s.target_overlaps == overlaps
+    assert s.pairwise_disjoint is disjoint
+    reports = check_scenario_bounds(s)
+    assert [r.bound_kind for r in reports] == [kind for kind, _, _ in expected]
+    for rep, (_, inverse_square, margin) in zip(reports, expected):
+        assert rep.y_bound == 1.0 / math.sqrt(inverse_square)
+        assert rep.margin == pytest.approx(margin, abs=5e-6)
+        assert rep.satisfied
 
 
 def test_misplaced_scenario_has_no_bound():
@@ -114,11 +137,8 @@ def test_bounds_apply_when_every_set_holds_a_target(mode, monkeypatch):
 def test_report_fields_consistent():
     for s in random_scenario_suite(103, 10, ScenarioMode.BASIC, n_items_range=(8, 32)):
         prep = weighted_superposition(s)
-        t = optimal_time(prep.y, s.energy)
         for rep in check_scenario_bounds(s):
-            assert rep.y == prep.y
-            assert rep.time == pytest.approx(t, rel=1e-15)
-            assert rep.margin == rep.y - rep.y_bound
+            assert rep.margin == prep.y - rep.y_bound
             assert rep.satisfied == (rep.margin >= -OVERLAP_BOUND_TOL)
 
 
@@ -127,10 +147,11 @@ def test_time_bound_is_the_time_at_the_overlap_bound(mode):
     # each report claims y >= y_bound; the time cap is that claim restated,
     # so outside the tolerance band the verdict is the time comparison
     for s in random_scenario_suite(106, 25, mode, n_items_range=(8, 64)):
+        t = optimal_time(weighted_superposition(s).y, s.energy)
         for rep in check_scenario_bounds(s):
             assert rep.time_bound == optimal_time(rep.y_bound, s.energy)
             if abs(rep.margin) > OVERLAP_BOUND_TOL:
-                assert rep.satisfied == (rep.time <= rep.time_bound), rep
+                assert rep.satisfied == (t <= rep.time_bound), rep
 
 
 def test_nu_squared_sandwich():
@@ -212,7 +233,7 @@ def test_misplaced_scenario_layout():
     assert second.members.tolist() == [4, 5, 6]
     assert first.weight == pytest.approx(0.3, abs=1e-15)
     assert second.weight == pytest.approx(0.7, abs=1e-15)
-    assert classify_confidence(s).confidence is Confidence.NOT_BASIC
+    assert not all(s.target_overlaps)
 
 
 def test_misplaced_scenario_agrees_with_curve():
@@ -259,7 +280,7 @@ def test_compare_structured_unstructured_values(boosted_pair):
         rep.y_uniform / rep.y_structured, rel=1e-12)
     assert rep.speedup == pytest.approx(1.7010634971324838, rel=1e-12)
     assert rep.speedup == pytest.approx(rep.time_uniform / rep.time_structured, rel=1e-15)
-    assert rep.confidence is Confidence.BASIC
+    assert rep.confidence == "basic"
     assert rep.support_exponent == pytest.approx(math.log(4) / math.log(8), abs=1e-15)
 
 
@@ -268,14 +289,14 @@ def test_compare_flags_harmful_structure():
     rep = compare_structured_unstructured(s)
     assert rep.time_structured > rep.time_uniform
     assert rep.speedup < 1
-    assert rep.confidence is Confidence.NOT_BASIC
+    assert rep.confidence == "not_basic"
 
 
 def test_suite_basic_mode_properties():
     suite = random_scenario_suite(7, 20, ScenarioMode.BASIC, n_items_range=(8, 64))
     assert len(suite) == 20
     for s in suite:
-        assert classify_confidence(s).confidence is Confidence.BASIC
+        assert all(s.target_overlaps)
         assert 8 <= s.n_items <= 64
         assert 0.5 <= s.energy <= 2.0
 
@@ -290,8 +311,8 @@ def test_suite_disjoint_mode_properties():
         support_cap=20,
     )
     for s in suite:
-        assert sets_pairwise_disjoint(s.info_sets)
-        assert classify_confidence(s).confidence is Confidence.BASIC
+        assert s.pairwise_disjoint
+        assert all(s.target_overlaps)
         assert s.support_size <= 20
         w = [i.weight for i in s.info_sets]
         assert max(w) - min(w) <= 1e-12
@@ -300,7 +321,7 @@ def test_suite_disjoint_mode_properties():
 def test_suite_misplaced_mode_properties():
     suite = random_scenario_suite(9, 20, ScenarioMode.MISPLACED)
     for s in suite:
-        assert classify_confidence(s).confidence is Confidence.NOT_BASIC
+        assert not all(s.target_overlaps)
         st_ = misplaced_structure(s)  # shape must be recoverable
         assert 0.5 <= st_.alpha2 <= 0.98
 

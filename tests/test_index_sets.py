@@ -15,11 +15,9 @@ from ctqsearch import (
     MisplacedStructure,
     ScenarioError,
     SearchScenario,
-    classify_confidence,
     counting_scenario,
     misplaced_structure,
     scenario_from_dict,
-    sets_pairwise_disjoint,
 )
 from ctqsearch.scenario import scenario_to_dict
 from oracles import ScenarioMode, random_scenario_suite
@@ -111,8 +109,8 @@ def test_array_helpers_agree_with_frozenset_oracles(index):
         assert field.tolist() == sorted(set(field.tolist()))
     assert frozenset(s.support.tolist()) == oracle_support(s)
     assert s.support_size == len(oracle_support(s))
-    assert classify_confidence(s).target_overlaps == oracle_overlaps(s)
-    assert sets_pairwise_disjoint(s.info_sets) == oracle_pairwise_disjoint(s.info_sets)
+    assert s.target_overlaps == oracle_overlaps(s)
+    assert s.pairwise_disjoint == oracle_pairwise_disjoint(s.info_sets)
     (counting,) = counting_scenario(s).info_sets
     assert (frozenset(counting.members.tolist()), counting.weight) == (oracle_support(s), 1.0)
 

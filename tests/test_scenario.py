@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import build_scenario
 from ctqsearch import (
-    Confidence,
     InformationSet,
     ScenarioError,
-    classify_confidence,
+    SearchScenario,
     load_scenario,
     scenario_from_dict,
-    sets_pairwise_disjoint,
 )
 import ctqsearch.scenario as scenario_module
 from ctqsearch.cli import _scenario_summary
@@ -84,6 +82,25 @@ def test_all_weight_vectors_stored_normalized():
         assert abs(math.fsum(weights(s)) - 1.0) <= 1e-12
 
 
+def test_rescale_validates_each_array_once(monkeypatch):
+    calls = []
+    real = scenario_module._indices
+
+    def counting(value, name):
+        calls.append(name)
+        return real(value, name)
+
+    monkeypatch.setattr(scenario_module, "_indices", counting)
+    given_sets = [InformationSet([0, 1], 0.5), InformationSet([2], 1.0), InformationSet([1, 3], 0.5)]
+    s = SearchScenario(n_items=4, targets=[0, 2], info_sets=given_sets)
+    assert len(calls) == 4  # three member arrays and the targets; 7 if the rescale re-validated
+    assert weights(s) == [0.25, 0.5, 0.25]
+    for stored, given_set in zip(s.info_sets, given_sets):
+        assert stored.members is given_set.members
+        assert stored is not given_set
+    assert [g.weight for g in given_sets] == [0.5, 1.0, 0.5]  # the caller's sets are unchanged
+
+
 @given(scale=st.floats(min_value=1e-3, max_value=1e3))
 def test_weight_scaling_leaves_stored_weights_unchanged(scale):
     base = build_scenario(4, {0}, [({0, 1}, 0.6), ({0, 2}, 0.4)])
@@ -94,20 +111,18 @@ def test_weight_scaling_leaves_stored_weights_unchanged(scale):
 
 def test_classify_basic_with_overlap_counts():
     s = build_scenario(4, {0, 1}, [({0, 2}, 0.5), ({1}, 0.5)])
-    report = classify_confidence(s)
-    assert report.confidence is Confidence.BASIC
-    assert report.target_overlaps == (1, 1)
+    assert s.target_overlaps == (1, 1)
+    assert all(s.target_overlaps)
 
 
 def test_classify_not_basic(lopsided_pair):
-    report = classify_confidence(lopsided_pair)
-    assert report.confidence is Confidence.NOT_BASIC
-    assert report.target_overlaps == (1, 0)
+    assert lopsided_pair.target_overlaps == (1, 0)
+    assert not all(lopsided_pair.target_overlaps)
 
 
 def test_classify_single_covering_set():
     s = build_scenario(6, {1, 2}, [({0, 1, 2, 3}, 1.0)])
-    assert classify_confidence(s).confidence is Confidence.BASIC
+    assert all(s.target_overlaps)
 
 
 def test_duplicate_members_collapse():
@@ -124,8 +139,8 @@ def test_support_and_residual_count(boosted_pair):
 def test_pairwise_disjoint_detection():
     disjoint = build_scenario(6, {0, 1}, [({0, 2}, 0.5), ({1, 3}, 0.5)])
     overlapping = build_scenario(6, {0, 1}, [({0, 2}, 0.5), ({1, 2}, 0.5)])
-    assert sets_pairwise_disjoint(disjoint.info_sets)
-    assert not sets_pairwise_disjoint(overlapping.info_sets)
+    assert disjoint.pairwise_disjoint
+    assert not overlapping.pairwise_disjoint
 
 
 def test_energy_must_be_positive():
@@ -203,7 +218,7 @@ def test_classification_invariant_under_relabeling(perm):
         [({perm[i] for i in m}, w) for m, w in base_sets],
     )
     plain = build_scenario(6, base_targets, base_sets)
-    assert classify_confidence(mapped).confidence is classify_confidence(plain).confidence
+    assert all(mapped.target_overlaps) == all(plain.target_overlaps)
     assert mapped.support_size == plain.support_size
 
 
