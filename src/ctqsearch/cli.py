@@ -259,8 +259,8 @@ def cmd_simulate(args, scenario: SearchScenario) -> Output:
 
 def cmd_verify(args, scenario: SearchScenario) -> Output:
     prep = weighted_superposition(scenario)
-    t_max = 2.0 * optimal_time(prep.y, scenario.energy)
-    traj = trajectory(prep, scenario.energy, t_max=t_max, n_points=args.grid_points)
+    traj = trajectory(prep, scenario.energy, n_points=args.grid_points)  # on [0, 2T]
+    t_max = float(traj.times[-1])
     a, b, leak, n_classes = plane_projection_on_grid(prep, scenario.energy, traj.times)
     max_leak = float(np.max(leak))
     max_dev = float(max(np.max(np.abs(a - traj.a)), np.max(np.abs(b - traj.b))))

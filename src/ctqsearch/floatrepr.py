@@ -6,8 +6,9 @@ several), in fixed notation for decimal exponents -4 to 15 and in scientific
 notation otherwise.  The digits come from the common path of Ryu's d2s
 (Adams, "Ryū: fast float-to-string conversion", PLDI 2018), whose 64×128-bit
 products are built here from 32-bit halves on uint64 arrays.  The cells that
-path leaves out take Python's own ``repr``: zeros, infinities, NaN, and the
-values whose decimal bounds may end in zeros, which Ryu sends to its slow loop.
+path leaves out take Python's own ``repr``: zeros, subnormals, magnitudes of
+2**54 and above (infinities and NaN among them), and the values whose decimal
+bounds may end in zeros, which Ryu sends to its slow loop.
 
 Every operand is uint64, constants included: numpy promotes a uint64 array
 with an int64 one, and in numpy 1.x a uint64 scalar with a Python int, to
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 U = np.uint64
-BITCOUNT = 125  # bits kept of 5**i and of 2**k / 5**q, Ryu's POW5_BITCOUNT and POW5_INV_BITCOUNT
+BITCOUNT = 125  # bits kept of 5**i, Ryu's POW5_BITCOUNT
 WIDTH = 24  # the longest repr of a float64: "-2.2250738585072014e-308"
 MAX_DIGITS = 17  # a float64's shortest decimal has at most 17 digits
 POW10 = U(10) ** np.arange(20, dtype=U)  # every power of ten below 2**64
@@ -28,16 +29,11 @@ SCIENTIFIC, REPR = 20, 21
 
 
 def _multiplier(e2: int) -> tuple[int, int, int, int]:
-    """Ryu's constants for the binary exponent ``e2`` of ``m * 2**e2``:
+    """Ryu's constants for the binary exponent ``e2 < 0`` of ``m * 2**e2``:
     ``(q, e10, j, mul)`` with ``floor(m * mul / 2**j)`` close to
     ``m * 2**e2 / 10**e10``, and ``q`` the count of decimal zeros whose
     presence sends a value to Ryu's slow loop.  Computed from Python ints for
     this one exponent; there is no table."""
-    if e2 >= 0:
-        q = (e2 * 78913 >> 18) - (e2 > 3)  # floor(e2 log10 2), less one past e2 = 3
-        pow5 = 5**q
-        bits = pow5.bit_length()
-        return q, q, -e2 + q + BITCOUNT + bits - 1, (1 << (bits - 1 + BITCOUNT)) // pow5 + 1
     q = (-e2 * 732923 >> 20) - (-e2 > 1)  # floor(-e2 log10 5), less one past -e2 = 1
     pow5 = 5 ** (-e2 - q)
     shift = pow5.bit_length() - BITCOUNT
@@ -68,12 +64,12 @@ def _product(m: np.ndarray, limbs: list) -> list:
 def _constants(biased: np.ndarray):
     """Per value, :func:`_multiplier`'s ``q``, ``e10``, ``j - 65`` and the four
     32-bit limbs of ``mul``, computed once for each binary exponent present."""
-    exponent = biased.astype(np.intp)
-    present = np.flatnonzero(np.bincount(exponent, minlength=0x800))
-    slot = np.zeros(0x800, np.intp)
+    exponent = np.clip(biased, U(1), U(1076)).astype(np.intp)  # e2 < 0; the rest take repr
+    present = np.flatnonzero(np.bincount(exponent, minlength=1077))
+    slot = np.zeros(1077, np.intp)
     slot[present] = np.arange(present.size)
     slot = slot[exponent]
-    consts = [_multiplier(max(e, 1) - 1077) for e in present.tolist()]
+    consts = [_multiplier(e - 1077) for e in present.tolist()]
     q = np.array([c[0] for c in consts], U)[slot]
     e10 = np.array([c[1] for c in consts], np.int64)[slot]
     shift = np.array([c[2] - 65 for c in consts], U)[slot]  # 53 to 60
@@ -105,25 +101,17 @@ def _shortest(bits: np.ndarray):
     10**e10`` and whether the value must take Python's repr instead."""
     biased = (bits >> U(52)) & U(0x7FF)
     frac = bits & U((1 << 52) - 1)
-    m2 = np.where(biased != U(0), frac | U(1 << 52), frac)
+    m2 = frac | U(1 << 52)
     q, e10, shift, limbs = _constants(biased)
     vr, vp, vm = _bounds(m2, shift, limbs)
 
-    # Python's repr for what the common path leaves out: infinities, NaN,
-    # zeros, powers of two (whose lower bound is nearer than the upper), and
-    # values whose bounds may end in zeros (Ryu's slow loop)
-    fallback = (biased == U(0x7FF)) | ((frac == U(0)) & (biased != U(1)))
+    # Python's repr for what the common path leaves out: zeros, subnormals,
+    # e2 >= 0 (|x| >= 2**54, infinities, NaN), powers of two (whose lower bound
+    # is nearer than the upper), and values whose bounds may end in zeros (Ryu's slow loop)
+    fallback = (biased == U(0)) | (biased >= U(1077)) | ((frac == U(0)) & (biased != U(1)))
     mv = m2 << U(2)
-    below = biased < U(1077)  # e2 < 0: mv * 2**e2 ends in q zeros iff 2**q divides mv
-    mask = (U(1) << np.minimum(q, U(63))) - U(1)
-    fallback |= below & ((q <= U(1)) | ((q < U(63)) & (mv & mask == U(0))))
-    small = np.flatnonzero(~below & (q <= U(21)))  # e2 >= 0: 5**q divides a bound
-    if small.size:
-        m, pow5 = mv[small], U(5) ** q[small]
-        even, mv5 = (m2[small] & U(1)) == U(0), m % U(5) == U(0)
-        fallback[small] |= (mv5 & (m % pow5 == U(0))) | (~mv5 & even & ((m - U(2)) % pow5 == U(0)))
-        # an odd m2 excludes its upper bound
-        vp[small] -= (~mv5 & ~even & ((m + U(2)) % pow5 == U(0))).astype(U)
+    mask = (U(1) << np.minimum(q, U(63))) - U(1)  # mv * 2**e2 ends in q zeros iff 2**q divides mv
+    fallback |= (q <= U(1)) | ((q < U(63)) & (mv & mask == U(0)))
     vp = np.where(fallback, vm, vp)  # nothing to remove
 
     # drop the most digits that leave a decimal between the bounds, rounding

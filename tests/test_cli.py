@@ -839,6 +839,42 @@ def test_huge_n_items_exits_1_without_traceback(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+LONG_MEMBERS = {"n_items": 1000, "targets": [0],
+                "info_sets": [{"members": [*range(1000), 2**64], "weight": 1.0}]}
+
+
+@pytest.mark.parametrize("text, line", [
+    (json.dumps(scenario_with(n_items=0)), "n_items must be >= 1, got 0"),
+    ("[]", "scenario document must be a JSON object"),
+    (json.dumps(scenario_with(weight=10**400)), "scenario field 'weight': number out of range"),
+    (json.dumps(scenario_with(members=[0, 2**64])),
+     "scenario field 'members': item index does not fit in 64 bits"),
+    (json.dumps(LONG_MEMBERS), "scenario field 'members': item index does not fit in 64 bits"),
+    # y**2 = (1e-320 / nu)**2 underflows to zero
+    (json.dumps({"n_items": 4, "targets": [0],
+                 "info_sets": [{"members": [0], "weight": 1e-320},
+                               {"members": [1, 2, 3], "weight": 1.0}]}),
+     "state preparation invariant violated: no amplitude on targets"),
+], ids=["no_items", "not_an_object", "weight_past_float", "short_member_past_int64",
+        "long_member_past_int64", "target_amplitude_underflows"])
+def test_refused_scenario_exits_1_with_one_line(tmp_path, capsys, monkeypatch, text, line):
+    decoded = []
+    int64_array = scenario_module._int64_array
+
+    def recorded(array_text):
+        decoded.append(int64_array(array_text))
+        return decoded[-1]
+
+    monkeypatch.setattr(scenario_module, "_int64_array", recorded)
+    path = tmp_path / "refused.json"
+    path.write_text(text)
+    assert run("simulate", "--scenario", path, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not (tmp_path / "out").exists()
+    # the long array is offered to the int64 decoder, which declines 2**64
+    assert decoded == ([None] if text == json.dumps(LONG_MEMBERS) else [])
+
+
 def refuse_constant(constant):
     raise ValueError(f"not JSON: {constant}")
 

@@ -249,6 +249,12 @@ def test_trajectory_custom_horizon(lopsided_pair):
     assert traj.times[-1] == 3.0
 
 
+def test_trajectory_refuses_a_single_point(lopsided_pair):
+    prep = weighted_superposition(lopsided_pair)
+    with pytest.raises(ValueError, match="n_points must be >= 2, got 1"):
+        trajectory(prep, 1.0, n_points=1)
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         reduced_hamiltonian(0.0, 1.0)

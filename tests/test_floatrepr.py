@@ -38,7 +38,7 @@ def test_random_bit_patterns_match_repr():
     assert_reprs(bits.view(np.float64))
 
 
-def test_fixed_cases_match_repr():
+def fixed_cases():
     powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
     cases = [
         neighbours(powers_of_two, ulps=1),
@@ -51,9 +51,31 @@ def test_fixed_cases_match_repr():
         np.arange(10**5, dtype=np.float64),
         [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan],
     ]
-    values = np.concatenate(cases)
+    return np.concatenate(cases)
+
+
+def test_fixed_cases_match_repr():
+    values = fixed_cases()
     assert_reprs(values)
     assert_reprs(-values)
+
+
+def test_kernel_serves_only_negative_binary_exponents(monkeypatch):
+    # subnormals and magnitudes of 2**54 and above take repr: the kernel asks
+    # for Ryu's constants of e2 < 0 alone, and every cell is still repr's
+    multiplier = floatrepr._multiplier
+    asked = []
+
+    def negative_only(e2):
+        assert e2 < 0, e2
+        asked.append(e2)
+        return multiplier(e2)
+
+    monkeypatch.setattr(floatrepr, "_multiplier", negative_only)
+    values = fixed_cases()
+    assert_reprs(values)
+    assert_reprs(-values)
+    assert min(asked) == 1 - 1077 and max(asked) == -1
 
 
 def test_cells_keep_the_input_shape():
@@ -69,16 +91,16 @@ def test_cells_keep_the_input_shape():
 
 def test_multiplier_is_exact_for_each_exponent():
     # floor(mv * mul / 2**j) is the exact floor of mv * 2**e2 / 10**e10, for
-    # the bounds mv - 2, mv, mv + 2 of every binary exponent
+    # the bounds mv - 2, mv, mv + 2 of every binary exponent the kernel serves:
+    # the normal values below 2**54, whose e2 is negative
     rng = random.Random(11)
-    for biased in range(2047):
-        e2 = max(biased, 1) - 1077
+    for biased in range(1, 1077):
+        e2 = biased - 1077
         _, e10, j, mul = floatrepr._multiplier(e2)
         assert 0 < j - 65 < 64  # the shift the kernel applies to bits 64.. of the product
         for m2 in (1, 2**52, 2**53 - 1, rng.randrange(1, 2**53)):
             for mv in (4 * m2 - 2, 4 * m2, 4 * m2 + 2):
-                scaled = (mv << e2) // 10**e10 if e2 >= 0 else (mv * 10**-e10) >> -e2
-                assert mv * mul >> j == scaled, (biased, mv)
+                assert mv * mul >> j == (mv * 10**-e10) >> -e2, (biased, mv)
 
 
 def test_import_builds_no_table():

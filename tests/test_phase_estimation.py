@@ -610,6 +610,11 @@ def test_estimate_validation():
         estimate_y([0], 12)
 
 
+def test_sampling_refuses_no_samples():
+    with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
+        sample_phase_register(0.3, 64, 0, 1)
+
+
 def test_disambiguation_resolves_full_overlap_scenario():
     # sets identical to targets: y == 1, register pins k = 0, and y_hat = 1 is
     # verified at its first peak, where every draw hits

@@ -35,6 +35,11 @@ def test_member_out_of_range_rejected():
         build_scenario(4, {0}, [({0, 7}, 1.0)])
 
 
+def test_information_set_given_as_a_dict_rejected():
+    with pytest.raises(ScenarioError, match="info_sets must contain InformationSet instances"):
+        SearchScenario(n_items=4, targets=[0], info_sets=({"members": [0], "weight": 1.0},))
+
+
 def test_empty_information_set_rejected():
     with pytest.raises(ScenarioError):
         InformationSet(frozenset(), 1.0)
