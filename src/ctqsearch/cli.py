@@ -164,7 +164,6 @@ CSV_CHUNK_ROWS = 2048
 
 def _str_cells(values) -> np.ndarray:
     """``str`` of each value as NUL-padded uint8 cells, one row per value."""
-    values = values.tolist() if isinstance(values, np.ndarray) else values
     return np.array([str(v) for v in values], dtype="S").view(np.uint8).reshape(len(values), -1)
 
 
@@ -173,9 +172,9 @@ def _write_csv(path: Path, header, columns) -> None:
 
     Rows are formatted a bounded chunk at a time, as NUL-padded byte cells: the
     float64 array columns in one :func:`repr_cells` call, whose bytes are the
-    ``repr`` csv writes, and every other cell (ints, strings, Python floats)
-    through ``str``.  Separator columns are interleaved and the NULs dropped.
-    No cell needs quoting.
+    ``repr`` csv writes, and every other cell through ``str``: the commands
+    put only ints and labels there.  Separator columns are interleaved and the
+    NULs dropped.  No cell needs quoting.
     """
     floats = [i for i, c in enumerate(columns)
               if isinstance(c, np.ndarray) and c.dtype == np.float64]
@@ -296,10 +295,10 @@ def _register_table(y: float, m_size: int) -> tuple:
     """The register law on its windowed bins, then a ``rest`` row when they
     leave bins out, as ``success_distribution.csv`` ends in ``failure``."""
     dist = measurement_distribution(y, m_size)
-    columns = (dist.k, dist.total, dist.branch_phase_y, dist.branch_phase_complement)
-    if dist.rest is not None:
-        columns = tuple((*col.tolist(), last) for col, last in zip(columns, ("rest", *dist.rest)))
-    return "register_distribution.csv", ["k", "p_total", "p_phase_y", "p_phase_complement"], columns
+    k, floats = dist.k, (dist.total, dist.branch_phase_y, dist.branch_phase_complement)
+    if dist.rest is not None:  # the floats stay float64; k's ints and its label go through str
+        k, floats = [*k.tolist(), "rest"], [np.append(c, v) for c, v in zip(floats, dist.rest)]
+    return "register_distribution.csv", ["k", "p_total", "p_phase_y", "p_phase_complement"], (k, *floats)
 
 
 def _estimate_fields(est: PhaseEstimate) -> dict:

@@ -2,13 +2,14 @@
 
 :func:`repr_cells` gives each value the bytes of ``repr(float(x))``: the
 shortest decimal that reads back as ``x`` (the closest such when there are
-several), in fixed notation for decimal exponents -4 to 15 and in scientific
-notation otherwise.  The digits come from the common path of Ryu's d2s
-(Adams, "Ryū: fast float-to-string conversion", PLDI 2018), whose 64×128-bit
-products are built here from 32-bit halves on uint64 arrays.  The cells that
-path leaves out take Python's own ``repr``: zeros, subnormals, magnitudes of
-2**54 and above (infinities and NaN among them), and the values whose decimal
-bounds may end in zeros, which Ryu sends to its slow loop.
+several).  The digits come from the common path of Ryu's d2s (Adams, "Ryū:
+fast float-to-string conversion", PLDI 2018), whose 64×128-bit products are
+built here from 32-bit halves on uint64 arrays, and are written in fixed
+notation.  The cells that path leaves out take Python's own ``repr``: zeros,
+subnormals, magnitudes of 2**54 and above (infinities and NaN among them), the
+values whose decimal bounds may end in zeros, which Ryu sends to its slow
+loop, and the values ``repr`` writes in scientific notation (a decimal
+exponent below -4 or above 15).
 
 Every operand is uint64, constants included: numpy promotes a uint64 array
 with an int64 one, and in numpy 1.x a uint64 scalar with a Python int, to
@@ -24,8 +25,7 @@ BITCOUNT = 125  # bits kept of 5**i, Ryu's POW5_BITCOUNT
 WIDTH = 24  # the longest repr of a float64: "-2.2250738585072014e-308"
 MAX_DIGITS = 17  # a float64's shortest decimal has at most 17 digits
 POW10 = U(10) ** np.arange(20, dtype=U)  # every power of ten below 2**64
-# the shapes of a cell after fixed notation's 0 to 19 (the decimal point at -3 to 16)
-SCIENTIFIC, REPR = 20, 21
+REPR = 20  # the shape of a cell after fixed notation's 0 to 19 (the decimal point at -3 to 16)
 
 
 def _multiplier(e2: int) -> tuple[int, int, int, int]:
@@ -132,22 +132,22 @@ def repr_cells(values) -> np.ndarray:
     """``repr(float(x))`` for each float64 ``x`` as uint8 cells of a common
     width, shape ``values.shape + (width,)``: a cell's bytes with its NULs
     dropped are the repr.  NULs pad the end and stand where a shape has no
-    byte for a value (a missing digit or sign, a ``.`` after one digit).
+    byte for a value (a missing digit or sign).
 
     Rows are sorted by shape: fixed notation by where the decimal point falls,
-    scientific notation, and Python's own repr.  Each shape is filled by block
-    copies of left-aligned digit characters.
+    then Python's own repr.  Each fixed shape is filled by block copies of
+    left-aligned digit characters.
     """
     x = np.ascontiguousarray(values, dtype=np.float64)
     flat = x.reshape(-1)
     digits, e10, fallback = _shortest(flat.view(U))
     n_digits = np.searchsorted(POW10[:MAX_DIGITS], digits, side="right")
-    n_digits[fallback] = MAX_DIGITS
     point = e10 + n_digits  # value = 0.digits * 10**point
-    shape = np.where((point < -3) | (point > 16), SCIENTIFIC, point + 3)
-    shape[fallback] = REPR
+    fallback |= (point < -3) | (point > 16)  # scientific notation
+    n_digits[fallback] = MAX_DIGITS
+    shape = np.where(fallback, REPR, point + 3)
     order = np.argsort(shape.astype(np.uint8), kind="stable")
-    shape, n_digits, point = shape[order], n_digits[order], point[order]
+    shape, n_digits = shape[order], n_digits[order]
 
     # each value's digits as characters from the left, NUL past the last,
     # digit c of every value in row c
@@ -167,24 +167,12 @@ def repr_cells(values) -> np.ndarray:
     starts = np.flatnonzero(np.diff(shape, prepend=-1)).tolist()
     for lo, hi in zip(starts, [*starts[1:], flat.size]):
         rows, d, code = cells[lo:hi], chars[:, lo:hi].T, int(shape[lo])
-        if code == SCIENTIFIC:  # d.ddde+XX, no point after one digit
-            exponent = point[lo:hi] - 1
-            e = np.abs(exponent)
-            rows[:, 1] = d[:, 0]
-            rows[:, 2] = np.where(n_digits[lo:hi] > 1, ord("."), 0)
-            rows[:, 3:19] = d[:, 1:]
-            rows[:, 19] = ord("e")
-            rows[:, 20] = np.where(exponent < 0, ord("-"), ord("+"))
-            rows[:, 21] = np.where(e >= 100, e // 100 + ord("0"), 0)
-            rows[:, 22] = e // 10 % 10 + ord("0")
-            rows[:, 23] = e % 10 + ord("0")
-            width = 24
-        elif code <= 3:  # 0.000ddd
+        if code <= 3:  # 0.000ddd
             lead = b"0." + b"0" * (3 - code)
             rows[:, 1 : 1 + len(lead)] = np.frombuffer(lead, np.uint8)
             rows[:, 1 + len(lead) : 1 + len(lead) + MAX_DIGITS] = d
             width = max(width, 1 + len(lead) + MAX_DIGITS)
-        elif code < SCIENTIFIC:  # ddd.ddd, zeros for missing digits up to the first decimal
+        elif code < REPR:  # ddd.ddd, zeros for missing digits up to the first decimal
             p = code - 3
             rows[:, 1 : 1 + p] = np.maximum(d[:, :p], ord("0"))
             rows[:, 1 + p] = ord(".")

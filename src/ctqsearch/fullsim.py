@@ -4,8 +4,8 @@
 classes of the items, an exact image of the item space.  There the search
 Hamiltonian H = E * (P_target + |beta><beta|) is a dense d x d matrix from
 :func:`full_hamiltonian`; X = H/E - I, whose spectrum lies in [-1, 1], is
-diagonalised once, and every time row is read off its eigenvectors.  Each
-state is projected onto the invariant plane.  The check never uses the 2x2
+diagonalised once, and every time row is read in its eigenbasis, where no
+class-basis state is rebuilt.  The check never uses the 2x2
 closed form of :mod:`ctqsearch.dynamics`, which is what it checks; ``verify``
 runs on it.  Its one size limit is d <= ``DEFAULT_DIM_CAP``.
 
@@ -22,7 +22,7 @@ from .stateprep import StatePrep, symmetry_classes
 
 DEFAULT_DIM_CAP = 4096
 HERMITIAN_TOL = 1e-12
-# working memory per block of time rows: their phases and their states;
+# working memory per block of time rows: their phases and eigen-coordinates;
 # bounds the footprint on long grids
 BLOCK_BYTES = 2**20
 
@@ -106,11 +106,13 @@ def plane_projection_on_grid(
     the invariant plane, all three exact on the symmetry classes, then d, the
     number of classes the evolution ran on.
 
-    With X = H/E - I = V diag(lam) V^T, psi(t) = exp(-i*E*t) V (exp(-i*E*t*lam)
-    * V^T beta).  The common phase is factored out as the closed form factors
-    it, and X's spectrum in [-1, 1] keeps the roundoff of the rest near
-    eps * E * t.  One ``eigh`` serves the whole grid, which is walked in
-    blocks of rows of at most ``BLOCK_BYTES``.
+    With X = H/E - I = V diag(lam) V^T, psi(t) = V c(t) where c(t) =
+    exp(-i*E*t) (exp(-i*E*t*lam) * V^T beta).  V is orthogonal, so each row is
+    read from c at O(d): a = c . V^T w, b = c . V^T r and leak =
+    |c - a V^T w - b V^T r|.  The common phase is factored out as the closed
+    form factors it, and X's spectrum in [-1, 1] keeps the roundoff of the
+    rest near eps * E * t.  One ``eigh`` serves the whole grid, which is
+    walked in blocks of rows of at most ``BLOCK_BYTES``.
     """
     ts = np.asarray(times, dtype=float)
     beta, targets = symmetry_classes(prep)
@@ -119,7 +121,7 @@ def plane_projection_on_grid(
     x.flat[:: d + 1] -= 1.0
     vals, vecs = np.linalg.eigh(x)
     amplitudes = vecs.T @ beta
-    plane = np.column_stack(reduced_basis(beta, targets))
+    plane = vecs.T @ np.column_stack(reduced_basis(beta, targets))
     ab = np.empty((ts.size, 2), dtype=complex)
     leak = np.empty(ts.size)
     rows = max(1, BLOCK_BYTES // (32 * d))
@@ -127,11 +129,8 @@ def plane_projection_on_grid(
         block = ts[start : start + rows]
         coeffs = np.exp(-1j * energy * np.multiply.outer(block, vals)) * amplitudes
         coeffs *= np.exp(-1j * energy * block)[:, None]
-        states = np.empty((block.size, d), dtype=complex)
-        states.real = coeffs.real @ vecs.T
-        states.imag = coeffs.imag @ vecs.T
         span = slice(start, start + block.size)
-        ab[span] = states @ plane
-        states -= ab[span] @ plane.T
-        leak[span] = np.linalg.norm(states, axis=1)
+        ab[span] = coeffs @ plane
+        coeffs -= ab[span] @ plane.T
+        leak[span] = np.linalg.norm(coeffs, axis=1)
     return ab[:, 0], ab[:, 1], leak, d

@@ -269,6 +269,27 @@ def test_class_evolution_matches_the_chebyshev_oracle_at_small_overlap(y):
     assert np.max(leak) <= 1e-12
 
 
+def test_class_evolution_matches_the_chebyshev_oracle_at_hundreds_of_classes():
+    # 8 random overlapping sets over 3,000 items: their membership patterns and
+    # the target flags give a few hundred classes, where V's roundoff could show
+    rng = np.random.default_rng(3401)
+    sets = [(set(rng.choice(3000, 1200, replace=False).tolist()), w)
+            for w in rng.uniform(0.1, 1.0, 8)]
+    covered = sorted(set().union(*(members for members, _ in sets)))
+    s = build_scenario(3000, set(rng.choice(covered, 40, replace=False).tolist()), sets)
+    prep = weighted_superposition(s)
+    amplitudes, is_target = symmetry_classes(prep)
+    times = np.linspace(0.0, 2.0 * optimal_time(prep.y, s.energy), 65)
+    states = np.vstack(list(evolve_blocks(amplitudes, is_target, s.energy, times)))
+    plane = np.column_stack(reduced_basis(amplitudes, is_target))
+    ab = states @ plane
+    leak_ref = np.linalg.norm(states - ab @ plane.T, axis=1)
+    a, b, leak, d = plane_projection_on_grid(prep, s.energy, times)
+    assert 200 <= d <= 400
+    assert np.max(np.abs(a - ab[:, 0])) <= 1e-10 and np.max(np.abs(b - ab[:, 1])) <= 1e-10
+    assert np.max(leak) <= 1e-12 and np.max(leak_ref) <= 1e-12
+
+
 def test_symmetry_classes_of_the_boosted_pair(boosted_pair):
     # beta = (0.6, 1.0, 0.6, 0.4, 0, 0, 0, 0)/sqrt(1.88), targets {0, 1}: the
     # two 0.6 items differ in their target flag, so every class is one item

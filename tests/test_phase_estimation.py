@@ -1,5 +1,6 @@
 import cmath
 import contextlib
+import csv
 import hashlib
 import io
 import math
@@ -223,6 +224,25 @@ def test_small_register_table_keeps_its_bytes(tmp_path, m_size):
             cli._write_csv(tmp_path / name, header, columns)
         digest.update((tmp_path / name).read_bytes())
     assert digest.hexdigest() == PINNED_CSV[m_size]
+
+
+@pytest.mark.parametrize("m_size", [512, 2**16, 2**21])
+@pytest.mark.parametrize("y", WINDOWED_Y)
+def test_register_table_with_a_rest_row_writes_csv_writer_bytes(tmp_path, y, m_size):
+    # the probability columns stay float64 through the rest row, so each of
+    # their cells takes the array kernel; only k's ints and its label take str
+    dist = measurement_distribution(y, m_size)
+    name, header, (k, *floats) = cli._register_table(y, m_size)
+    assert k == [*dist.k.tolist(), "rest"]
+    assert all(isinstance(c, np.ndarray) and c.dtype == np.float64 for c in floats)
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli._write_csv(tmp_path / name, header, (k, *floats))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    columns = (dist.total, dist.branch_phase_y, dist.branch_phase_complement)
+    writer.writerows(zip(k, *([*c.tolist(), v] for c, v in zip(columns, dist.rest))))
+    assert (tmp_path / name).read_bytes() == buffer.getvalue().encode()
 
 
 @pytest.mark.parametrize("m_size", sorted(PINNED_FULL_WIDTH))
