@@ -88,18 +88,11 @@ class RegisterDistribution:
     branch_phase_y: np.ndarray
     branch_phase_complement: np.ndarray
     total: np.ndarray
+    rest: tuple[float, float, float] | None  # each column's max(0, 1 - sum); None if k is every bin
 
     def __post_init__(self) -> None:
         for name in ("k", "branch_phase_y", "branch_phase_complement", "total"):
             getattr(self, name).setflags(write=False)
-
-    @property
-    def rest(self) -> tuple[float, float, float] | None:
-        """Each column's mass off ``k``, max(0, 1 - sum); None when ``k`` is every bin."""
-        columns = (self.total, self.branch_phase_y, self.branch_phase_complement)
-        if self.k.size < self.m_size:
-            return tuple(max(0.0, 1.0 - float(column.sum())) for column in columns)
-        return None
 
 
 def measurement_distribution(y: float, m_size: int) -> RegisterDistribution:
@@ -115,8 +108,10 @@ def measurement_distribution(y: float, m_size: int) -> RegisterDistribution:
     b_y = _branch_law(y, m_size, k)
     b_c = _branch_law(1.0 - y, m_size, k)
     total = (1.0 - y) / 2.0 * b_y + (1.0 + y) / 2.0 * b_c
+    rest = (tuple(max(0.0, 1.0 - float(column.sum())) for column in (total, b_y, b_c))
+            if k.size < m_size else None)
     return RegisterDistribution(m_size=m_size, k=k, branch_phase_y=b_y,
-                                branch_phase_complement=b_c, total=total)
+                                branch_phase_complement=b_c, total=total, rest=rest)
 
 
 def _window(phase: float, m_size: int) -> tuple[int, float, np.ndarray]:
@@ -135,16 +130,10 @@ def _branch_law(phase: float, m_size: int, k) -> np.ndarray:
     with ``k0, f`` from :func:`_window` and ``j = (k - k0 + M/2) mod M - M/2``."""
     k0, f, _ = _window(phase, m_size)
     half = m_size // 2
-    probs = ((np.asarray(k) - k0 + half) % m_size - half).astype(float)
-    np.subtract(f, probs, out=probs)
-    centre = probs == 0.0
-    np.multiply(np.pi / m_size, probs, out=probs)
-    np.sin(probs, out=probs)
-    np.multiply(m_size, probs, out=probs)  # the denominator M*sin(pi*(f - j)/M)
-    probs[centre] = 1.0
-    np.divide(math.sin(math.pi * f), probs, out=probs)
-    np.square(probs, out=probs)
-    probs[centre] = 1.0
+    x = f - ((np.asarray(k) - k0 + half) % m_size - half).astype(float)
+    with np.errstate(invalid="ignore"):  # 0/0 at an on-bin peak, set to 1 below
+        probs = (math.sin(math.pi * f) / (m_size * np.sin(np.pi / m_size * x))) ** 2
+    probs[x == 0.0] = 1.0
     return probs
 
 
@@ -208,8 +197,7 @@ def sample_phase_register(y: float, m_size: int, n_samples: int, seed: int) -> n
         k0, f, offsets = _window(phase, m_size)
         probs = _branch_law(phase, m_size, k0 + offsets)
         if offsets.size < m_size:
-            # a peak on a bin (f == 0) puts all its mass there: the tail is empty
-            probs = np.append(probs, max(0.0, 1.0 - float(probs.sum())) if f else 0.0)
+            probs = np.append(probs, max(0.0, 1.0 - float(probs.sum())))
         picks = sample_inverse_cdf(probs, rng, np.count_nonzero(chosen))
         in_tail = picks == offsets.size
         drawn = picks + offsets[0]

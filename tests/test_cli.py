@@ -1170,24 +1170,34 @@ def test_scenario_summary_at_a_million_items_needs_no_json(monkeypatch):
     summary = cli._scenario_summary(scenario)
     monkeypatch.undo()
     namespace = {"path": None}
-    exec(readme_digest_recipe().replace("digest = scenario_digest(load_scenario(path))", ""),
-         namespace)
+    recipe = readme_python_block("hashlib.sha256")
+    exec(recipe.replace("digest = scenario_digest(load_scenario(path))", ""), namespace)
     assert summary == {"sha256": namespace["scenario_digest"](scenario), "n_items": n,
                        "n_targets": 10**4, "n_sets": 2, "support_size": n, "energy": 1.0}
 
 
-def readme_digest_recipe():
+def readme_python_block(marker):
+    """README's one ```python block that contains ``marker``."""
     readme = (SCENARIO_DIR.parent / "README.md").read_text()
     blocks = readme.split("```python\n")[1:]
-    (recipe,) = [b.split("```")[0] for b in blocks if "hashlib.sha256" in b]
-    return recipe
+    (block,) = [b.split("```")[0] for b in blocks if marker in b]
+    return block
+
+
+def test_readme_library_quickstart_prints_its_three_lines():
+    # the block as a reader runs it: a fresh interpreter in the repository root
+    quickstart = readme_python_block("run_counting(s, seed=11)")
+    result = subprocess.run([sys.executable, "-c", quickstart], cwd=SCENARIO_DIR.parent,
+                            env=package_env(), capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["1.0", "0.75 +/- 0.015625", "4 targets in a support of 13"]
 
 
 @pytest.mark.parametrize("scenario", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
 def test_readme_digest_recipe_gives_the_written_digest(tmp_path, scenario):
     path = SCENARIO_DIR / scenario
     namespace = {"path": path}
-    exec(readme_digest_recipe(), namespace)
+    exec(readme_python_block("hashlib.sha256"), namespace)
     assert run("compare", "--scenario", path, "--out", tmp_path) == 0
     summary = read_json(tmp_path / "compare.json")["scenario"]
     loaded = load_scenario(path)

@@ -387,6 +387,35 @@ def test_sampler_respects_support_and_seed():
     assert frac6 == pytest.approx(0.625, abs=0.06)  # 4 sigma
 
 
+# sha256 of the sampler's draws as little-endian int64 bytes: a change to the
+# random stream or to the law it draws from has to update these on purpose
+@pytest.mark.parametrize("y, m_size, n, seed, digest", [
+    pytest.param(0.37, 64, 1000, 3501,
+                 "3ec8d7262fdaa1f75e902a1ee6479a79610ed7f1b5952357acf89f673da74dfd",
+                 id="window-is-the-register"),
+    pytest.param(0.013789517164469753, 2**21, 20_000, 3502,
+                 "ba98284391190c3f99b6f5752c20a8f6fcce62c16566dbb41c0abae24502280b",
+                 id="large_items-count-with-tail-draws"),
+    pytest.param(0.7523547938632787, 2**16, 100_000, 3503,
+                 "8dc88a4126ff9b00619c90e9f4683651180f8112b96317e586b7d2c6176a600e",
+                 id="grid_heavy-estimate"),
+    pytest.param(0.25, 2**16, 1000, 3504,
+                 "e849a240354e7cb7edafe47cb19f0701db422e79fb59533e28eb53306f55ca8a",
+                 id="on-bin-peaks"),
+    pytest.param(0.49, 512, 20_000, 3505,
+                 "c67065222e549db50cf5658ff3db0ea4731fa417007e857c073de992896b3ada",
+                 id="overlapping-windows"),
+    pytest.param(0.3, 2**53, 10_000, 3506,
+                 "0220ad825144ec2a03fc46527631fe3c9501775bbd730fc11e6f99a42e6b0c01",
+                 id="largest-register"),
+])
+def test_sampler_draws_keep_their_bytes(y, m_size, n, seed, digest):
+    drawn = sample_phase_register(y, m_size, n, seed)
+    assert hashlib.sha256(drawn.astype("<i8").tobytes()).hexdigest() == digest
+    if y == 0.25:  # f = 0 on both branches: each is one-hot, so no draw reaches the tail
+        assert set(np.unique(drawn).tolist()) <= {m_size // 4, 3 * m_size // 4}
+
+
 def test_sampler_total_variation_small():
     y, m, n = 0.37, 32, 20000
     samples = sample_phase_register(y, m, n, seed=11)
@@ -417,7 +446,7 @@ def assembled_register_law(y, m_size):
             # proposal mass of 1/x**2 over (d - 1, d], times acceptance
             tail_p.append(accept / (d * (d - 1)))
         tail_p = np.concatenate(tail_p)
-        tail_mass = max(0.0, 1.0 - float(probs.sum())) if f else 0.0
+        tail_mass = max(0.0, 1.0 - float(probs.sum()))
         law[(k0 + np.concatenate(tail_j)) % m_size] += weight * tail_mass * tail_p / tail_p.sum()
     return law
 
