@@ -1,17 +1,14 @@
 """Full-space simulation, used to validate the reduced dynamics.
 
 :func:`plane_projection_on_grid` evolves the prepared state on the d symmetry
-classes of the items, an exact image of the item space.  There the search
-Hamiltonian H = E * (P_target + |beta><beta|) is a dense d x d matrix from
-:func:`full_hamiltonian`; X = H/E - I, whose spectrum lies in [-1, 1], is
-diagonalised once, and every time row is read in its eigenbasis, where no
-class-basis state is rebuilt.  The check never uses the 2x2
-closed form of :mod:`ctqsearch.dynamics`, which is what it checks; ``verify``
-runs on it.  Its one size limit is d <= ``DEFAULT_DIM_CAP``.
+classes of the items, an exact image of the item space, by Lanczos: X = H/E - I
+is applied to vectors, never built, and each time row is read in the Krylov
+space.  It never uses the 2x2 closed form of :mod:`ctqsearch.dynamics`, which
+is what it checks; ``verify`` runs on it.
 
-:func:`evolve_on_grid` and :func:`project_reduced` are item-level test
-oracles.  They stay in this module, rather than with the other test oracles,
-because the benchmark's layer tracer instruments them by name.
+:func:`full_hamiltonian`, :func:`evolve_on_grid` and :func:`project_reduced`
+are dense test oracles.  They stay in this module, rather than with the other
+test oracles, because the benchmark's layer tracer instruments them by name.
 """
 
 from __future__ import annotations
@@ -20,11 +17,12 @@ import numpy as np
 
 from .stateprep import StatePrep, symmetry_classes
 
-DEFAULT_DIM_CAP = 4096
 HERMITIAN_TOL = 1e-12
-# working memory per block of time rows: their phases and eigen-coordinates;
-# bounds the footprint on long grids
-BLOCK_BYTES = 2**20
+# a backward-stable propagator is off by about eps * E * t_max: a leak or
+# deviation within this many times that floor (1.75 the worst seen) is
+# roundoff, and so is a Lanczos coefficient within this many eps (|X| <= 1)
+ROUNDOFF_FACTOR = 4.0
+KRYLOV_MAX = 32  # X has at most four distinct eigenvalues on the classes
 
 
 def _require_hermitian(hamiltonian: np.ndarray) -> np.ndarray:
@@ -38,13 +36,7 @@ def _require_hermitian(hamiltonian: np.ndarray) -> np.ndarray:
 
 def full_hamiltonian(beta: np.ndarray, targets, energy: float) -> np.ndarray:
     """Dense E * (P_targets + |beta><beta|) on any unit vector ``beta``: over
-    items or symmetry classes, ``targets`` as indices or a mask.  Its dimension
-    is refused above ``DEFAULT_DIM_CAP`` before anything is allocated."""
-    d = beta.size
-    if d > DEFAULT_DIM_CAP:
-        raise ValueError(
-            f"full-space check on d={d} dimensions is over the cap of {DEFAULT_DIM_CAP}"
-        )
+    items or symmetry classes, ``targets`` as indices or a mask."""
     h = energy * np.outer(beta, beta)
     h[targets, targets] += energy
     return h
@@ -103,34 +95,42 @@ def plane_projection_on_grid(
 
     Returns arrays (a, b, leak) aligned with ``times``: a = <w|psi(t)>,
     b = <r|psi(t)>, and ``leak`` the norm of the component of psi(t) outside
-    the invariant plane, all three exact on the symmetry classes, then d, the
-    number of classes the evolution ran on.
+    the invariant plane plus the Krylov error bound, then d, the number of
+    symmetry classes the evolution ran on.
 
-    With X = H/E - I = V diag(lam) V^T, psi(t) = V c(t) where c(t) =
-    exp(-i*E*t) (exp(-i*E*t*lam) * V^T beta).  V is orthogonal, so each row is
-    read from c at O(d): a = c . V^T w, b = c . V^T r and leak =
-    |c - a V^T w - b V^T r|.  The common phase is factored out as the closed
-    form factors it, and X's spectrum in [-1, 1] keeps the roundoff of the
-    rest near eps * E * t.  One ``eigh`` serves the whole grid, which is
-    walked in blocks of rows of at most ``BLOCK_BYTES``.
+    Lanczos from beta, fully reorthogonalised, gives the Krylov rows Q of
+    X = H/E - I = diag(t - 1) + beta beta^T and their tridiagonal T = S
+    diag(lam) S^T; it stops at m = d, at ``KRYLOV_MAX`` rows, or once the
+    next coefficient b_m is roundoff.  psi(t) = Q^T S c(t) with c(t) =
+    exp(-i*E*t) (exp(-i*E*t*lam) * S^T e1), so each row costs O(m^2):
+    (a, b) = c . S^T Q [w r] and leak = |R S c|, R the triangle of Q's rows
+    off the plane, plus the bound E*|t|*b_m on the Krylov error (Saad, SIAM
+    J. Numer. Anal. 29, 209, 1992), which stays large in an unclosed space.
+    X's spectrum lies in [-1, 1] and the common phase is factored out as the
+    closed form factors it, so the roundoff stays near eps * E * t.
     """
     ts = np.asarray(times, dtype=float)
     beta, targets = symmetry_classes(prep)
     d = beta.size
-    x = full_hamiltonian(beta, targets, 1.0)
-    x.flat[:: d + 1] -= 1.0
-    vals, vecs = np.linalg.eigh(x)
-    amplitudes = vecs.T @ beta
-    plane = vecs.T @ np.column_stack(reduced_basis(beta, targets))
-    ab = np.empty((ts.size, 2), dtype=complex)
-    leak = np.empty(ts.size)
-    rows = max(1, BLOCK_BYTES // (32 * d))
-    for start in range(0, ts.size, rows):
-        block = ts[start : start + rows]
-        coeffs = np.exp(-1j * energy * np.multiply.outer(block, vals)) * amplitudes
-        coeffs *= np.exp(-1j * energy * block)[:, None]
-        span = slice(start, start + block.size)
-        ab[span] = coeffs @ plane
-        coeffs -= ab[span] @ plane.T
-        leak[span] = np.linalg.norm(coeffs, axis=1)
+    rows, diagonal, off = [beta], [], []
+    while True:
+        v = (targets - 1.0) * rows[-1] + beta * (beta @ rows[-1])
+        diagonal.append(rows[-1] @ v)
+        q = np.array(rows)
+        for _ in range(2):  # Gram-Schmidt twice keeps Q orthonormal to roundoff
+            v -= (q @ v) @ q
+        b_next = 0.0 if len(rows) == d else float(np.linalg.norm(v))
+        if b_next <= ROUNDOFF_FACTOR * np.finfo(float).eps or len(rows) == KRYLOV_MAX:
+            break
+        off.append(b_next)
+        rows.append(v / b_next)
+    lam, s = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    plane = np.column_stack(reduced_basis(beta, targets))
+    q_plane = q @ plane
+    outside = np.linalg.qr(q.T - plane @ q_plane.T, mode="r")
+    coeffs = np.exp(np.multiply.outer(ts, -1j * energy * lam)) * s[0]  # G x m
+    coeffs *= np.exp(-1j * energy * ts)[:, None]
+    leak = np.hypot.reduce(np.abs(coeffs @ (outside @ s).T), axis=1)
+    leak += energy * np.abs(ts) * b_next
+    ab = coeffs @ (s.T @ q_plane)
     return ab[:, 0], ab[:, 1], leak, d

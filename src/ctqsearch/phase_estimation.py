@@ -197,7 +197,9 @@ def sample_phase_register(y: float, m_size: int, n_samples: int, seed: int) -> n
         k0, f, offsets = _window(phase, m_size)
         probs = _branch_law(phase, m_size, k0 + offsets)
         if offsets.size < m_size:
-            probs = np.append(probs, max(0.0, 1.0 - float(probs.sum())))
+            # the tail bin takes whatever the window leaves: sample_inverse_cdf
+            # raises the last cumulative bin to 1, so its own value is never read
+            probs = np.append(probs, 0.0)
         picks = sample_inverse_cdf(probs, rng, np.count_nonzero(chosen))
         in_tail = picks == offsets.size
         drawn = picks + offsets[0]

@@ -14,8 +14,12 @@ random scenario suites:
   Brassard, Hoyer, Mosca and Tapp (quant-ph/0005055), checked on that law;
 * the matrix-free Chebyshev propagator of Tal-Ezer and Kosloff (J. Chem.
   Phys. 81, 3967, 1984), built from products ``H @ v`` alone, on items or on
-  symmetry classes: the package's eigendecomposition route checked by a
-  route that diagonalises nothing;
+  symmetry classes: the package's Lanczos route checked by a route that
+  diagonalises nothing;
+* the plane projection on the symmetry classes through one dense ``eigh`` of
+  their d x d matrix, read in its eigenbasis: the package's Lanczos route
+  checked by a route with no Krylov space;
+* a plane skewed by one class, the fault both routes must read as a leak;
 * states on the symmetry classes of a prepared state lifted back to items;
 * the distance on the unit circle;
 * the verification hit count drawn over the per-target outcomes;
@@ -42,7 +46,7 @@ from ctqsearch import (
 from ctqsearch.phase_estimation import _branch_law
 from ctqsearch.analysis import _check_misplaced_params
 from ctqsearch.dynamics import _check_energy, _check_overlap, _check_time, _residual_norm
-from ctqsearch.fullsim import BLOCK_BYTES
+from ctqsearch import fullsim
 from ctqsearch.rng import make_rng, sample_inverse_cdf
 from ctqsearch.stateprep import symmetry_classes
 
@@ -50,6 +54,8 @@ from ctqsearch.stateprep import symmetry_classes
 EIGHT_OVER_PI_SQ = 8.0 / math.pi**2
 # largest Chebyshev basis T_k(X) beta, k = 0..K, that the propagator may hold
 CHEBYSHEV_BASIS_LIMIT = 256 * 2**20  # bytes
+# working memory per block of time rows of the dense propagators
+BLOCK_BYTES = 2**20
 
 
 def reduced_hamiltonian(y: float, energy: float) -> np.ndarray:
@@ -279,6 +285,51 @@ def evolve_blocks(beta: np.ndarray, targets, energy: float, times) -> Iterator[n
         states.real = coeffs.real @ basis
         states.imag = coeffs.imag @ basis
         yield states
+
+
+def dense_plane_projection(prep: StatePrep, energy: float, times):
+    """(a, b, leak, d) of ``plane_projection_on_grid`` through the dense route.
+
+    X = H/E - I = V diag(lam) V^T on the d symmetry classes, from
+    ``full_hamiltonian`` and one ``eigh``; psi(t) = V c(t) with c(t) =
+    exp(-i*E*t) (exp(-i*E*t*lam) * V^T beta), so each row is read from c:
+    (a, b) = c . V^T [w r] and leak = |c - (a, b) . (V^T [w r])^T|, in blocks
+    of rows of at most ``BLOCK_BYTES``.  The plane is ``fullsim.reduced_basis``,
+    looked up when called, so a test that replaces it moves both routes.
+    """
+    ts = np.asarray(times, dtype=float)
+    beta, targets = symmetry_classes(prep)
+    d = beta.size
+    x = fullsim.full_hamiltonian(beta, targets, 1.0)
+    x.flat[:: d + 1] -= 1.0
+    vals, vecs = np.linalg.eigh(x)
+    amplitudes = vecs.T @ beta
+    plane = vecs.T @ np.column_stack(fullsim.reduced_basis(beta, targets))
+    ab = np.empty((ts.size, 2), dtype=complex)
+    leak = np.empty(ts.size)
+    rows = max(1, BLOCK_BYTES // (32 * d))
+    for start in range(0, ts.size, rows):
+        block = ts[start : start + rows]
+        coeffs = np.exp(-1j * energy * np.multiply.outer(block, vals)) * amplitudes
+        coeffs *= np.exp(-1j * energy * block)[:, None]
+        span = slice(start, start + block.size)
+        ab[span] = coeffs @ plane
+        coeffs -= ab[span] @ plane.T
+        leak[span] = np.linalg.norm(coeffs, axis=1)
+    return ab[:, 0], ab[:, 1], leak, d
+
+
+def skewed_plane(delta: float):
+    """A stand-in for ``fullsim.reduced_basis`` with a fault of size ~delta: the
+    plane of beta with its last class scaled by (1 + delta) and renormalised."""
+    exact = fullsim.reduced_basis
+
+    def plane(beta: np.ndarray, targets) -> tuple[np.ndarray, np.ndarray]:
+        skewed = beta.copy()
+        skewed[-1] *= 1.0 + delta
+        return exact(skewed / np.linalg.norm(skewed), targets)
+
+    return plane
 
 
 def lift_classes(beta: np.ndarray, target_items: np.ndarray, class_states) -> np.ndarray:

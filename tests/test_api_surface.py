@@ -4,12 +4,10 @@ Every public top-level function or class in ``src/ctqsearch`` must be used
 by another module of the package, by its own module outside its own
 definition, or be documented in README.  Re-exports in ``__init__`` do not
 count as use.  Test oracles belong in ``tests/oracles.py``.  The exceptions
-are the names the benchmark's layer tracer instruments: the item-level
-full-space oracles ``evolve_on_grid`` and ``project_reduced``, which
-therefore stay in ``ctqsearch.fullsim``, and ``scenario_to_dict``, which
-stays in ``ctqsearch.scenario``.  The tracer also instruments
-``full_hamiltonian``, but ``plane_projection_on_grid`` builds its matrix
-with it, so it needs no exception.
+are the names the benchmark's layer tracer instruments: the dense full-space
+oracles ``full_hamiltonian``, ``evolve_on_grid`` and ``project_reduced``,
+which therefore stay in ``ctqsearch.fullsim``, and ``scenario_to_dict``,
+which stays in ``ctqsearch.scenario``.
 
 The evolution layers take a prepared state and an energy, ``(prep, energy)``:
 no function of ``fullsim`` takes a scenario, and in ``phase_estimation`` only
@@ -24,7 +22,7 @@ import ctqsearch
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ctqsearch"
-TRACER_BOUND = {"evolve_on_grid", "project_reduced", "scenario_to_dict"}
+TRACER_BOUND = {"full_hamiltonian", "evolve_on_grid", "project_reduced", "scenario_to_dict"}
 
 
 def used_names(nodes) -> set[str]:

@@ -39,6 +39,7 @@ from ctqsearch import (
 )
 import ctqsearch.scenario as scenario_module
 from ctqsearch.stateprep import symmetry_classes
+from oracles import skewed_plane
 
 
 def run(*args):
@@ -244,23 +245,36 @@ def test_verify_catches_a_perturbed_closed_form_at_a_million_items(tmp_path, mon
     assert "internal check failed" in capsys.readouterr().err
 
 
-def test_verify_over_the_class_cap_exits_1_before_x_or_eigh(tmp_path, monkeypatch, capsys):
+def test_verify_above_the_old_class_cap_builds_no_dense_matrix(tmp_path, monkeypatch):
+    # 13 random sets, each holding about half of 20,000 items, at distinct
+    # weights: their membership patterns give some 7,500 symmetry classes
+    eigh = np.linalg.eigh
+
+    def small_eigh(matrix):
+        assert matrix.shape[0] <= fullsim.KRYLOV_MAX, matrix.shape
+        return eigh(matrix)
+
     def refused(*args, **kwargs):
-        raise AssertionError("X allocated or diagonalised despite the cap")
+        raise AssertionError("a d x d matrix was built")
 
-    monkeypatch.setattr(fullsim, "DEFAULT_DIM_CAP", 1)
+    rng = np.random.default_rng(13)
+    n = 20_000
+    path = tmp_path / "many_sets.json"
+    path.write_text(json.dumps({
+        "n_items": n,
+        "targets": sorted(rng.choice(n, 20, replace=False).tolist()),
+        "info_sets": [{"members": np.flatnonzero(rng.random(n) < 0.5).tolist(), "weight": w}
+                      for w in rng.uniform(0.1, 1.0, 13).tolist()],
+    }))
     monkeypatch.setattr(np, "outer", refused)
-    monkeypatch.setattr(np.linalg, "eigh", refused)
-    assert run("verify", "--scenario", million_items(tmp_path), "--out", tmp_path / "out") == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: full-space check on d=2 dimensions") and err.count("\n") == 1
-    assert "Traceback" not in err
-    assert not (tmp_path / "out" / "verify.json").exists()
+    monkeypatch.setattr(np.linalg, "eigh", small_eigh)
+    assert run("verify", "--scenario", path, "--out", tmp_path / "out") == 0
+    data = read_json(tmp_path / "out" / "verify.json")
+    assert data["passed"] is True and data["n_classes"] > 4096
 
 
-@pytest.mark.parametrize("block_bytes", [fullsim.BLOCK_BYTES, 1])
-def test_verify_diagonalises_once(tmp_path, library_demo_path, monkeypatch, block_bytes):
-    # block_bytes=1 walks the grid one row at a time; the eigenvectors are shared
+def test_verify_diagonalises_once(tmp_path, library_demo_path, monkeypatch):
+    # one eigh of the Krylov space's tridiagonal matrix serves every time row
     eigh = np.linalg.eigh
     calls = []
 
@@ -268,11 +282,21 @@ def test_verify_diagonalises_once(tmp_path, library_demo_path, monkeypatch, bloc
         calls.append(matrix.shape)
         return eigh(matrix)
 
-    monkeypatch.setattr(fullsim, "BLOCK_BYTES", block_bytes)
     monkeypatch.setattr(np.linalg, "eigh", counted)
     assert run("verify", "--scenario", library_demo_path, "--out", tmp_path,
                "--grid-points", 300) == 0
-    assert calls == [(7, 7)]
+    assert calls == [(2, 2)]
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-9])
+def test_verify_fails_a_skewed_plane(tmp_path, library_demo_path, monkeypatch, capsys, delta):
+    # the plane of beta with its last class scaled by 1 + delta leaks ~3.2e-1 * delta
+    monkeypatch.setattr(fullsim, "reduced_basis", skewed_plane(delta))
+    assert run("verify", "--scenario", library_demo_path, "--out", tmp_path) == 2
+    data = read_json(tmp_path / "verify.json")
+    assert data["passed"] is False
+    assert data["max_subspace_leak"] == pytest.approx(3.22e-1 * delta, rel=0.01)
+    assert "internal check failed" in capsys.readouterr().err
 
 
 def reweighted_pair(tmp_path, alpha2):
@@ -378,7 +402,13 @@ def test_verify_report_ignores_format_gating(tmp_path, counting_demo_path):
 
 
 def test_verify_failure_exits_2(tmp_path, library_demo_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "VERIFY_TOL", -1.0)
+    closed_form = dynamics._reduced_coefficients
+
+    def perturbed(y, energy, times):
+        a, b = closed_form(y, energy, times)
+        return a, b + 1e-9
+
+    monkeypatch.setattr(dynamics, "_reduced_coefficients", perturbed)
     assert run("verify", "--scenario", library_demo_path, "--out", tmp_path) == 2
     data = read_json(tmp_path / "verify.json")  # report is still written
     assert data["passed"] is False

@@ -8,6 +8,7 @@ from scipy.special import jv
 
 from conftest import build_scenario
 from ctqsearch import (
+    load_scenario,
     optimal_time,
     plane_projection_on_grid,
     reduced_basis,
@@ -17,12 +18,15 @@ from ctqsearch import (
 from ctqsearch import fullsim, uniform_superposition
 from ctqsearch.fullsim import evolve_on_grid, full_hamiltonian, project_reduced
 from ctqsearch.stateprep import symmetry_classes
+import oracles
 from oracles import (
     ScenarioMode,
     chebyshev_coefficients,
     chebyshev_order,
+    dense_plane_projection,
     evolve_blocks,
     lift_classes,
+    skewed_plane,
     random_scenario_suite,
     reduced_hamiltonian,
 )
@@ -147,13 +151,6 @@ def test_evolve_on_grid_agrees_with_single_calls(lopsided_pair):
         assert_allclose(row, evolve_on_grid(h, prep.beta, [t])[0], atol=1e-13)
 
 
-def test_dimension_cap_enforced():
-    s = build_scenario(5000, {0}, [({0, 1}, 1.0)])
-    prep = weighted_superposition(s)
-    with pytest.raises(ValueError):
-        full_hamiltonian(prep.beta, prep.target_items, s.energy)
-
-
 def test_non_hermitian_rejected():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
@@ -176,10 +173,10 @@ def _small_suite():
     )
 
 
-@pytest.mark.parametrize("block_bytes", [fullsim.BLOCK_BYTES, 1])
+@pytest.mark.parametrize("block_bytes", [oracles.BLOCK_BYTES, 1])
 def test_chebyshev_propagator_matches_dense_oracle(monkeypatch, block_bytes):
-    # block_bytes=1 forces one time row per block
-    monkeypatch.setattr(fullsim, "BLOCK_BYTES", block_bytes)
+    # block_bytes=1 forces one time row per block in the dense and Chebyshev oracles
+    monkeypatch.setattr(oracles, "BLOCK_BYTES", block_bytes)
     for s in _small_suite():
         assert s.n_items <= 64
         prep = weighted_superposition(s)
@@ -189,12 +186,15 @@ def test_chebyshev_propagator_matches_dense_oracle(monkeypatch, block_bytes):
         cheb = np.vstack(list(evolve_blocks(prep.beta, prep.target_items, s.energy, times)))
         assert np.max(np.abs(cheb - dense)) <= 1e-12
 
-        a, b, leak, _ = plane_projection_on_grid(prep, s.energy, times)
+        a, b, leak, d = plane_projection_on_grid(prep, s.energy, times)
         for i, row in enumerate(dense):
             a_ref, b_ref, leak_ref = project_reduced(prep, row)
             assert abs(a[i] - a_ref) <= 1e-12
             assert abs(b[i] - b_ref) <= 1e-12
             assert leak[i] <= 1e-12 and leak_ref <= 1e-12
+        a_eigh, b_eigh, leak_eigh, d_eigh = dense_plane_projection(prep, s.energy, times)
+        assert d_eigh == d and np.max(leak_eigh) <= 1e-12
+        assert np.max(np.abs(a - a_eigh)) <= 1e-12 and np.max(np.abs(b - b_eigh)) <= 1e-12
 
 
 @pytest.mark.parametrize("a_max", [0.0, 0.3, 3.7, 40.0, 150.0, 300.0])
@@ -218,21 +218,6 @@ def test_chebyshev_conserves_norm_and_leaves_uncovered_items_zero(boosted_pair):
     assert outside and np.max(np.abs(states[:, outside])) == 0.0
 
 
-def test_class_cap_refused_before_x_is_built(monkeypatch):
-    # the cap applies to d, the number of symmetry classes, not to N
-    def refused(*args, **kwargs):
-        raise AssertionError("X allocated or diagonalised despite the cap")
-
-    s = build_scenario(1_000_000, {0}, [({0, 1}, 1.0)])
-    prep = weighted_superposition(s)
-    times = np.linspace(0.0, 2.0 * optimal_time(prep.y, s.energy), 8)
-    monkeypatch.setattr(fullsim, "DEFAULT_DIM_CAP", 1)
-    monkeypatch.setattr(np, "outer", refused)
-    monkeypatch.setattr(np.linalg, "eigh", refused)
-    with pytest.raises(ValueError, match=r"d=2 dimensions is over the cap of 1"):
-        plane_projection_on_grid(prep, s.energy, times)
-
-
 def test_grid_walk_memory_is_bounded_by_the_block():
     # 12 classes and 2**17 time rows: the states alone would take 24 MiB
     sets = [(set(range(k, 12)), 0.05 + 0.03 * k) for k in range(12)]
@@ -246,8 +231,9 @@ def test_grid_walk_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     outputs = a.nbytes + b.nbytes + leak.nbytes
-    # one block's phases, states and their temporaries; unblocked, 74 MiB
-    assert d == 12 and peak - outputs <= 4 * fullsim.BLOCK_BYTES
+    # a row's m = 2 Krylov coefficients and one temporary, 40 bytes a point;
+    # d-wide rows would take 192 for the states alone, 74 MiB in all
+    assert d == 12 and peak - outputs <= 64 * times.size
     assert np.max(leak) <= 1e-12
 
 
@@ -267,6 +253,8 @@ def test_class_evolution_matches_the_chebyshev_oracle_at_small_overlap(y):
     assert d == 3
     assert np.max(np.abs(a - ab[:, 0])) <= 1e-10 and np.max(np.abs(b - ab[:, 1])) <= 1e-10
     assert np.max(leak) <= 1e-12
+    a_eigh, b_eigh, _, _ = dense_plane_projection(prep, s.energy, times)
+    assert np.max(np.abs(a - a_eigh)) <= 1e-10 and np.max(np.abs(b - b_eigh)) <= 1e-10
 
 
 def test_class_evolution_matches_the_chebyshev_oracle_at_hundreds_of_classes():
@@ -288,6 +276,32 @@ def test_class_evolution_matches_the_chebyshev_oracle_at_hundreds_of_classes():
     assert 200 <= d <= 400
     assert np.max(np.abs(a - ab[:, 0])) <= 1e-10 and np.max(np.abs(b - ab[:, 1])) <= 1e-10
     assert np.max(leak) <= 1e-12 and np.max(leak_ref) <= 1e-12
+    a_eigh, b_eigh, leak_eigh, _ = dense_plane_projection(prep, s.energy, times)
+    assert np.max(np.abs(a - a_eigh)) <= 1e-10 and np.max(np.abs(b - b_eigh)) <= 1e-10
+    assert np.max(leak_eigh) <= 1e-12
+
+
+def test_an_unclosed_krylov_space_keeps_its_bound_in_the_leak(monkeypatch, boosted_pair):
+    # stopped at beta alone, the state never leaves the plane; the Krylov
+    # error bound E*t*b_1, with b_1 = y*sqrt(1 - y^2), is then the whole leak
+    monkeypatch.setattr(fullsim, "KRYLOV_MAX", 1)
+    prep = weighted_superposition(boosted_pair)
+    times = np.linspace(0.0, 2.0 * optimal_time(prep.y, 1.3), 9)
+    leak = plane_projection_on_grid(prep, 1.3, times)[2]
+    assert_allclose(leak, 1.3 * times * prep.y * np.sqrt(1.0 - prep.y**2), rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("delta, expected", [(1e-6, 3.22e-7), (1e-9, 3.22e-10)])
+def test_both_routes_read_a_skewed_plane_as_its_leak(monkeypatch, library_demo_path, delta,
+                                                     expected):
+    # the evolution is exact and the plane is off by ~delta: the Krylov route
+    # and the dense eigh route must both see it, on verify's own grid
+    s = load_scenario(library_demo_path)
+    prep = weighted_superposition(s)
+    times = trajectory(prep, s.energy, n_points=64).times
+    monkeypatch.setattr(fullsim, "reduced_basis", skewed_plane(delta))
+    for route in (plane_projection_on_grid, dense_plane_projection):
+        assert np.max(route(prep, s.energy, times)[2]) == pytest.approx(expected, rel=0.01)
 
 
 def test_symmetry_classes_of_the_boosted_pair(boosted_pair):
@@ -308,9 +322,9 @@ def test_uniform_state_folds_onto_the_plane():
     assert is_target.tolist() == [True, False]
 
 
-@pytest.mark.parametrize("block_bytes", [fullsim.BLOCK_BYTES, 1])
+@pytest.mark.parametrize("block_bytes", [oracles.BLOCK_BYTES, 1])
 def test_class_states_lift_to_the_dense_oracle(monkeypatch, block_bytes):
-    monkeypatch.setattr(fullsim, "BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(oracles, "BLOCK_BYTES", block_bytes)
     for s in _small_suite():
         prep = weighted_superposition(s)
         amplitudes, is_target = symmetry_classes(prep)
