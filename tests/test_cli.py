@@ -273,8 +273,10 @@ def test_verify_above_the_old_class_cap_builds_no_dense_matrix(tmp_path, monkeyp
     assert data["passed"] is True and data["n_classes"] > 4096
 
 
-def test_verify_diagonalises_once(tmp_path, library_demo_path, monkeypatch):
-    # one eigh of the Krylov space's tridiagonal matrix serves every time row
+@pytest.mark.parametrize("energy", [2**20, 1])
+def test_verify_diagonalises_once(tmp_path, library_demo_path, monkeypatch, energy):
+    # one eigh of the Krylov space's tridiagonal matrix serves every time row;
+    # X = H/E - I does not depend on E, so neither does that matrix
     eigh = np.linalg.eigh
     calls = []
 
@@ -284,7 +286,7 @@ def test_verify_diagonalises_once(tmp_path, library_demo_path, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     assert run("verify", "--scenario", library_demo_path, "--out", tmp_path,
-               "--grid-points", 300) == 0
+               "--grid-points", 300, "--energy", energy) == 0
     assert calls == [(2, 2)]
 
 
